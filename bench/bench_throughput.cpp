@@ -1,12 +1,12 @@
 // Simulation-throughput harness: host Mcycles/s per workload/scheduler.
 //
 // Not a paper figure — this measures the *simulator*, not the simulated
-// machine.  For each irregular workload it runs the GMC baseline and the
-// full WG-W design twice, with idle-cycle fast-forward disabled and
-// enabled, and reports simulated DRAM Mcycles per wall-clock second plus
-// the fast-forward speedup.  The two runs must produce identical IPC
-// (fast-forward is behavior-preserving by contract; see DESIGN.md "Hot
-// path & determinism contract") — any divergence aborts the bench.
+// machine.  Three sections, each with a machine-independent gate:
+// interval sampling (>= 5x fewer detailed cycles at <= 2% geomean IPC
+// error, recorded in the JSON artifact), observability overhead (no mode
+// may perturb IPC; host Mcycles/s per mode is reported) and bounded-memory
+// streaming trace replay (peak-RSS bound).  Any gate failure aborts the
+// bench.
 //
 // Wall-clock numbers are machine-dependent; track trends, not absolutes.
 // EXPERIMENTS.md records the reference sweep-level numbers.
@@ -44,11 +44,9 @@ enum class ObsMode {
 };
 
 Measured measure(const WorkloadProfile& w, SchedulerKind sched,
-                 const Options& opts, bool fast_forward,
-                 ObsMode obs = ObsMode::kOff) {
+                 const Options& opts, ObsMode obs) {
   const auto start = std::chrono::steady_clock::now();  // lint: wall-clock-ok
   const RunResult r = run_point(w, sched, opts, [&](SimConfig& cfg) {
-    cfg.idle_fast_forward = fast_forward;
     if (obs == ObsMode::kMetrics) {
       cfg.obs.metrics_path = "/dev/null";  // enables the hub, nothing else
     } else if (obs == ObsMode::kTrace) {
@@ -83,11 +81,11 @@ int obs_overhead_section(const Options& opts) {
     for (const SchedulerKind sched :
          {SchedulerKind::kGmc, SchedulerKind::kWgW}) {
       const char* sname = sched == SchedulerKind::kGmc ? "GMC" : "WG-W";
-      const Measured off1 = measure(w, sched, opts, true, ObsMode::kOff);
-      const Measured off2 = measure(w, sched, opts, true, ObsMode::kOff);
-      const Measured met = measure(w, sched, opts, true, ObsMode::kMetrics);
-      const Measured att = measure(w, sched, opts, true, ObsMode::kAttrib);
-      const Measured trc = measure(w, sched, opts, true, ObsMode::kTrace);
+      const Measured off1 = measure(w, sched, opts, ObsMode::kOff);
+      const Measured off2 = measure(w, sched, opts, ObsMode::kOff);
+      const Measured met = measure(w, sched, opts, ObsMode::kMetrics);
+      const Measured att = measure(w, sched, opts, ObsMode::kAttrib);
+      const Measured trc = measure(w, sched, opts, ObsMode::kTrace);
       if (off1.ipc != off2.ipc || off1.ipc != met.ipc ||
           off1.ipc != att.ipc || off1.ipc != trc.ipc) {
         std::fprintf(stderr,
@@ -115,55 +113,6 @@ int obs_overhead_section(const Options& opts) {
               "pointer per event site); compare 'off Mc/s' against the "
               "reference numbers in EXPERIMENTS.md — drift beyond the "
               "noise column flags a regression.\n");
-  return 0;
-}
-
-/// Shard scaling: the channel-sharded core (src/par) at 1/2/4/6 shards,
-/// one row per shard count with per-workload Mc/s cells and a speedup
-/// column vs the serial core.  IPC must be identical at every count —
-/// the determinism contract (tests/test_shard.cpp) makes shards a pure
-/// wall-clock knob; any divergence aborts the bench.  Wall-clock scaling
-/// depends on the host's core count (worker threads are
-/// min(shards, hardware threads), overridable via LATDIV_SHARD_THREADS);
-/// single-core hosts see only the sharding overhead.
-int shard_scaling_section(const Options& opts) {
-  std::printf("\nshard scaling — channel-sharded core, Mc/s by shard "
-              "count (fast-forward on)\n");
-  const std::vector<WorkloadProfile> workloads = irregular_suite();
-  std::vector<std::string> heads;
-  for (const WorkloadProfile& w : workloads) heads.push_back(w.name);
-  heads.push_back("speedup");
-  print_row("shards", heads);
-
-  std::vector<double> base_ipc;
-  std::vector<double> base_mcs;
-  for (const std::uint32_t shards : {1u, 2u, 4u, 6u}) {
-    Options sharded = opts;
-    sharded.shards = shards;
-    std::vector<std::string> cells;
-    std::vector<double> ratios;
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-      const Measured m =
-          measure(workloads[i], SchedulerKind::kWgW, sharded, true);
-      if (shards == 1) {
-        base_ipc.push_back(m.ipc);
-        base_mcs.push_back(m.mcycles_per_s);
-      } else if (m.ipc != base_ipc[i]) {
-        std::fprintf(stderr,
-                     "bench_throughput: shards=%u changed %s IPC "
-                     "(%.6f vs %.6f) — determinism contract violated\n",
-                     shards, workloads[i].name.c_str(), m.ipc, base_ipc[i]);
-        return 1;
-      }
-      cells.push_back(fixed(m.mcycles_per_s, 2));
-      ratios.push_back(safe_ratio(m.mcycles_per_s, base_mcs[i]));
-    }
-    cells.push_back(shards == 1 ? "1.00x" : fixed(geomean(ratios), 2) + "x");
-    print_row(std::to_string(shards), cells);
-  }
-  std::printf("\nidentical IPC at every shard count is the gate; Mc/s "
-              "scaling tracks the host's usable cores (EXPERIMENTS.md "
-              "records reference numbers).\n");
   return 0;
 }
 
@@ -418,46 +367,11 @@ int trace_streaming_section() {
 
 int main(int argc, char** argv) {
   const Options opts = Options::parse(argc, argv);
-  banner("simulator throughput — host Mcycles/s, fast-forward off vs on",
-         "identical IPC both ways; speedup is workload-dependent");
+  banner("simulator throughput — sampling, observability overhead, "
+         "streaming replay",
+         "each section gates on a machine-independent contract");
   print_config(opts);
 
-  print_row("workload", {"sched", "Mc/s off", "Mc/s on", "speedup"});
-  std::vector<double> speedups;
-  std::string ff_rows;
-  for (const WorkloadProfile& w : irregular_suite()) {
-    for (const SchedulerKind sched :
-         {SchedulerKind::kGmc, SchedulerKind::kWgW}) {
-      const Measured off = measure(w, sched, opts, /*fast_forward=*/false);
-      const Measured on = measure(w, sched, opts, /*fast_forward=*/true);
-      if (off.ipc != on.ipc) {
-        std::fprintf(stderr,
-                     "bench_throughput: fast-forward changed %s/%s IPC "
-                     "(%.6f vs %.6f) — behavior contract violated\n",
-                     w.name.c_str(),
-                     sched == SchedulerKind::kGmc ? "GMC" : "WG-W", off.ipc,
-                     on.ipc);
-        return 1;
-      }
-      const double speedup = safe_ratio(on.mcycles_per_s, off.mcycles_per_s);
-      speedups.push_back(speedup);
-      const char* sname = sched == SchedulerKind::kGmc ? "GMC" : "WG-W";
-      print_row(w.name, {sname, fixed(off.mcycles_per_s, 2),
-                         fixed(on.mcycles_per_s, 2), fixed(speedup, 2)});
-      std::ostringstream row;
-      row << "{\"workload\":\"" << w.name << "\",\"scheduler\":\"" << sname
-          << "\",\"mcycles_per_s_off\":" << off.mcycles_per_s
-          << ",\"mcycles_per_s_on\":" << on.mcycles_per_s
-          << ",\"speedup\":" << speedup << "}";
-      json_row(ff_rows, row.str());
-    }
-  }
-  print_row("geomean", {"-", "-", "-", fixed(geomean(speedups), 2)});
-  std::printf("\nfast-forward helps most while every component is idle "
-              "(warmup tails, drained phases); dense phases run at the "
-              "baseline rate.\n");
-  const int shard_rc = shard_scaling_section(opts);
-  if (shard_rc != 0) return shard_rc;
   std::string sampling_json;
   const int sampling_rc = sampling_section(opts, sampling_json);
   if (sampling_rc != 0) return sampling_rc;
@@ -474,9 +388,7 @@ int main(int argc, char** argv) {
       opts.out_json.empty() ? "BENCH_throughput.json" : opts.out_json;
   std::ostringstream doc;
   doc << "{\"bench\":\"throughput\",\"cycles\":" << opts.cycles
-      << ",\"fast_forward\":{\"rows\":[" << ff_rows
-      << "],\"geomean_speedup\":" << geomean(speedups)
-      << "},\"sampling\":" << sampling_json
+      << ",\"sampling\":" << sampling_json
       << ",\"gates\":{\"sampling_cycle_reduction_min\":5.0,"
       << "\"sampling_ipc_err_max\":0.02,\"passed\":true}}\n";
   std::ofstream out(out_path, std::ios::binary);

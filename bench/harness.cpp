@@ -17,9 +17,6 @@ const char* Options::usage() {
          "  --seed N     base workload seed (default 1)\n"
          "  --seeds N    independent trials averaged per point (default 1)\n"
          "  --quick      1/4-length run for smoke testing\n"
-         "  --shards N   channel shards per simulated point (default\n"
-         "               $LATDIV_SHARDS or 1; results are byte-identical\n"
-         "               at any value)\n"
          "sweep-engine options (manifest-backed benches):\n"
          "  --jobs N     executor threads (default 1)\n"
          "  --filter S   keep only sweep points whose id contains S\n"
@@ -33,20 +30,6 @@ const char* Options::usage() {
 
 Options Options::parse(int argc, char** argv) {
   Options opts;
-  const auto shard_count = [&](const char* origin,
-                               const char* text) -> std::uint32_t {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || v == 0 || v > 4096) {
-      std::fprintf(stderr, "%s: %s wants a shard count >= 1, got '%s'\n",
-                   argv[0], origin, text);
-      std::exit(2);
-    }
-    return static_cast<std::uint32_t>(v);
-  };
-  if (const char* env = std::getenv("LATDIV_SHARDS")) {
-    opts.shards = shard_count("LATDIV_SHARDS", env);
-  }
   const auto value = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
       std::fprintf(stderr, "%s: %s needs a value\n%s", argv[0], argv[i],
@@ -78,8 +61,6 @@ Options Options::parse(int argc, char** argv) {
       opts.seeds = static_cast<std::uint32_t>(number(i));
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       opts.quick = true;
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      opts.shards = shard_count("--shards", value(i));
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
       opts.jobs = static_cast<unsigned>(number(i));
     } else if (std::strcmp(argv[i], "--filter") == 0) {
@@ -126,7 +107,6 @@ int run_figure(const std::string& manifest, const Options& opts) {
   args.check = opts.check;
   args.timings = opts.timings;
   args.progress = !opts.quiet;
-  args.shards = opts.shards;
   return exp::run_manifest(manifest, args);
 }
 
@@ -138,7 +118,6 @@ RunResult run_point(const WorkloadProfile& workload, SchedulerKind scheduler,
   cfg.max_cycles = opts.cycles;
   cfg.warmup_cycles = opts.warmup;
   cfg.seed = opts.seed;
-  cfg.shards = opts.shards;
   if (hook) hook(cfg);
   Simulator sim(cfg);
   return sim.run();

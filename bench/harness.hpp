@@ -38,10 +38,6 @@ struct Options {
   std::uint64_t seed = 1;
   std::uint32_t seeds = 1;  ///< independent trials averaged per point
   bool quick = false;       ///< 1/4-length smoke run
-  /// Channel shards per simulated point (--shards / LATDIV_SHARDS).
-  /// Results and artifact bytes are contractually identical at any value
-  /// (SimConfig::shards); this is purely a wall-clock knob.
-  std::uint32_t shards = 1;
 
   // Sweep-engine options (used by the manifest-backed benches; the
   // serial benches accept and ignore them).

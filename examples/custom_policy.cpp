@@ -53,9 +53,8 @@ class BlpFirstPolicy final : public TransactionScheduler {
 
 /// Decorator pattern: wrap a built-in policy to observe or perturb it
 /// while keeping its behaviour.  Forwarding wg_stats() keeps the WG
-/// counters flowing into RunResult, and forwarding quiescent() keeps the
-/// idle fast-forward exact — custom wrappers that hide scheduler state
-/// behind the conservative defaults would lose both.
+/// counters flowing into RunResult; a wrapper that hid them behind the
+/// default would report zeros.
 class CountingWrapper final : public TransactionScheduler {
  public:
   explicit CountingWrapper(std::unique_ptr<TransactionScheduler> inner)
@@ -88,7 +87,6 @@ class CountingWrapper final : public TransactionScheduler {
     inner_->on_drain_start(mc, now);
   }
   const WgStats* wg_stats() const override { return inner_->wg_stats(); }
-  bool quiescent() const override { return inner_->quiescent(); }
 
   std::uint64_t schedule_calls() const { return schedule_calls_; }
 

@@ -54,22 +54,6 @@ int main(int argc, char** argv) {
   point.cycles = 100'000;
   point.warmup = 10'000;
 
-  // Channel shards (parallel core).  Output bytes are contractually
-  // identical at any value, so this is safe to default from the env.
-  unsigned long shards = 1;
-  const auto parse_shards = [&](const char* origin, const char* text) {
-    char* end = nullptr;
-    shards = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || shards == 0 || shards > 4096) {
-      std::fprintf(stderr, "%s: %s wants a shard count >= 1, got '%s'\n",
-                   argv[0], origin, text);
-      std::exit(2);
-    }
-  };
-  if (const char* env = std::getenv("LATDIV_SHARDS")) {
-    parse_shards("LATDIV_SHARDS", env);
-  }
-
   for (int i = 1; i < argc; ++i) {
     auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : "";
@@ -88,24 +72,15 @@ int main(int argc, char** argv) {
       point.seed = std::strtoull(value(), nullptr, 10);
     } else if (std::strcmp(argv[i], "--ddr3") == 0) {
       point.hook = [](SimConfig& c) { c.dram = ddr3_1600_params(); };
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      parse_shards("--shards", value());
     } else if (std::strcmp(argv[i], "--timings") == 0) {
       timings = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--workload W] [--scheduler S] [--cycles N] "
-                   "[--seed N] [--ddr3] [--shards N] [--timings] [--list]\n",
+                   "[--seed N] [--ddr3] [--timings] [--list]\n",
                    argv[0]);
       return 2;
     }
-  }
-  if (shards != 1) {
-    const exp::ConfigHook base = point.hook;
-    point.hook = [base, shards](SimConfig& c) {
-      if (base) base(c);
-      c.shards = static_cast<std::uint32_t>(shards);
-    };
   }
 
   point.workload = profile_by_name(workload);

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "ckpt/snapshot.hpp"
-#include "par/worker_pool.hpp"
+#include "common/parallel.hpp"
 #include "sim/simulator.hpp"
 
 namespace latdiv::ckpt {
@@ -236,8 +236,7 @@ SampledResult run_sampled(const SimConfig& cfg, const SamplingConfig& scfg,
   std::vector<SampledWindow> windows(starts.size());
   std::vector<std::uint64_t> warm_draws(starts.size(), 0);
 
-  par::WorkerPool pool(std::min<unsigned>(jobs - 1, starts.size()));
-  pool.run(starts.size(), [&](std::size_t k) {
+  parallel_for(starts.size(), jobs, [&](std::size_t k) {
     Simulator sim(cfg);
     load_snapshot(sim, snap.data(), snap.size());
     SampledRunner worker(sim, scfg);

@@ -132,9 +132,9 @@ class SampledRunner {
 /// the measured windows.  jobs <= 1 runs the sequential SampledRunner
 /// schedule.  jobs > 1 is the fan-out mode: simulate the first (priming)
 /// window in detail, snapshot once, freeze the issue-rate estimator, and
-/// measure every remaining window on a par::WorkerPool — each worker
-/// restores the one snapshot, functionally skips to its own window start
-/// and measures independently.  The result is deterministic in `cfg` and
+/// measure every remaining window on `jobs` threads (parallel_for in
+/// common/parallel.hpp) — each worker restores the one snapshot,
+/// functionally skips to its own window start and measures independently.  The result is deterministic in `cfg` and
 /// `scfg` and *independent of the jobs count* (each window's chain never
 /// sees another worker); it differs from the sequential schedule only
 /// through the frozen rate estimator.

@@ -78,9 +78,8 @@ void io_check_count(Ar& ar, std::size_t expect, const char* what) {
   }
 }
 
-/// Resizable sequence (vector / deque, any allocator): count, then one
-/// callback per element.  Load resizes in place, so arena-backed deques
-/// keep their allocator — the container object itself is never replaced.
+/// Resizable sequence (vector / deque): count, then one callback per
+/// element.  Load resizes in place.
 template <class Ar, class Seq, class Fn>
 void io_seq(Ar& ar, Seq& seq, Fn&& fn) {
   std::uint64_t n = seq.size();

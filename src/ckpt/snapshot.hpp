@@ -26,9 +26,8 @@
 //
 // The fingerprint is a CRC-32 over the configuration fields that shape
 // the serialized structures (GPU geometry, scheduler, seed, workload
-// identity).  It deliberately excludes execution-policy knobs — shards,
-// idle_fast_forward, max_cycles — which do not affect simulated state, so
-// a snapshot can resume under a different shard count or a longer run.
+// identity).  It deliberately excludes max_cycles, which does not affect
+// simulated state, so a snapshot can resume into a longer run.
 // Deeper mismatches the fingerprint cannot see are caught by the
 // per-section geometry checks during load.
 //

@@ -1,22 +1,15 @@
-// Shard-safety annotations for ROADMAP item 1 (channel-sharded simulation).
+// Lock-discipline annotations.
 //
-// The simulator's determinism contract extends to the coming threaded
-// core: every mutable static and every pointer/reference/callback field
-// crossing the MemoryController/Channel/Crossbar boundary must be
-// classified *now*, before threads exist, so the threading PR inherits a
-// fully annotated sharing map instead of discovering it in TSan reports.
-// latdiv-lint (tools/latdiv-lint) enforces the classification at the
-// source level; under Clang with -Wthread-safety (enabled by CMake for
-// Clang builds) the LATDIV_GUARDED_BY family additionally compiles to the
-// thread-safety-analysis attributes, so lock discipline is checked by the
-// compiler too.  Under GCC every macro expands to nothing.
+// The simulator is serial; threads exist only to fan out whole runs
+// (sweep points, sampled windows — common/parallel.hpp), and whatever
+// those threads share is guarded by a lock.  latdiv-lint's mutable-static
+// rule accepts a LATDIV_GUARDED_BY annotation as the classification of a
+// mutable static; under Clang with -Wthread-safety (enabled by CMake for
+// Clang builds) the family compiles to the thread-safety-analysis
+// attributes, so lock discipline is checked by the compiler too.  Under
+// GCC every macro expands to nothing.
 //
 // Vocabulary:
-//   LATDIV_SHARD_LOCAL       — owned by exactly one shard thread; never
-//                              read or written across shards.  A marker
-//                              (expands to nothing everywhere); it is the
-//                              declaration the linter requires, and the
-//                              claim TSan verifies at runtime.
 //   LATDIV_GUARDED_BY(mu)    — read/written only while holding `mu`.
 //   LATDIV_PT_GUARDED_BY(mu) — the *pointee* is guarded by `mu`.
 //   LATDIV_REQUIRES(mu)      — function requires `mu` held on entry.
@@ -45,10 +38,6 @@
 #define LATDIV_ACQUIRE(...) LATDIV_TSA(acquire_capability(__VA_ARGS__))
 #define LATDIV_RELEASE(...) LATDIV_TSA(release_capability(__VA_ARGS__))
 #define LATDIV_NO_TSA LATDIV_TSA(no_thread_safety_analysis)
-
-/// Marker: owned exclusively by one shard thread (no lock needed).  The
-/// linter reads it; it has no compiled effect.
-#define LATDIV_SHARD_LOCAL
 
 namespace latdiv {
 

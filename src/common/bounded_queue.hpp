@@ -9,21 +9,16 @@
 
 #include <cstddef>
 #include <deque>
-#include <memory>
 #include <utility>
 
 #include "common/log.hpp"
 
 namespace latdiv {
 
-/// `Alloc` lets hot queues draw node storage from a per-shard arena
-/// (par::ArenaAllocator); the default is the global heap, behaviourally
-/// identical.
-template <typename T, typename Alloc = std::allocator<T>>
+template <typename T>
 class BoundedQueue {
  public:
-  explicit BoundedQueue(std::size_t capacity, const Alloc& alloc = Alloc())
-      : capacity_(capacity), items_(alloc) {
+  explicit BoundedQueue(std::size_t capacity) : capacity_(capacity) {
     LATDIV_ASSERT(capacity > 0, "queue capacity must be positive");
   }
 
@@ -65,13 +60,13 @@ class BoundedQueue {
 
   /// Remove the element at iterator position (schedulers pick from the
   /// middle of the queue; hardware equivalently clears a CAM entry).
-  auto erase(typename std::deque<T, Alloc>::iterator pos) {
+  auto erase(typename std::deque<T>::iterator pos) {
     return items_.erase(pos);
   }
 
  private:
   std::size_t capacity_;
-  std::deque<T, Alloc> items_;
+  std::deque<T> items_;
 };
 
 }  // namespace latdiv

@@ -10,16 +10,6 @@ CoordinationNetwork::CoordinationNetwork(
   LATDIV_ASSERT(!controllers_.empty(), "empty coordination network");
 }
 
-void CoordinationNetwork::collect_due(Cycle start, Cycle end,
-                                      std::vector<Pending>& out) {
-  while (!in_flight_.empty() && in_flight_.front().due < end) {
-    LATDIV_DCHECK(in_flight_.front().due >= start,
-                  "coordination delivery skipped by a prior epoch");
-    out.push_back(in_flight_.front());
-    in_flight_.pop_front();
-  }
-}
-
 void CoordinationNetwork::tick(Cycle now) {
   for (MemoryController* mc : controllers_) {
     for (const CoordMsg& msg : mc->outbox()) {

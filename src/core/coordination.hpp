@@ -24,11 +24,6 @@ namespace latdiv {
 
 class CoordinationNetwork {
  public:
-  struct Pending {
-    Cycle due;
-    CoordMsg msg;
-  };
-
   CoordinationNetwork(std::vector<MemoryController*> controllers,
                       Cycle latency = 4);
 
@@ -37,40 +32,18 @@ class CoordinationNetwork {
   /// controllers have ticked.
   void tick(Cycle now);
 
-  // --- sharded-core hooks (par::ShardEngine) ---
-  /// Enqueue one broadcast exactly as tick(sent_at) would have collected
-  /// it.  The epoch merge calls this in (cycle, controller) order, which
-  /// is the order tick() drains outboxes, so in_flight_ stays FIFO-sorted
-  /// and messages_sent() counts identically to a serial run.
-  void enqueue(const CoordMsg& msg, Cycle sent_at) {
-    in_flight_.push_back(Pending{sent_at + latency_, msg});
-    ++sent_;
-  }
-  /// Move every in-flight message due before `end` into `out` (FIFO
-  /// order, appended).  Called at the start of an epoch [start, end); the
-  /// shards apply each delivery to their own controllers at its due
-  /// cycle.  A leftover due before `start` would mean a prior epoch
-  /// skipped a delivery, which the implementation checks against.
-  void collect_due(Cycle start, Cycle end, std::vector<Pending>& out);
-
   [[nodiscard]] std::uint64_t messages_sent() const { return sent_; }
-
-  /// Earliest cycle >= now at which a tick can move a message (idle
-  /// fast-forward): `now` while any controller outbox awaits pickup,
-  /// else the due time of the oldest in-flight message (kNoCycle when
-  /// the network is empty; constant latency keeps in_flight_ sorted).
-  [[nodiscard]] Cycle next_event(Cycle now) const {
-    for (const MemoryController* mc : controllers_) {
-      if (!mc->outbox().empty()) return now;
-    }
-    return in_flight_.empty() ? kNoCycle : in_flight_.front().due;
-  }
 
   /// Snapshot serialization of in-flight messages (src/ckpt).
   template <class Ar>
   void ckpt_io(Ar& ar);
 
  private:
+  struct Pending {
+    Cycle due;
+    CoordMsg msg;
+  };
+
   std::vector<MemoryController*> controllers_;
   Cycle latency_;
   std::deque<Pending> in_flight_;  // FIFO: constant latency keeps it sorted

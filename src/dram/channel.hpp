@@ -21,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "common/types.hpp"
 #include "dram/command.hpp"
 #include "dram/params.hpp"
@@ -86,21 +85,6 @@ class Channel {
   /// accounting only; no timing effects).
   void on_cycle_end(Cycle now);
 
-  /// Cycle the next refresh becomes due (kNoCycle when refresh is off).
-  /// Idle fast-forward must not skip past it: refresh_due() flipping is a
-  /// scheduling event even on an otherwise empty controller.
-  [[nodiscard]] Cycle next_refresh_at() const {
-    return timing_.refresh_enabled ? next_refresh_at_ : kNoCycle;
-  }
-
-  /// Credit `n` cycles of all-banks-idle accounting in bulk (idle
-  /// fast-forward skipped the per-cycle on_cycle_end calls; the caller
-  /// guarantees no command issued in the skipped span, so the banks'
-  /// open/closed state was constant throughout).
-  void note_idle_cycles(std::uint64_t n) {
-    if (all_banks_closed()) stats_.all_banks_idle_cycles += n;
-  }
-
   [[nodiscard]] const ChannelStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const DramTiming& timing() const noexcept { return timing_; }
 
@@ -154,10 +138,9 @@ class Channel {
   Cycle data_bus_free_at_ = 0;
   Cycle next_refresh_at_ = 0;
 
-  // Observers are registered at construction by this channel's controller
-  // and invoked synchronously on its tick; under a sharded core the whole
-  // chain stays on the channel's own thread.
-  std::vector<CommandObserver> observers_ LATDIV_SHARD_LOCAL;
+  // Observers are registered at construction and invoked synchronously
+  // on this channel's tick.
+  std::vector<CommandObserver> observers_;
   ChannelStats stats_;
 };
 

@@ -92,35 +92,6 @@ void attach_obs_outputs(Manifest& manifest, const SweepRunArgs& args) {
   }
 }
 
-/// Wraps every simulated point's hook to force idle fast-forward off
-/// (--no-fast-forward).  Applied after the base hook, so it also
-/// overrides manifests that set the knob themselves.
-void disable_fast_forward(Manifest& manifest) {
-  for (ExpPoint& p : manifest.grid.points_mut()) {
-    if (p.analytic) continue;
-    const ConfigHook base = p.hook;
-    p.hook = [base](SimConfig& cfg) {
-      if (base) base(cfg);
-      cfg.idle_fast_forward = false;
-    };
-  }
-}
-
-/// Wraps every simulated point's hook to run on the channel-sharded core
-/// (--shards / LATDIV_SHARDS).  Applied after the base hook, so it also
-/// overrides manifests that set the knob themselves; artifact bytes are
-/// contractually unchanged (tests/test_shard.cpp).
-void apply_shards(Manifest& manifest, std::uint32_t shards) {
-  for (ExpPoint& p : manifest.grid.points_mut()) {
-    if (p.analytic) continue;
-    const ConfigHook base = p.hook;
-    p.hook = [base, shards](SimConfig& cfg) {
-      if (base) base(cfg);
-      cfg.shards = shards;
-    };
-  }
-}
-
 /// Attaches per-point snapshot save/restore paths (--snapshot /
 /// --resume): `<dir>/<point-id>.snap`, same naming scheme as the obs
 /// artifacts.  Analytic points have no simulator state and are skipped.
@@ -199,8 +170,6 @@ int run_manifest(const std::string& name, const SweepRunArgs& args) {
   attach_obs_outputs(manifest, args);
   attach_snapshots(manifest, args);
   if (args.sampled) apply_sampling(manifest, args.sampling);
-  if (!args.fast_forward) disable_fast_forward(manifest);
-  if (args.shards != 1) apply_shards(manifest, args.shards);
 
   const ProgressFn progress =
       args.progress

@@ -23,10 +23,6 @@ struct SweepRunArgs {
   GoldenOptions golden;  ///< tolerances for --check
   bool timings = false;  ///< include wall_ms in the JSON (non-deterministic)
   bool progress = true;  ///< per-point progress lines on stderr
-  /// Disable idle-cycle fast-forward in every simulated point
-  /// (--no-fast-forward).  Results are contractually byte-identical with
-  /// it on or off; CI sweeps both ways and compares the artifacts.
-  bool fast_forward = true;
   /// Print a per-phase wall-clock and simulation-throughput breakdown
   /// (build / simulate / report phases, simulated Mcycles/s, peak RSS)
   /// on stderr.  Emitted even when points fail or artifact writes fail.
@@ -44,11 +40,6 @@ struct SweepRunArgs {
   std::string attrib_dir;
   /// Sampling epoch (DRAM cycles) for --timeseries rows.
   std::uint64_t sample_interval = 500;
-  /// Logical shard count for the parallel channel-sharded core in every
-  /// simulated point (--shards / LATDIV_SHARDS).  Artifact bytes are
-  /// contractually identical at any value (SimConfig::shards); CI sweeps
-  /// several counts and compares.  0 is rejected at the CLI.
-  std::uint32_t shards = 1;
   /// When non-empty, every simulated point snapshots its final state to
   /// `<dir>/<point-id>.snap` (--snapshot; '/' in ids becomes '_').
   std::string snapshot_dir;

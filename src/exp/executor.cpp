@@ -1,12 +1,11 @@
 #include "exp/executor.hpp"
 
-#include <atomic>
 #include <chrono>
-#include <thread>
 
 #include "ckpt/sampler.hpp"
 #include "ckpt/snapshot.hpp"
 #include "common/annotations.hpp"
+#include "common/parallel.hpp"
 #include "sim/simulator.hpp"
 
 namespace latdiv::exp {
@@ -203,34 +202,15 @@ std::vector<PointResult> run_grid(const ExpGrid& grid, unsigned jobs,
                                   const ProgressFn& progress) {
   const std::vector<ExpPoint>& points = grid.points();
   std::vector<PointResult> results(points.size());
-  if (points.empty()) return results;
 
-  std::atomic<std::size_t> next{0};
   latdiv::Mutex mu;
   std::size_t done = 0;  // guarded by mu
-
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= points.size()) return;
-      results[i] = execute_point(points[i]);
-      {
-        const latdiv::MutexLock lock(mu);
-        ++done;  // monotonic: one increment per completed point
-        if (progress) progress(done, points.size(), results[i]);
-      }
-    }
-  };
-
-  if (jobs <= 1) {
-    worker();
-    return results;
-  }
-  std::vector<std::thread> pool;
-  const unsigned n = std::min<std::size_t>(jobs, points.size());
-  pool.reserve(n);
-  for (unsigned t = 0; t < n; ++t) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
+  parallel_for(points.size(), jobs, [&](std::size_t i) {
+    results[i] = execute_point(points[i]);
+    const latdiv::MutexLock lock(mu);
+    ++done;  // monotonic: one increment per completed point
+    if (progress) progress(done, points.size(), results[i]);
+  });
   return results;
 }
 

@@ -1,7 +1,7 @@
 // Parallel sweep executor.
 //
-// Runs every point of an ExpGrid on a pool of `jobs` threads.  Each point
-// constructs its own Simulator (the simulator has no global mutable
+// Runs every point of an ExpGrid on `jobs` threads (parallel_for).  Each
+// point constructs its own Simulator (the simulator has no global mutable
 // state — every stochastic choice flows through the per-instance Rng
 // seeded from the point), so points are embarrassingly parallel and the
 // result of a sweep is bit-identical regardless of thread count or

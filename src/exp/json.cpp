@@ -14,6 +14,12 @@ namespace {
                            std::to_string(offset));
 }
 
+/// Deepest array/object nesting the parser accepts.  The artifact writers
+/// nest at most a handful of levels; the cap keeps the recursion (and the
+/// recursive JsonValue destructor) far from the stack limit on hostile
+/// input.
+constexpr std::size_t kMaxDepth = 256;
+
 /// Recursive-descent parser over a string_view; tracks its offset for
 /// error messages.
 class Parser {
@@ -55,8 +61,14 @@ class Parser {
   JsonValue parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) fail("nesting too deep", pos_);
+        ++depth_;
+        JsonValue v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue(parse_string());
       case 't':
         if (!consume_literal("true")) fail("bad literal", pos_);
@@ -198,6 +210,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays/objects currently open
 };
 
 [[noreturn]] void kind_error(const char* want) {

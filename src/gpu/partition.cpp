@@ -8,24 +8,21 @@ Partition::Partition(ChannelId id, const PartitionConfig& cfg,
                      const McConfig& mc_cfg, const DramTiming& timing,
                      std::unique_ptr<TransactionScheduler> policy,
                      const AddressMap& amap, Crossbar& xbar,
-                     TrackerSink& tracker, obs::McEventSink* obs)
+                     InstrTracker& tracker, obs::ObsHub* obs)
     : id_(id),
       cfg_(cfg),
       l2_(cfg.l2),
       mshr_(cfg.l2_mshr),
       amap_(amap),
       xbar_(xbar),
-      tracker_(tracker),
-      pipeline_(par::ArenaAllocator<Delayed>(&arena_)),
-      fills_(par::ArenaAllocator<MemRequest>(&arena_)),
-      responses_(par::ArenaAllocator<MemResponse>(&arena_)) {
+      tracker_(tracker) {
   mc_ = std::make_unique<MemoryController>(
       id, mc_cfg, timing, std::move(policy),
       [this](const MemRequest& req, Cycle) {
         tracker_.on_dram_complete(req.tag.instr, req.completed);
         fills_.push_back(req);
       },
-      obs, &arena_);
+      obs);
 }
 
 void Partition::process_fills(Cycle now) {

@@ -25,10 +25,9 @@
 #include "cache/cache.hpp"
 #include "cache/mshr.hpp"
 #include "common/types.hpp"
-#include "gpu/tracker_sink.hpp"
+#include "gpu/tracker.hpp"
 #include "icnt/crossbar.hpp"
 #include "mc/controller.hpp"
-#include "par/arena.hpp"
 
 namespace latdiv {
 
@@ -53,14 +52,11 @@ class Partition {
  public:
   /// `obs` (optional) is handed to the memory controller for
   /// request-lifecycle tracing; the partition itself never consults it.
-  /// Under a sharded core `tracker` and `obs` are the partition's
-  /// ShardEffectBuffer (the serial core passes the real InstrTracker /
-  /// ObsHub); the partition cannot tell the difference.
   Partition(ChannelId id, const PartitionConfig& cfg, const McConfig& mc_cfg,
             const DramTiming& timing,
             std::unique_ptr<TransactionScheduler> policy,
-            const AddressMap& amap, Crossbar& xbar, TrackerSink& tracker,
-            obs::McEventSink* obs = nullptr);
+            const AddressMap& amap, Crossbar& xbar, InstrTracker& tracker,
+            obs::ObsHub* obs = nullptr);
 
   /// Core-domain tick: pull requests from the crossbar through the L2
   /// pipeline, process fills, send responses.
@@ -69,33 +65,17 @@ class Partition {
   /// DRAM-domain tick.
   void tick_dram(Cycle now) { mc_->tick(now); }
 
-  /// Earliest core-domain cycle >= now at which tick_core can act on
-  /// state the partition itself holds (idle fast-forward): pending fills
-  /// or staged responses mean `now`; otherwise the front of the L2
-  /// pipeline; kNoCycle when all three are empty.  New crossbar arrivals
-  /// are the crossbar's event, not ours.
-  [[nodiscard]] Cycle next_core_event(Cycle now) const {
-    if (!fills_.empty() || !responses_.empty()) return now;
-    if (pipeline_.empty()) return kNoCycle;
-    return pipeline_.front().ready_at <= now ? now
-                                             : pipeline_.front().ready_at;
-  }
-
   [[nodiscard]] MemoryController& mc() { return *mc_; }
   [[nodiscard]] const MemoryController& mc() const { return *mc_; }
   [[nodiscard]] const Cache& l2() const { return l2_; }
   [[nodiscard]] const MshrFile& l2_mshr() const { return mshr_; }
   /// Completed DRAM reads awaiting L2 install (conservation audits).
   [[nodiscard]] std::size_t fills_pending() const { return fills_.size(); }
-  /// Slabs backing this partition's queue arena (tests assert steady-state
-  /// allocation: slab count stops growing once the queues reach their
-  /// high-water mark).
-  [[nodiscard]] std::size_t arena_slabs() const { return arena_.slabs(); }
   [[nodiscard]] const PartitionStats& stats() const { return stats_; }
   [[nodiscard]] ChannelId id() const { return id_; }
 
   /// Snapshot serialization of L2/MSHR/pipeline/controller state
-  /// (src/ckpt); the arena keeps backing the refilled queues.
+  /// (src/ckpt).
   template <class Ar>
   void ckpt_io(Ar& ar);
 
@@ -117,23 +97,13 @@ class Partition {
   Cache l2_;
   MshrFile mshr_;
   const AddressMap& amap_;
-  // Shared with every partition, but partition-side calls (peek/pop of
-  // this partition's request queue, response injection) touch only
-  // per-partition deques; the crossbar's cross-partition state is
-  // advanced exclusively by the main thread's xbar.tick().
-  Crossbar& xbar_;  // lint: shard-boundary-ok
-  /// Serial core: the shared InstrTracker.  Sharded core: this
-  /// partition's own ShardEffectBuffer — never another shard's state.
-  TrackerSink& tracker_ LATDIV_SHARD_LOCAL;
-  /// Node storage for the partition's and controller's hot queues.
-  /// Declared before every container built on it — members are destroyed
-  /// in reverse order, so the arena outlives its allocations.
-  par::ShardArena arena_;
+  Crossbar& xbar_;
+  InstrTracker& tracker_;
   std::unique_ptr<MemoryController> mc_;
 
-  std::deque<Delayed, par::ArenaAllocator<Delayed>> pipeline_;
-  std::deque<MemRequest, par::ArenaAllocator<MemRequest>> fills_;
-  std::deque<MemResponse, par::ArenaAllocator<MemResponse>> responses_;
+  std::deque<Delayed> pipeline_;
+  std::deque<MemRequest> fills_;
+  std::deque<MemResponse> responses_;
   PartitionStats stats_;
 };
 

@@ -69,20 +69,14 @@ class Sm {
   void tick(Cycle now);
 
   /// Earliest core-domain cycle >= now at which a tick can change this
-  /// SM's own state (idle fast-forward): `now` while the LSU is busy, a
-  /// warp lacks a pre-generated instruction (the next draw from the
-  /// shared instruction stream is globally ordered and must not move), or
-  /// any unblocked warp is ready; otherwise the earliest ready_at of the
-  /// unblocked warps.  Warps blocked on loads are woken externally (the
-  /// crossbar's response queues carry that event), so they contribute
-  /// nothing; kNoCycle when every warp is blocked.
+  /// SM's own state (it sets the idle_until_ memo): `now` while the LSU
+  /// is busy, a warp lacks a pre-generated instruction (the next draw
+  /// from the shared instruction stream is globally ordered and must not
+  /// move), or any unblocked warp is ready; otherwise the earliest
+  /// ready_at of the unblocked warps.  Warps blocked on loads are woken
+  /// externally (the crossbar's response queues carry that event), so
+  /// they contribute nothing; kNoCycle when every warp is blocked.
   [[nodiscard]] Cycle next_event(Cycle now) const;
-
-  /// Credit `n` skipped core ticks of scheduler-idle accounting: a
-  /// skipped tick is precisely one in which no warp could issue.
-  void note_idle_core_ticks(std::uint64_t n) {
-    stats_.no_ready_warp_cycles += n;
-  }
 
   [[nodiscard]] const SmStats& stats() const { return stats_; }
   [[nodiscard]] const Coalescer& coalescer() const { return coalescer_; }

@@ -18,10 +18,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
-#include "gpu/tracker_sink.hpp"
 #include "mem/address_map.hpp"
 
 namespace latdiv::obs {
@@ -43,7 +41,7 @@ struct TrackerSummary {
   Accumulator divergence_gap;         ///< Fig. 10 (cycles)
 };
 
-class InstrTracker : public TrackerSink {
+class InstrTracker {
  public:
   /// Attach the introspection hub (nullable).  Finalised loads feed the
   /// hub's divergence histograms and, when tracing, the warp timeline.
@@ -54,12 +52,11 @@ class InstrTracker : public TrackerSink {
   /// Same, with the owning <SM, warp> retained for the trace track.
   void on_issue(const WarpTag& tag, Cycle now);
 
-  /// A request of `uid` entered a memory controller's read queue
-  /// (TrackerSink; direct in serial runs, merge-replayed when sharded).
-  void on_dram_request(WarpInstrUid uid, const DramLoc& loc) override;
+  /// A request of `uid` entered a memory controller's read queue.
+  void on_dram_request(WarpInstrUid uid, const DramLoc& loc);
 
   /// A DRAM request of `uid` finished its data burst.
-  void on_dram_complete(WarpInstrUid uid, Cycle done) override;
+  void on_dram_complete(WarpInstrUid uid, Cycle done);
 
   /// All of the load's lines have returned to the SM: fold and forget.
   void finalize(WarpInstrUid uid, Cycle now);
@@ -84,9 +81,7 @@ class InstrTracker : public TrackerSink {
 
   std::unordered_map<WarpInstrUid, Record> records_;
   TrackerSummary summary_;
-  // The tracker lives on the SM side of the crossbar; a sharded core
-  // keeps it (and its hub pointer) on the GPU-core thread.
-  obs::ObsHub* obs_ LATDIV_SHARD_LOCAL = nullptr;
+  obs::ObsHub* obs_ = nullptr;
 };
 
 }  // namespace latdiv

@@ -116,16 +116,4 @@ void Crossbar::tick(Cycle now) {
   }
 }
 
-Cycle Crossbar::next_event(Cycle now) const {
-  if (requests_queued() != 0 || responses_queued() != 0) return now;
-  Cycle ev = kNoCycle;
-  for (const auto& q : part_in_) {
-    if (!q.empty()) ev = std::min(ev, q.front().ready_at);
-  }
-  for (const auto& q : sm_in_) {
-    if (!q.empty()) ev = std::min(ev, q.front().ready_at);
-  }
-  return ev;
-}
-
 }  // namespace latdiv

@@ -67,12 +67,6 @@ class Crossbar {
   /// Arbitrate and move packets; call once per interconnect cycle.
   void tick(Cycle now);
 
-  /// Earliest core-domain cycle >= now at which the crossbar can move or
-  /// deliver a packet (idle fast-forward): `now` while any injection or
-  /// partition-output queue holds work, else the earliest in-flight
-  /// delivery time; kNoCycle when completely empty.
-  [[nodiscard]] Cycle next_event(Cycle now) const;
-
   void count_inject_stall() { ++stats_.inject_stalls; }
   [[nodiscard]] const IcntStats& stats() const { return stats_; }
   [[nodiscard]] const IcntConfig& config() const { return cfg_; }
@@ -110,10 +104,6 @@ class Crossbar {
   std::vector<std::uint32_t> part_rr_;      ///< per-partition SM pointer
   std::vector<std::uint32_t> part_sticky_;  ///< last granted SM (sticky mode)
   std::vector<std::uint32_t> sm_rr_;        ///< per-SM partition pointer
-  // No shared occupancy counters: inject_response() runs on worker
-  // threads under sharding (each partition touches only its own
-  // part_out_ deque), so tick()/next_event() recount locally instead of
-  // maintaining cross-shard totals.
   IcntStats stats_;
 };
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hpp"
-#include "obs/event_sink.hpp"
+#include "obs/hub.hpp"
 
 namespace latdiv {
 
@@ -43,18 +43,16 @@ MemoryController::MemoryController(ChannelId id, const McConfig& cfg,
                                    const DramTiming& timing,
                                    std::unique_ptr<TransactionScheduler> policy,
                                    ResponseFn on_read_done,
-                                   obs::McEventSink* obs,
-                                   par::ShardArena* arena)
+                                   obs::ObsHub* obs)
     : id_(id),
       cfg_(cfg),
       channel_(timing),
       policy_(std::move(policy)),
       on_read_done_(std::move(on_read_done)),
       obs_(obs),
-      read_q_(cfg.read_queue_size, par::ArenaAllocator<MemRequest>(arena)),
-      write_q_(cfg.write_queue_size, par::ArenaAllocator<MemRequest>(arena)),
-      bank_q_(timing.banks,
-              McBankQueue(par::ArenaAllocator<MemRequest>(arena))),
+      read_q_(cfg.read_queue_size),
+      write_q_(cfg.write_queue_size),
+      bank_q_(timing.banks),
       bank_tail_row_(timing.banks, kNoRow),
       bank_tail_streak_(timing.banks, 0),
       bank_epoch_(timing.banks, 0),
@@ -105,7 +103,7 @@ std::size_t MemoryController::bank_queue_size(BankId bank) const {
   return bank_q_[bank].size();
 }
 
-const McBankQueue& MemoryController::bank_queue(BankId bank) const {
+const std::deque<MemRequest>& MemoryController::bank_queue(BankId bank) const {
   LATDIV_ASSERT(bank < bank_q_.size(), "bank out of range");
   return bank_q_[bank];
 }

@@ -25,7 +25,6 @@
 #include <queue>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "common/bounded_queue.hpp"
 #include "common/log.hpp"
 #include "common/stats.hpp"
@@ -34,20 +33,12 @@
 #include "dram/params.hpp"
 #include "mc/policy.hpp"
 #include "mem/request.hpp"
-#include "par/arena.hpp"
 
 namespace latdiv::obs {
-class McEventSink;
+class ObsHub;
 }
 
 namespace latdiv {
-
-/// Arena-backed queue types: node storage comes from the owning
-/// partition's ShardArena (a null arena falls back to the global heap —
-/// see par/arena.hpp).  Consumers use `auto&` / range-for, so the alias
-/// is the only place the allocator appears.
-using McRequestQueue = BoundedQueue<MemRequest, par::ArenaAllocator<MemRequest>>;
-using McBankQueue = std::deque<MemRequest, par::ArenaAllocator<MemRequest>>;
 
 struct McConfig {
   std::uint32_t read_queue_size = 64;
@@ -88,13 +79,9 @@ class MemoryController {
 
   /// `obs` (optional) receives request-lifecycle events; it is strictly
   /// an observer — scheduling behaviour is identical with or without it.
-  /// Under a sharded core it is the partition's ShardEffectBuffer rather
-  /// than the hub itself.  `arena` (optional) backs the request/command
-  /// queues' node storage.
   MemoryController(ChannelId id, const McConfig& cfg, const DramTiming& timing,
                    std::unique_ptr<TransactionScheduler> policy,
-                   ResponseFn on_read_done, obs::McEventSink* obs = nullptr,
-                   par::ShardArena* arena = nullptr);
+                   ResponseFn on_read_done, obs::ObsHub* obs = nullptr);
 
   // --- ingress (called by the partition) ---
   [[nodiscard]] bool can_accept_read() const { return !read_q_.full(); }
@@ -110,14 +97,18 @@ class MemoryController {
   void tick(Cycle now);
 
   // --- policy-facing API ---
-  [[nodiscard]] McRequestQueue& read_queue() { return read_q_; }
-  [[nodiscard]] const McRequestQueue& read_queue() const { return read_q_; }
-  [[nodiscard]] McRequestQueue& write_queue() { return write_q_; }
-  [[nodiscard]] const McRequestQueue& write_queue() const { return write_q_; }
+  [[nodiscard]] BoundedQueue<MemRequest>& read_queue() { return read_q_; }
+  [[nodiscard]] const BoundedQueue<MemRequest>& read_queue() const {
+    return read_q_;
+  }
+  [[nodiscard]] BoundedQueue<MemRequest>& write_queue() { return write_q_; }
+  [[nodiscard]] const BoundedQueue<MemRequest>& write_queue() const {
+    return write_q_;
+  }
   [[nodiscard]] bool bank_queue_has_space(BankId bank,
                                           std::size_t n = 1) const;
   [[nodiscard]] std::size_t bank_queue_size(BankId bank) const;
-  [[nodiscard]] const McBankQueue& bank_queue(BankId bank) const;
+  [[nodiscard]] const std::deque<MemRequest>& bank_queue(BankId bank) const;
   /// Row a new transaction on `bank` would find "open": the row of the
   /// last transaction enqueued to that bank, falling back to the row open
   /// in the DRAM array (paper §IV-B1's hit/miss estimate).
@@ -170,25 +161,6 @@ class MemoryController {
     return mutation_epoch_;
   }
 
-  // --- idle fast-forward (Simulator::run) ---
-  /// Earliest cycle >= now at which a tick can change controller state:
-  /// `now` while any queue holds work, a drain-mode flip is pending, the
-  /// policy is not quiescent, or coordination messages await pickup;
-  /// otherwise the earliest of the next in-flight read completion and the
-  /// next refresh deadline (kNoCycle when fully drained and refresh-free).
-  [[nodiscard]] Cycle next_event(Cycle now) const {
-    if (!read_q_.empty() || !write_q_.empty() || cmdq_total_ != 0 ||
-        !outbox_.empty() || write_mode_ || !policy_->quiescent()) {
-      return now;
-    }
-    Cycle ev = channel_.next_refresh_at();
-    if (!inflight_reads_.empty()) {
-      ev = std::min(ev, inflight_reads_.top().done);
-    }
-    return ev;
-  }
-  /// Credit `n` skipped cycles of per-cycle idle accounting.
-  void note_idle_cycles(std::uint64_t n) { channel_.note_idle_cycles(n); }
   [[nodiscard]] const std::vector<CoordMsg>& outbox() const {
     return outbox_;
   }
@@ -202,8 +174,8 @@ class MemoryController {
   [[nodiscard]] const TransactionScheduler& policy() const { return *policy_; }
 
   /// Snapshot serialization of queues, drain state, DRAM timing state and
-  /// the policy's private state (src/ckpt); the callback/sink/arena wiring
-  /// comes from construction.
+  /// the policy's private state (src/ckpt); the callback and hub wiring
+  /// come from construction.
   template <class Ar>
   void ckpt_io(Ar& ar);
 
@@ -230,22 +202,16 @@ class MemoryController {
   McConfig cfg_;
   Channel channel_;
   std::unique_ptr<TransactionScheduler> policy_;
-  // The response callback re-enters the coordination network / tracker;
-  // under a sharded core responses are queued to the owning shard rather
-  // than invoked cross-thread, so the callback itself stays shard-local.
-  ResponseFn on_read_done_ LATDIV_SHARD_LOCAL;
-  // Nullable; never consulted for decisions.  Observation is serialised
-  // per-channel, so the sink pointer is only dereferenced on this
-  // controller's own tick (the sharded core binds it to the partition's
-  // ShardEffectBuffer, the serial core to the ObsHub).
-  obs::McEventSink* obs_ LATDIV_SHARD_LOCAL = nullptr;
+  ResponseFn on_read_done_;
+  // Nullable; never consulted for decisions.
+  obs::ObsHub* obs_ = nullptr;
   // Drain-episode accounting for obs_->drain_end's flushed-write count.
   std::size_t wq_at_drain_start_ = 0;
   std::uint64_t writes_arrived_in_drain_ = 0;
 
-  McRequestQueue read_q_;
-  McRequestQueue write_q_;
-  std::vector<McBankQueue> bank_q_;
+  BoundedQueue<MemRequest> read_q_;
+  BoundedQueue<MemRequest> write_q_;
+  std::vector<std::deque<MemRequest>> bank_q_;
   // Per-bank insertion metadata, SoA: predicted_row()/tail_streak() are
   // the policies' hottest probes and each touches exactly one of the two
   // arrays, so splitting them keeps the scanned array dense in cache.

@@ -80,9 +80,9 @@ class TransactionScheduler {
 
   /// True when the policy is a pure function of the controller's queue
   /// and bank state: with no queued work it does nothing until new work
-  /// arrives.  Idle fast-forward (Simulator::run) skips a controller's
-  /// cycles only while this holds; a custom policy with internal
-  /// time-driven state must return false.
+  /// arrives.  The simulator steps every cycle and never reads this; it
+  /// stays part of the interface because forwarding wrappers outside
+  /// src/ (latbench's traced policy) override it.
   [[nodiscard]] virtual bool quiescent() const { return true; }
 
   /// Snapshot hooks (src/ckpt).  Policies with cross-cycle private state

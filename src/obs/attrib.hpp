@@ -148,7 +148,7 @@ class AttributionProfiler {
     std::uint64_t sum_bus = 0;
     std::uint64_t sum_bank[3] = {};  ///< by outcome: hit, miss, conflict
     // Slowest lane (max completion; first-seen wins ties — event delivery
-    // order is the serial order, so this is shard-invariant).
+    // follows the simulator's fixed per-cycle order).
     Cycle sl_completed = kNoCycle;
     Cycle sl_t0 = 0;
     std::uint64_t sl_xbar = 0;

@@ -10,9 +10,7 @@
 //
 // The hub is strictly an *observer*: it never feeds anything back into
 // the simulation, so enabling it cannot perturb simulated state.  All
-// event timestamps are true global cycle numbers; idle fast-forward only
-// affects *when* the sampler runs (the simulator clamps jumps to sample
-// boundaries), never the cycle arithmetic inside events.
+// event timestamps are true global cycle numbers.
 #pragma once
 
 #include <cstdint>
@@ -22,12 +20,10 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "common/types.hpp"
 #include "dram/command.hpp"
 #include "mem/request.hpp"
 #include "obs/attrib.hpp"
-#include "obs/event_sink.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_sink.hpp"
 
@@ -38,8 +34,7 @@ struct ObsConfig {
   bool trace = false;       ///< request-lifecycle tracing (Chrome JSON)
   bool timeseries = false;  ///< sampled per-epoch CSV
   bool attrib = false;      ///< per-warp-load latency attribution
-  /// Cycles between time-series samples.  Idle fast-forward is clamped to
-  /// these boundaries when sampling, so every epoch is observed.
+  /// Cycles between time-series samples.
   Cycle sample_interval = 500;
   std::string trace_path;       ///< write trace JSON here at end of run
   std::string timeseries_path;  ///< write time-series CSV here
@@ -53,7 +48,7 @@ struct ObsConfig {
   }
 };
 
-class ObsHub : public McEventSink {
+class ObsHub {
  public:
   explicit ObsHub(const ObsConfig& cfg);
   ObsHub(const ObsHub&) = delete;
@@ -70,22 +65,25 @@ class ObsHub : public McEventSink {
     return cfg_.sample_interval;
   }
 
-  // --- request lifecycle (McEventSink; called by mc::MemoryController
-  // directly in serial runs, via the epoch-merge replay when sharded) ---
-  void req_enqueued(const MemRequest& req, Cycle now) override;
+  // --- request lifecycle (called by mc::MemoryController) ---
+  /// Request entered the controller's read/write queue.
+  void req_enqueued(const MemRequest& req, Cycle now);
   /// Request moved into its bank's command queue.  Feeds the attribution
   /// profiler only; deliberately emits no trace event, so trace artifacts
   /// are unchanged by the attrib layer.
-  void req_to_bank(const MemRequest& req, Cycle now) override;
-  void req_cas(const MemRequest& req, Cycle now) override;
-  void req_data(const MemRequest& req, Cycle done) override;
-  void req_write_retired(const MemRequest& req, Cycle done) override;
+  void req_to_bank(const MemRequest& req, Cycle now);
+  /// Read CAS issued for the request (head of its bank's command queue).
+  void req_cas(const MemRequest& req, Cycle now);
+  /// Read data burst fully returned to the controller.
+  void req_data(const MemRequest& req, Cycle done);
+  /// Write data accepted by the DRAM (the write's terminal event).
+  void req_write_retired(const MemRequest& req, Cycle done);
   /// Row-state command observed on a channel (ACT/PRE/REF; RD/WR arrive
   /// via req_cas / req_write_retired with request context attached).
-  void dram_command(ChannelId ch, const DramCommand& cmd, Cycle now) override;
+  void dram_command(ChannelId ch, const DramCommand& cmd, Cycle now);
   /// Write-drain episode boundaries (controller entered / left write mode).
-  void drain_begin(ChannelId ch, Cycle now) override;
-  void drain_end(ChannelId ch, Cycle now, std::uint64_t writes) override;
+  void drain_begin(ChannelId ch, Cycle now);
+  void drain_end(ChannelId ch, Cycle now, std::uint64_t writes);
 
   // --- warp lifecycle (called by gpu::InstrTracker) ---
   /// One warp load retired: issue cycle, first/last DRAM completion, the
@@ -149,9 +147,8 @@ class ObsHub : public McEventSink {
 
   ObsConfig cfg_;
   ChromeTraceSink chrome_;   ///< built-in backend (used when cfg_.trace)
-  /// Active sink; null when not tracing.  A sharded core gives each
-  /// simulation its own hub, so the sink is never written cross-thread.
-  TraceSink* sink_ LATDIV_SHARD_LOCAL = nullptr;
+  /// Active sink; null when not tracing.
+  TraceSink* sink_ = nullptr;
 
   MetricRegistry registry_;
   /// Latency-attribution layer; null when off (cfg_.attrib gates it).

@@ -15,8 +15,7 @@
 // own Rng and cursors, nothing is keyed by call order — so the stream a
 // warp sees is a pure function of (spec, geometry, seed, warp id), no
 // matter how the simulator interleaves warps.  This is what makes
-// byte-identical sweep artifacts across --jobs and fast-forward on/off
-// possible, and what makes a recorded trace of a scenario equal the
+// byte-identical sweep artifacts across --jobs possible, and what makes a recorded trace of a scenario equal the
 // scenario itself.
 //
 // Scenarios plug into a simulation through SimConfig::instr_source:

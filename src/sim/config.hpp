@@ -98,29 +98,6 @@ struct SimConfig {
   Cycle max_cycles = 300'000;
   Cycle warmup_cycles = 30'000;
 
-  /// Logical shard count for the parallel channel-sharded core (src/par):
-  /// the memory partitions are divided into `shards` contiguous groups
-  /// advanced concurrently between epoch barriers.  Artifacts are
-  /// byte-identical to `shards = 1` at any value — the epoch merge
-  /// replays cross-shard effects in the serial order — so this is purely
-  /// a wall-clock knob.  Clamped to the partition count; the simulator
-  /// falls back to the serial core when a configuration shares state
-  /// across channels (kZld's coordinator, custom_policy factories) or
-  /// when coordination_latency < sm.core_clock_ratio (the epoch-barrier
-  /// correctness precondition).  Worker threads are a separate, purely
-  /// physical choice: min(shards, hardware threads), overridable with
-  /// the LATDIV_SHARD_THREADS env var.
-  std::uint32_t shards = 1;
-
-  /// Skip cycles in which no component can act (Simulator::run only;
-  /// step() always advances one cycle).  Cycle numbering, statistics and
-  /// results are bit-identical either way — the skipped cycles are
-  /// provably dead and their idle-accounting counters are credited in
-  /// bulk.  Disable to cross-check (tests/test_fast_forward.cpp) or to
-  /// drive time-sensitive custom policies that cannot report
-  /// quiescent() == false.
-  bool idle_fast_forward = true;
-
   // Correctness checkers.
   CheckConfig check;
 

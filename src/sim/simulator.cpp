@@ -127,52 +127,19 @@ Simulator::Simulator(const SimConfig& cfg)
     tracker_.set_obs(obs_hub_.get());
   }
 
-  // Parallel channel-sharded core (src/par).  Constructed before the
-  // partitions so each partition can be bound to its shard's effect
-  // buffer instead of the shared tracker/hub.  Configurations that share
-  // scheduler state across channels (the ZLD coordinator, arbitrary
-  // custom_policy factories) fall back to the serial core, as does a
-  // coordination latency shorter than an epoch (the barrier correctness
-  // precondition — see par/engine.hpp).
-  // pick_worker_threads == 0 means every shard would run on the main
-  // thread anyway (shards == 1, a single-core host, or LATDIV_SHARD_THREADS
-  // pinned to 1): the epoch machinery would only add effect-buffer and
-  // merge overhead for zero parallelism, so take the serial core instead.
-  // Results are identical either way (tests/test_shard.cpp asserts it).
-  const bool sharded =
-      cfg_.shards > 1 && cfg_.icnt.partitions > 1 &&
-      cfg_.scheduler != SchedulerKind::kZld && !cfg_.custom_policy &&
-      cfg_.coordination_latency >= cfg_.sm.core_clock_ratio &&
-      par::pick_worker_threads(std::min(cfg_.shards, cfg_.icnt.partitions)) >
-          0;
-  if (sharded) {
-    engine_ =
-        std::make_unique<par::ShardEngine>(cfg_.icnt.partitions, cfg_.shards);
-  }
-
   for (std::uint32_t p = 0; p < cfg_.icnt.partitions; ++p) {
-    TrackerSink& tsink =
-        engine_ ? static_cast<TrackerSink&>(*engine_->buffer(p)) : tracker_;
-    obs::McEventSink* osink =
-        obs_hub_ ? (engine_ ? static_cast<obs::McEventSink*>(engine_->buffer(p))
-                            : static_cast<obs::McEventSink*>(obs_hub_.get()))
-                 : nullptr;
     partitions_.push_back(std::make_unique<Partition>(
         static_cast<ChannelId>(p), cfg_.partition, cfg_.mc, timing_,
-        make_policy(static_cast<ChannelId>(p)), amap_, xbar_, tsink, osink));
+        make_policy(static_cast<ChannelId>(p)), amap_, xbar_, tracker_,
+        obs_hub_.get()));
   }
   if (obs_hub_ && obs_hub_->tracing()) {
+    obs::ObsHub* hub = obs_hub_.get();
     for (auto& part : partitions_) {
       const ChannelId ch = part->id();
-      // Under sharding, command events are staged in the partition's
-      // effect buffer and replayed into the hub at the epoch merge, in
-      // the exact serial order.
-      obs::McEventSink* sink =
-          engine_ ? static_cast<obs::McEventSink*>(engine_->buffer(ch))
-                  : static_cast<obs::McEventSink*>(obs_hub_.get());
       part->mc().channel_mut().add_command_observer(
-          [sink, ch](const DramCommand& cmd, Cycle at) {
-            sink->dram_command(ch, cmd, at);
+          [hub, ch](const DramCommand& cmd, Cycle at) {
+            hub->dram_command(ch, cmd, at);
           });
     }
   }
@@ -188,12 +155,6 @@ Simulator::Simulator(const SimConfig& cfg)
   for (auto& part : partitions_) mcs.push_back(&part->mc());
   coord_ = std::make_unique<CoordinationNetwork>(std::move(mcs),
                                                  cfg_.coordination_latency);
-  if (engine_) {
-    std::vector<Partition*> raw;
-    raw.reserve(partitions_.size());
-    for (auto& part : partitions_) raw.push_back(part.get());
-    engine_->bind(std::move(raw), coord_.get(), &tracker_, obs_hub_.get());
-  }
 
   // Correctness checkers: a shadow protocol verifier per channel, one
   // conservation auditor across the whole request path.
@@ -247,12 +208,6 @@ void Simulator::audit_invariants() {
 }
 
 void Simulator::step() {
-  if (engine_) {
-    // One-cycle epoch: incremental drivers and the sharded run() loop go
-    // through the same machinery, so per-cycle state is identical.
-    advance_epoch(now_ + 1);
-    return;
-  }
   const bool core_tick = now_ % cfg_.sm.core_clock_ratio == 0;
   if (core_tick) {
     for (auto& sm : sms_) sm->tick(now_);
@@ -262,10 +217,6 @@ void Simulator::step() {
   for (auto& part : partitions_) part->tick_dram(now_);
   coord_->tick(now_);
   ++now_;
-  boundary_checks();
-}
-
-void Simulator::boundary_checks() {
   if (invariant_checker_ && now_ % cfg_.check.audit_interval == 0) {
     audit_invariants();
   }
@@ -277,47 +228,6 @@ void Simulator::boundary_checks() {
     warmup_done_at_ = now_;
     warmup_instructions_ = total_instructions();
   }
-}
-
-Cycle Simulator::epoch_end() const {
-  const Cycle ratio = cfg_.sm.core_clock_ratio;
-  // Longest epoch: up to the next core tick strictly after now_, so each
-  // epoch contains at most one SM/crossbar/L2 front-end tick (which runs
-  // on the main thread at the epoch start).
-  Cycle end = (now_ / ratio + 1) * ratio;
-  end = std::min(end, run_limit_);
-  // Boundary events fire at exact now_ values in the serial core; end the
-  // epoch there so boundary_checks() sees identical cycles.
-  if (invariant_checker_) {
-    end = std::min(end, (now_ / cfg_.check.audit_interval + 1) *
-                            cfg_.check.audit_interval);
-  }
-  if (obs_hub_ && obs_hub_->sampling()) {
-    end = std::min(end, (now_ / cfg_.obs.sample_interval + 1) *
-                            cfg_.obs.sample_interval);
-  }
-  // Serial warmup capture happens at the first step end >= warmup_cycles,
-  // i.e. at cycle max(now_ + 1, warmup_cycles) when still pending.
-  if (warmup_done_at_ == 0) {
-    end = std::min(end, std::max(now_ + 1, cfg_.warmup_cycles));
-  }
-  return end;
-}
-
-void Simulator::advance_epoch(Cycle end) {
-  LATDIV_DCHECK(engine_ != nullptr, "advance_epoch without a shard engine");
-  LATDIV_DCHECK(end > now_ && end - now_ <= cfg_.sm.core_clock_ratio,
-                "epoch must advance and fit one core-clock period");
-  const bool core_tick = now_ % cfg_.sm.core_clock_ratio == 0;
-  if (core_tick) {
-    // Front end on the main thread: SMs then crossbar, exactly as in the
-    // serial step.  Partition core ticks move to the shard workers.
-    for (auto& sm : sms_) sm->tick(now_);
-    xbar_.tick(now_);
-  }
-  engine_->advance(now_, end, core_tick);
-  now_ = end;
-  boundary_checks();
 }
 
 void Simulator::sample_timeseries() {
@@ -372,20 +282,8 @@ RunResult Simulator::run() {
 }
 
 void Simulator::run_to(Cycle stop) {
-  // Clamping epoch ends and fast-forward jumps to run_limit_ is the whole
-  // pause mechanism: the cycles on either side of the boundary execute
-  // exactly as they would mid-run (a shortened epoch contains the same
-  // single front-end tick; a shortened skip crosses only dead cycles), so
-  // stopping here and continuing later is byte-identical to not stopping.
-  run_limit_ = std::min(stop, cfg_.max_cycles);
-  while (now_ < run_limit_) {
-    if (engine_) {
-      advance_epoch(epoch_end());
-    } else {
-      step();
-    }
-    if (cfg_.idle_fast_forward) fast_forward();
-  }
+  const Cycle limit = std::min(stop, cfg_.max_cycles);
+  while (now_ < limit) step();
 }
 
 RunResult Simulator::finish() {
@@ -404,82 +302,6 @@ void Simulator::teleport(Cycle target) {
   now_ = target;
   for (auto& part : partitions_) {
     part->mc().channel_mut().rebase_refresh(now_);
-  }
-  if (warmup_done_at_ == 0 && now_ >= cfg_.warmup_cycles) {
-    warmup_done_at_ = now_;
-    warmup_instructions_ = total_instructions();
-  }
-}
-
-void Simulator::fast_forward() {
-  // Earliest cycle >= now_ at which any component can change state.  Each
-  // probe early-outs: one component busy now means no skip at all.  The
-  // DRAM side is probed first — it is the cheapest check and the most
-  // likely to be busy.
-  Cycle target = kNoCycle;
-  for (const auto& part : partitions_) {
-    const Cycle e = part->mc().next_event(now_);
-    if (e <= now_) return;
-    target = std::min(target, e);
-  }
-  const Cycle coord_ev = coord_->next_event(now_);
-  if (coord_ev <= now_) return;
-  target = std::min(target, coord_ev);
-
-  // Core-domain events only take effect at a core tick; align them up.
-  Cycle core = xbar_.next_event(now_);
-  for (const auto& sm : sms_) {
-    if (core <= now_) break;
-    core = std::min(core, sm->next_event(now_));
-  }
-  for (const auto& part : partitions_) {
-    if (core <= now_) break;
-    core = std::min(core, part->next_core_event(now_));
-  }
-  const Cycle ratio = cfg_.sm.core_clock_ratio;
-  if (core != kNoCycle) {
-    const Cycle at = std::max(core, now_);
-    target = std::min(target, (at + ratio - 1) / ratio * ratio);
-  }
-  if (target <= now_) return;
-
-  // Never skip past the end of this run_to() call, the warmup-capture
-  // cycle, or the next scheduled invariant audit — those fire at exact
-  // now_ values.
-  Cycle limit = std::min(target, run_limit_);
-  if (warmup_done_at_ == 0) limit = std::min(limit, cfg_.warmup_cycles);
-  if (invariant_checker_) {
-    limit = std::min(
-        limit, (now_ / cfg_.check.audit_interval + 1) * cfg_.check.audit_interval);
-  }
-  // Time-series rows must be taken at their exact cycles too; the skipped
-  // span is dead, so sampling at the boundary sees the same state a
-  // stepped run would — artifacts stay byte-identical under fast-forward.
-  if (obs_hub_ && obs_hub_->sampling()) {
-    limit = std::min(limit, (now_ / cfg_.obs.sample_interval + 1) *
-                                cfg_.obs.sample_interval);
-  }
-  if (limit <= now_) return;
-
-  // Cycles [now_, limit) are dead: no instruction issues, no packet
-  // moves, no DRAM command is legal-and-wanted.  The only per-cycle
-  // effects of stepping through them are the idle counters — credit
-  // those in bulk and jump.
-  const std::uint64_t skipped = limit - now_;
-  for (auto& part : partitions_) part->mc().note_idle_cycles(skipped);
-  const Cycle first_core_tick = (now_ + ratio - 1) / ratio * ratio;
-  if (first_core_tick < limit) {
-    const std::uint64_t core_ticks = (limit - 1 - first_core_tick) / ratio + 1;
-    for (auto& sm : sms_) sm->note_idle_core_ticks(core_ticks);
-  }
-  now_ = limit;
-
-  if (invariant_checker_ && now_ % cfg_.check.audit_interval == 0) {
-    audit_invariants();
-  }
-  if (obs_hub_ && obs_hub_->sampling() &&
-      now_ % cfg_.obs.sample_interval == 0) {
-    sample_timeseries();
   }
   if (warmup_done_at_ == 0 && now_ >= cfg_.warmup_cycles) {
     warmup_done_at_ = now_;

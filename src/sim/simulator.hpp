@@ -12,14 +12,12 @@
 
 #include "check/invariant_checker.hpp"
 #include "check/protocol_checker.hpp"
-#include "common/annotations.hpp"
 #include "core/coordination.hpp"
 #include "core/ideal.hpp"
 #include "gpu/partition.hpp"
 #include "gpu/sm.hpp"
 #include "gpu/tracker.hpp"
 #include "icnt/crossbar.hpp"
-#include "par/engine.hpp"
 #include "sim/config.hpp"
 #include "sim/metrics.hpp"
 #include "workload/generator.hpp"
@@ -37,9 +35,8 @@ class Simulator {
   /// straight through (tests/test_ckpt.cpp enforces this).
   RunResult run();
 
-  /// Advance until now() == min(stop, cfg.max_cycles), using the same
-  /// epoch/fast-forward machinery as run().  May be called repeatedly
-  /// with increasing stops; does not finalize anything.
+  /// Step until now() == min(stop, cfg.max_cycles).  May be called
+  /// repeatedly with increasing stops; does not finalize anything.
   void run_to(Cycle stop);
 
   /// End-of-run finalization (checker sweeps, obs artifact writes) and
@@ -81,19 +78,6 @@ class Simulator {
   [[nodiscard]] obs::ObsHub* obs() { return obs_hub_.get(); }
   [[nodiscard]] const obs::ObsHub* obs() const { return obs_hub_.get(); }
 
-  /// Active logical shard count: cfg.shards clamped to the partition
-  /// count, or 1 when the serial core is in use (cfg.shards == 1, or a
-  /// configuration that shares scheduler state across channels — see
-  /// SimConfig::shards).
-  [[nodiscard]] std::uint32_t shards() const {
-    return engine_ ? engine_->shards() : 1;
-  }
-  /// Worker threads backing the sharded core (0 = serial or main-thread
-  /// execution; purely an execution-policy detail).
-  [[nodiscard]] unsigned shard_worker_threads() const {
-    return engine_ ? engine_->worker_threads() : 0;
-  }
-
   /// Snapshot serialization of the full simulator state (src/ckpt owns
   /// the framing; this walks every component in a fixed order).  Public
   /// so ckpt::save_snapshot / load_snapshot stay free functions; not a
@@ -103,23 +87,6 @@ class Simulator {
 
  private:
   void audit_invariants();
-  /// Post-cycle work shared by the serial step and the sharded epoch:
-  /// invariant audits, time-series samples, warmup capture.  Both paths
-  /// only cross the trigger cycles at an epoch/step boundary, so the
-  /// modulo checks fire at identical now_ values.
-  void boundary_checks();
-  /// Sharded core: largest legal epoch end after now_ — the next core
-  /// tick, clamped to run end and to every exact-cycle boundary event.
-  [[nodiscard]] Cycle epoch_end() const;
-  /// Sharded core: run one epoch [now_, end) — front end (SMs, crossbar)
-  /// on the main thread, partitions on the shard workers, then the
-  /// deterministic merge — and advance now_ to `end`.
-  void advance_epoch(Cycle end);
-  /// Idle fast-forward (run() only): when every component reports its
-  /// next event strictly after now_, jump now_ there directly, crediting
-  /// the skipped cycles' idle accounting in bulk.  Clamped so warmup
-  /// capture and invariant audits still happen at their exact cycles.
-  void fast_forward();
   [[nodiscard]] std::unique_ptr<TransactionScheduler> make_policy(ChannelId id);
   [[nodiscard]] std::uint64_t total_instructions() const;
   RunResult collect() const;
@@ -134,9 +101,8 @@ class Simulator {
   std::unique_ptr<TraceReplayer> replayer_;
   std::unique_ptr<TraceWriter> trace_writer_;
   std::unique_ptr<RecordingSource> recorder_;
-  /// The source SMs actually consume; drained only from the simulator's
-  /// issue loop, which stays on the main/core thread under sharding.
-  InstrSource* source_ LATDIV_SHARD_LOCAL = nullptr;
+  /// The source SMs actually consume.
+  InstrSource* source_ = nullptr;
   InstrTracker tracker_;
   Crossbar xbar_;
   std::vector<std::unique_ptr<Partition>> partitions_;
@@ -146,14 +112,8 @@ class Simulator {
   std::vector<std::unique_ptr<ProtocolChecker>> protocol_checkers_;
   std::unique_ptr<InvariantChecker> invariant_checker_;
   std::unique_ptr<obs::ObsHub> obs_hub_;
-  /// Parallel channel-sharded core; null = serial per-cycle loop.
-  std::unique_ptr<par::ShardEngine> engine_;
 
   Cycle now_ = 0;
-  /// Stop cycle of the current run_to() call (== cfg.max_cycles inside
-  /// run()).  Epoch ends and idle fast-forward clamp to it so pausing at
-  /// an arbitrary cycle is indistinguishable from never stopping.
-  Cycle run_limit_ = 0;
   std::uint64_t warmup_instructions_ = 0;
   Cycle warmup_done_at_ = 0;
 

@@ -347,65 +347,16 @@ TraceReplayer::TraceReplayer(const std::string& path, ReplayMode mode)
   if (std::memcmp(head, kMagic, 4) != 0) {
     fail("not a latdiv trace file", path_);
   }
-  std::uint32_t version_host = 0;
-  std::memcpy(&version_host, head + 4, 4);
-  if (get_le32(head + 4) == kVersion2) {
-    version_ = kVersion2;
-    load_v2(guard.f, mode);
-    if (mode == ReplayMode::kStreaming) file_ = guard.release();
-  } else if (version_host == 1) {
-    version_ = 1;
-    load_v1(guard.f);
-  } else {
+  if (get_le32(head + 4) != kVersion2) {
     fail("unsupported trace version", path_);
   }
+  version_ = kVersion2;
+  load_v2(guard.f, mode);
+  if (mode == ReplayMode::kStreaming) file_ = guard.release();
 }
 
 TraceReplayer::~TraceReplayer() {
   if (file_ != nullptr) std::fclose(file_);
-}
-
-void TraceReplayer::load_v1(std::FILE* f) {
-  // v1 is the legacy host-order flat format: no index, so it is always
-  // decoded fully into memory.
-  unsigned char geom[8];
-  read_exact(f, geom, sizeof geom, path_);
-  std::memcpy(&sms_, geom, 4);
-  std::memcpy(&warps_per_sm_, geom + 4, 4);
-  if (sms_ == 0 || warps_per_sm_ == 0 ||
-      static_cast<std::uint64_t>(sms_) * warps_per_sm_ > kMaxWarpStreams) {
-    fail("invalid trace geometry", path_);
-  }
-  streams_.resize(static_cast<std::size_t>(sms_) * warps_per_sm_);
-
-  while (true) {
-    SmId sm;
-    const std::size_t got = std::fread(&sm, 1, sizeof sm, f);
-    if (got == 0) break;  // clean EOF
-    if (got != sizeof sm) fail("truncated mid-record", path_);
-    WarpId warp;
-    std::uint8_t kind_raw;
-    WarpInstr instr;
-    read_exact(f, &warp, sizeof warp, path_);
-    read_exact(f, &kind_raw, sizeof kind_raw, path_);
-    read_exact(f, &instr.active_lanes, sizeof instr.active_lanes, path_);
-    read_exact(f, &instr.latency, sizeof instr.latency, path_);
-    if (kind_raw > static_cast<std::uint8_t>(WarpInstr::Kind::kStore)) {
-      fail("corrupt record kind", path_);
-    }
-    if (instr.active_lanes > kWarpLanes) fail("corrupt lane count", path_);
-    instr.kind = static_cast<WarpInstr::Kind>(kind_raw);
-    if (instr.kind != WarpInstr::Kind::kCompute) {
-      read_exact(f, instr.lane_addr.data(),
-                 sizeof(Addr) * instr.active_lanes, path_);
-    }
-    if (sm >= sms_ || warp >= warps_per_sm_) {
-      fail("record outside declared geometry", path_);
-    }
-    streams_[warp_index(sm, warp)].instrs.push_back(instr);
-    ++total_;
-  }
-  if (total_ == 0) fail("contains no records", path_);
 }
 
 void TraceReplayer::load_v2(std::FILE* f, ReplayMode mode) {
@@ -487,7 +438,7 @@ WarpInstr TraceReplayer::next(SmId sm, WarpId warp) {
   const std::size_t wi = warp_index(sm, warp);
 
   if (file_ == nullptr) {
-    // In-memory replay (v1 always; v2 under ReplayMode::kInMemory).
+    // In-memory replay (ReplayMode::kInMemory).
     WarpStream& ws = streams_[wi];
     if (ws.instrs.empty()) {
       // A warp with no recorded activity idles on compute.
@@ -596,7 +547,7 @@ void TraceReplayer::restore(const std::vector<std::uint64_t>& cursor) {
 
 namespace {
 
-/// Running aggregation shared by the v1 and v2 scan paths.
+/// Running aggregation over every decoded record of a scan.
 struct ScanAccum {
   TraceStats stats;
   std::set<Addr> lines;  // ordered: deterministic and lint-clean
@@ -660,106 +611,55 @@ TraceStats scan_trace(const std::string& path) {
   if (std::memcmp(head, kMagic, 4) != 0) {
     fail("not a latdiv trace file", path);
   }
-  std::uint32_t version_host = 0;
-  std::memcpy(&version_host, head + 4, 4);
-
-  if (get_le32(head + 4) == kVersion2) {
-    acc.stats.version = kVersion2;
-    unsigned char hdr[kHeaderBytes];
-    std::memcpy(hdr, head, 8);
-    read_exact(f, hdr + 8, kHeaderBytes - 8, path);
-    if (crc32(hdr, 36) != get_le32(hdr + 36)) {
-      fail("header CRC mismatch", path);
-    }
-    acc.stats.sms = get_le32(hdr + 8);
-    acc.stats.warps_per_sm = get_le32(hdr + 12);
-    acc.stats.chunk_records = get_le32(hdr + 16);
-    acc.stats.total_records = get_le64(hdr + 20);
-    const std::uint64_t index_offset = get_le64(hdr + 28);
-    if (acc.stats.sms == 0 || acc.stats.warps_per_sm == 0 ||
-        static_cast<std::uint64_t>(acc.stats.sms) * acc.stats.warps_per_sm >
-            kMaxWarpStreams) {
-      fail("invalid trace geometry", path);
-    }
-    if (acc.stats.chunk_records == 0 ||
-        acc.stats.chunk_records > kMaxChunkRecords) {
-      fail("invalid chunk size", path);
-    }
-    const std::size_t warp_count =
-        static_cast<std::size_t>(acc.stats.sms) * acc.stats.warps_per_sm;
-    const std::vector<IndexEntry> entries =
-        parse_index(f, index_offset, acc.stats.file_bytes, warp_count,
-                    acc.stats.chunk_records, acc.stats.total_records, path);
-    for (std::size_t wi = 0; wi < warp_count; ++wi) {
-      const IndexEntry& e = entries[wi];
-      acc.stats.chunks += e.chunk_offsets.size();
-      for (std::uint64_t c = 0; c < e.chunk_offsets.size(); ++c) {
-        const std::uint32_t count =
-            chunk_record_count(e.records, acc.stats.chunk_records, c,
-                               e.chunk_offsets.size());
-        const std::vector<unsigned char> payload =
-            read_chunk(f, e.chunk_offsets[c], wi, acc.stats.warps_per_sm,
-                       count, path);
-        std::size_t pos = 0;
-        for (std::uint32_t r = 0; r < count; ++r) {
-          acc.add(decode_record(payload.data(), payload.size(), pos, path));
-        }
-        if (pos != payload.size()) {
-          fail("chunk payload has trailing bytes", path);
-        }
-        acc.stats.payload_bytes += payload.size();
-      }
-      acc.add_warp_records(e.records);
-    }
-    return acc.finish();
+  if (get_le32(head + 4) != kVersion2) {
+    fail("unsupported trace version", path);
   }
-
-  if (version_host != 1) fail("unsupported trace version", path);
-  acc.stats.version = 1;
-  unsigned char geom[8];
-  read_exact(f, geom, sizeof geom, path);
-  std::memcpy(&acc.stats.sms, geom, 4);
-  std::memcpy(&acc.stats.warps_per_sm, geom + 4, 4);
+  acc.stats.version = kVersion2;
+  unsigned char hdr[kHeaderBytes];
+  std::memcpy(hdr, head, 8);
+  read_exact(f, hdr + 8, kHeaderBytes - 8, path);
+  if (crc32(hdr, 36) != get_le32(hdr + 36)) {
+    fail("header CRC mismatch", path);
+  }
+  acc.stats.sms = get_le32(hdr + 8);
+  acc.stats.warps_per_sm = get_le32(hdr + 12);
+  acc.stats.chunk_records = get_le32(hdr + 16);
+  acc.stats.total_records = get_le64(hdr + 20);
+  const std::uint64_t index_offset = get_le64(hdr + 28);
   if (acc.stats.sms == 0 || acc.stats.warps_per_sm == 0 ||
       static_cast<std::uint64_t>(acc.stats.sms) * acc.stats.warps_per_sm >
           kMaxWarpStreams) {
     fail("invalid trace geometry", path);
   }
-  std::vector<std::uint64_t> per_warp(
-      static_cast<std::size_t>(acc.stats.sms) * acc.stats.warps_per_sm, 0);
-  while (true) {
-    SmId sm;
-    const std::size_t got = std::fread(&sm, 1, sizeof sm, f);
-    if (got == 0) break;  // clean EOF
-    if (got != sizeof sm) fail("truncated mid-record", path);
-    WarpId warp;
-    std::uint8_t kind_raw;
-    WarpInstr instr;
-    read_exact(f, &warp, sizeof warp, path);
-    read_exact(f, &kind_raw, sizeof kind_raw, path);
-    read_exact(f, &instr.active_lanes, sizeof instr.active_lanes, path);
-    read_exact(f, &instr.latency, sizeof instr.latency, path);
-    if (kind_raw > static_cast<std::uint8_t>(WarpInstr::Kind::kStore)) {
-      fail("corrupt record kind", path);
-    }
-    if (instr.active_lanes > kWarpLanes) fail("corrupt lane count", path);
-    instr.kind = static_cast<WarpInstr::Kind>(kind_raw);
-    std::size_t payload = 6;
-    if (instr.kind != WarpInstr::Kind::kCompute) {
-      read_exact(f, instr.lane_addr.data(),
-                 sizeof(Addr) * instr.active_lanes, path);
-      payload += sizeof(Addr) * instr.active_lanes;
-    }
-    if (sm >= acc.stats.sms || warp >= acc.stats.warps_per_sm) {
-      fail("record outside declared geometry", path);
-    }
-    ++per_warp[static_cast<std::size_t>(sm) * acc.stats.warps_per_sm + warp];
-    ++acc.stats.total_records;
-    acc.stats.payload_bytes += payload;
-    acc.add(instr);
+  if (acc.stats.chunk_records == 0 ||
+      acc.stats.chunk_records > kMaxChunkRecords) {
+    fail("invalid chunk size", path);
   }
-  for (const std::uint64_t records : per_warp) {
-    acc.add_warp_records(records);
+  const std::size_t warp_count =
+      static_cast<std::size_t>(acc.stats.sms) * acc.stats.warps_per_sm;
+  const std::vector<IndexEntry> entries =
+      parse_index(f, index_offset, acc.stats.file_bytes, warp_count,
+                  acc.stats.chunk_records, acc.stats.total_records, path);
+  for (std::size_t wi = 0; wi < warp_count; ++wi) {
+    const IndexEntry& e = entries[wi];
+    acc.stats.chunks += e.chunk_offsets.size();
+    for (std::uint64_t c = 0; c < e.chunk_offsets.size(); ++c) {
+      const std::uint32_t count =
+          chunk_record_count(e.records, acc.stats.chunk_records, c,
+                             e.chunk_offsets.size());
+      const std::vector<unsigned char> payload =
+          read_chunk(f, e.chunk_offsets[c], wi, acc.stats.warps_per_sm,
+                     count, path);
+      std::size_t pos = 0;
+      for (std::uint32_t r = 0; r < count; ++r) {
+        acc.add(decode_record(payload.data(), payload.size(), pos, path));
+      }
+      if (pos != payload.size()) {
+        fail("chunk payload has trailing bytes", path);
+      }
+      acc.stats.payload_bytes += payload.size();
+    }
+    acc.add_warp_records(e.records);
   }
   return acc.finish();
 }

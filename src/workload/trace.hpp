@@ -34,10 +34,8 @@
 // trace length — and expose a checkpointable cursor (per-warp record
 // positions) that restores mid-stream without a linear rescan.
 //
-// Format v1 (read-compat only): magic "LDTR", u32 version=1, u32 sms,
-// u32 warps_per_sm, then flat host-order records prefixed with u16 sm,
-// u16 warp.  v1 was a local-machine format; it is always loaded fully
-// into memory and is only portable between same-endian hosts.
+// Any other version (including the retired host-order v1 layout) is
+// rejected with "unsupported trace version".
 //
 // Replay is keyed by (sm, warp): each warp consumes its own subsequence
 // in order and wraps when it runs out, so a trace captured on a machine
@@ -126,8 +124,7 @@ class RecordingSource final : public InstrSource {
   TraceWriter& writer_;
 };
 
-/// How TraceReplayer holds a v2 trace (v1 traces are always in-memory —
-/// the flat record stream has no index to seek by).
+/// How TraceReplayer holds a trace.
 enum class ReplayMode : std::uint8_t {
   /// Stream chunks from disk on demand: O(active warps x chunk bytes)
   /// memory regardless of trace length.  The default.
@@ -138,8 +135,7 @@ enum class ReplayMode : std::uint8_t {
 };
 
 /// Replays each warp's recorded stream in order, wrapping at the end of
-/// that warp's subsequence.  Reads v1 and v2 traces (dispatched on the
-/// header version field).
+/// that warp's subsequence.  Reads format v2.
 class TraceReplayer final : public InstrSource {
  public:
   explicit TraceReplayer(const std::string& path,
@@ -171,7 +167,7 @@ class TraceReplayer final : public InstrSource {
   void ckpt_load(ckpt::CkptReader& ar) override;
 
  private:
-  /// In-memory stream (v1 always; v2 under ReplayMode::kInMemory).
+  /// In-memory stream (ReplayMode::kInMemory).
   struct WarpStream {
     std::vector<WarpInstr> instrs;
     std::uint64_t pos = 0;
@@ -189,7 +185,6 @@ class TraceReplayer final : public InstrSource {
     std::vector<unsigned char> payload;
   };
 
-  void load_v1(std::FILE* f);
   void load_v2(std::FILE* f, ReplayMode mode);
   void read_index(std::FILE* f, std::uint64_t index_offset);
   void load_chunk(std::size_t warp_idx, std::uint64_t chunk);
@@ -214,9 +209,9 @@ struct TraceStats {
   std::uint32_t version = 0;
   std::uint32_t sms = 0;
   std::uint32_t warps_per_sm = 0;
-  std::uint32_t chunk_records = 0;  ///< 0 for v1
+  std::uint32_t chunk_records = 0;
   std::uint64_t total_records = 0;
-  std::uint64_t chunks = 0;         ///< 0 for v1
+  std::uint64_t chunks = 0;
   std::uint64_t file_bytes = 0;
   std::uint64_t payload_bytes = 0;  ///< encoded record bytes
   std::uint64_t computes = 0;
@@ -245,7 +240,7 @@ struct TraceStats {
 };
 
 /// Decode and verify `path` end to end; throws TraceError on the first
-/// problem.  Reads both format versions.
+/// problem.
 [[nodiscard]] TraceStats scan_trace(const std::string& path);
 
 }  // namespace latdiv

@@ -56,4 +56,17 @@ double biased_sum() {
   return sum;
 }
 
+// Mutable statics are shared by every simulation in the process, and
+// --jobs runs simulations concurrently.
+class PointCounter {
+ private:
+  static unsigned long instances_;  // expect: mutable-static
+  unsigned long local_count_ = 0;   // value member: per-instance, fine
+};
+
+int next_fixture_id() {
+  static int counter = 0;  // expect: mutable-static
+  return ++counter;
+}
+
 }  // namespace fixture

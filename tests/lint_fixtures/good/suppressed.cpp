@@ -48,4 +48,16 @@ double float_total() {
   return total;
 }
 
+// Mutable statics: annotated with the lock that guards them, or
+// suppressed with a justification.
+class Registry {
+ private:
+  static int live_ LATDIV_GUARDED_BY(mu_);
+};
+
+int legacy_bump() {
+  static int legacy = 0;  // lint: mutable-static-ok
+  return ++legacy;
+}
+
 }  // namespace fixture_good

@@ -99,6 +99,30 @@ TEST(ExpJson, ParseRejectsMalformedInput) {
   EXPECT_THROW((void)JsonValue::parse("\"unterminated"), std::runtime_error);
 }
 
+// Nesting is capped so hostile input cannot exhaust the stack: 256
+// levels parse, the 257th opening bracket is rejected at its byte offset,
+// and two million brackets fail the same way instead of crashing.
+TEST(ExpJson, ParseCapsNestingDepth) {
+  const std::string ok = std::string(256, '[') + std::string(256, ']');
+  EXPECT_NO_THROW((void)JsonValue::parse(ok));
+
+  const auto error_of = [](const std::string& text) {
+    try {
+      (void)JsonValue::parse(text);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(error_of(std::string(257, '[') + std::string(257, ']')),
+            "json: nesting too deep at byte 256");
+  std::string objects;
+  for (int i = 0; i < 300; ++i) objects += "{\"a\":";
+  EXPECT_EQ(error_of(objects), "json: nesting too deep at byte 1280");
+  EXPECT_EQ(error_of(std::string(2'000'000, '[')),
+            "json: nesting too deep at byte 256");
+}
+
 TEST(ExpJson, ParseAcceptsNestedDocument) {
   const JsonValue doc = JsonValue::parse(
       R"({"cells": [{"row": "bfs", "metrics": {"ipc": {"mean": 1.5}}}],

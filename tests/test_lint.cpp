@@ -107,8 +107,8 @@ TEST(LintFixtures, GoodCorpusIsCleanAndUsesEverySuppression) {
   // ckpt-reader fixtures' measurement/aggregation directives, all
   // consumed (an unused directive would have been reported as a finding
   // above).
-  EXPECT_EQ(r.suppressions_used, 16u);
-  EXPECT_EQ(r.files_analyzed, 8u);
+  EXPECT_EQ(r.suppressions_used, 15u);
+  EXPECT_EQ(r.files_analyzed, 6u);
 }
 
 TEST(LintSelfCheck, ProductionTreeIsClean) {
@@ -123,9 +123,9 @@ TEST(LintSelfCheck, ProductionTreeIsClean) {
 }
 
 TEST(LintReport, TextFormatIsFileLineRuleMessage) {
-  const LintResult r = run_lint({fixture_dir() + "/bad/shard.hpp"});
+  const LintResult r = run_lint({fixture_dir() + "/bad/determinism.cpp"});
   const std::string text = latdiv::lint::to_text(r);
-  EXPECT_NE(text.find("shard.hpp:18: shard-boundary: "), std::string::npos)
+  EXPECT_NE(text.find("determinism.cpp:14: wall-clock: "), std::string::npos)
       << text;
 }
 

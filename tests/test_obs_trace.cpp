@@ -2,7 +2,7 @@
 // tracing / time-series must not perturb simulated results, trace events
 // must exactly reconcile with the RunResult aggregates (the simulator's
 // own statistics are the tracing layer's ground truth), and every
-// artifact must be byte-identical regardless of idle fast-forward or
+// artifact must be byte-identical regardless of where a run pauses or of
 // executor thread count.
 #include <gtest/gtest.h>
 
@@ -170,15 +170,18 @@ TEST(ObsTrace, PerBankEventCountsMatchBankBreakdown) {
   EXPECT_GT(pres, 0u);
 }
 
-TEST(ObsTrace, ArtifactsAreByteIdenticalAcrossFastForward) {
-  SimConfig on = obs_cfg("bfs");
-  SimConfig off = obs_cfg("bfs");
-  on.idle_fast_forward = true;
-  off.idle_fast_forward = false;
-  Simulator a(on);
-  Simulator b(off);
+// Pausing with run_to() at cycles off every sampling boundary and
+// continuing is invisible in the artifacts.
+TEST(ObsTrace, ArtifactsAreByteIdenticalAcrossRunToPauses) {
+  const SimConfig cfg = obs_cfg("bfs");
+  Simulator a(cfg);
+  Simulator b(cfg);
   a.run();
-  b.run();
+  for (Cycle stop = 777; stop < cfg.max_cycles; stop += 1'234) {
+    b.run_to(stop);
+  }
+  b.run_to(cfg.max_cycles);
+  b.finish();
   ASSERT_NE(a.obs(), nullptr);
   ASSERT_NE(b.obs(), nullptr);
   EXPECT_EQ(a.obs()->timeseries_csv(), b.obs()->timeseries_csv());

@@ -2,7 +2,7 @@
 // determinism contract (seed-stable, interleaving-independent streams),
 // the exact memory-fraction accumulator, full-simulator runs for every
 // kernel, and the `kernels` manifest (shape + byte-identical artifacts
-// across --jobs and fast-forward on/off).
+// across --jobs).
 #include "scenario/scenario.hpp"
 
 #include <gtest/gtest.h>
@@ -210,19 +210,17 @@ std::string slurp(const std::string& path) {
           std::istreambuf_iterator<char>()};
 }
 
-TEST(KernelsManifest, ArtifactBytesStableAcrossJobsAndFastForward) {
+TEST(KernelsManifest, ArtifactBytesStableAcrossJobs) {
   // One scenario column, short runs: the artifact must be byte-identical
-  // whether points run serially, on 2 executor threads, or with idle
-  // fast-forward disabled — the determinism contract CI enforces on the
-  // full grid.
-  auto run_with = [](unsigned jobs, bool fast_forward,
-                     const std::string& out) {
+  // whether points run serially, on 2 executor threads, or on more
+  // threads than there are points — the determinism contract CI enforces
+  // on the full grid.
+  auto run_with = [](unsigned jobs, const std::string& out) {
     exp::SweepRunArgs args;
     args.opts.cycles = 4000;
     args.opts.warmup = 400;
     args.opts.filter = "vecadd-uncoal/";
     args.opts.jobs = jobs;
-    args.fast_forward = fast_forward;
     args.progress = false;
     args.out_json = out;
     return exp::run_manifest("kernels", args);
@@ -230,9 +228,9 @@ TEST(KernelsManifest, ArtifactBytesStableAcrossJobsAndFastForward) {
   const std::string a = std::string(::testing::TempDir()) + "kernels_a.json";
   const std::string b = std::string(::testing::TempDir()) + "kernels_b.json";
   const std::string c = std::string(::testing::TempDir()) + "kernels_c.json";
-  EXPECT_EQ(run_with(1, true, a), 0);
-  EXPECT_EQ(run_with(2, true, b), 0);
-  EXPECT_EQ(run_with(2, false, c), 0);
+  EXPECT_EQ(run_with(1, a), 0);
+  EXPECT_EQ(run_with(2, b), 0);
+  EXPECT_EQ(run_with(16, c), 0);
   const std::string bytes = slurp(a);
   EXPECT_FALSE(bytes.empty());
   EXPECT_EQ(bytes, slurp(b));

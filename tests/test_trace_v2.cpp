@@ -1,5 +1,5 @@
 // Trace format v2 tests: byte determinism, streaming vs in-memory
-// equivalence, v1 read-compat against a pinned raw layout, checkpoint
+// equivalence, rejection of the retired v1 layout, checkpoint
 // cursors, scan_trace accounting, the malformed-input error catalogue,
 // and the full-simulator round trip (generator-driven vs replayed runs
 // must serialise to byte-identical metric JSON).
@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -188,100 +187,6 @@ TEST(TraceV2, ScanTraceAccountsEveryRecord) {
 }
 
 // ---------------------------------------------------------------------------
-// v1 read-compat.  The raw bytes are written by hand so this test pins
-// the legacy layout itself, not whatever the current code happens to do:
-// "LDTR", u32 version=1, u32 sms, u32 warps_per_sm (host order), then
-// flat records of (u16 sm, u16 warp, u8 kind, u8 lanes, u32 latency,
-// lanes x u64 addresses for memory records).
-
-void append_raw(std::string& out, const void* data, std::size_t n) {
-  out.append(static_cast<const char*>(data), n);
-}
-
-template <typename T>
-void append_host(std::string& out, T value) {
-  append_raw(out, &value, sizeof value);
-}
-
-void append_v1_record(std::string& out, std::uint16_t sm, std::uint16_t warp,
-                      std::uint8_t kind, std::uint8_t lanes,
-                      std::uint32_t latency,
-                      const std::vector<std::uint64_t>& addrs) {
-  append_host(out, sm);
-  append_host(out, warp);
-  append_host(out, kind);
-  append_host(out, lanes);
-  append_host(out, latency);
-  for (const std::uint64_t a : addrs) append_host(out, a);
-}
-
-std::string v1_header(std::uint32_t sms, std::uint32_t warps) {
-  std::string out = "LDTR";
-  append_host(out, std::uint32_t{1});
-  append_host(out, sms);
-  append_host(out, warps);
-  return out;
-}
-
-TEST(TraceV1Compat, ReadsPinnedLegacyLayout) {
-  const std::string path = temp_path("v1");
-  std::string raw = v1_header(1, 2);
-  append_v1_record(raw, 0, 0, /*kind=*/0, /*lanes=*/32, /*latency=*/5, {});
-  append_v1_record(raw, 0, 0, /*kind=*/1, /*lanes=*/2, /*latency=*/1,
-                   {128, 4096});
-  append_v1_record(raw, 0, 1, /*kind=*/2, /*lanes=*/1, /*latency=*/1,
-                   {1u << 20});
-  write_bytes(path, raw);
-
-  TraceReplayer replay(path);
-  EXPECT_EQ(replay.version(), 1u);
-  EXPECT_FALSE(replay.streaming());  // v1 has no index to stream by
-  EXPECT_EQ(replay.sms(), 1u);
-  EXPECT_EQ(replay.warps_per_sm(), 2u);
-  EXPECT_EQ(replay.total_records(), 3u);
-
-  const WarpInstr c = replay.next(0, 0);
-  EXPECT_EQ(static_cast<int>(c.kind),
-            static_cast<int>(WarpInstr::Kind::kCompute));
-  EXPECT_EQ(c.latency, 5u);
-  const WarpInstr ld = replay.next(0, 0);
-  EXPECT_EQ(static_cast<int>(ld.kind),
-            static_cast<int>(WarpInstr::Kind::kLoad));
-  EXPECT_EQ(ld.active_lanes, 2u);
-  EXPECT_EQ(ld.lane_addr[0], 128u);
-  EXPECT_EQ(ld.lane_addr[1], 4096u);
-  const WarpInstr st = replay.next(0, 1);
-  EXPECT_EQ(static_cast<int>(st.kind),
-            static_cast<int>(WarpInstr::Kind::kStore));
-  EXPECT_EQ(st.lane_addr[0], 1u << 20);
-
-  const TraceStats stats = scan_trace(path);
-  EXPECT_EQ(stats.version, 1u);
-  EXPECT_EQ(stats.total_records, 3u);
-  EXPECT_EQ(stats.computes, 1u);
-  EXPECT_EQ(stats.loads, 1u);
-  EXPECT_EQ(stats.stores, 1u);
-  EXPECT_EQ(stats.chunks, 0u);
-  std::remove(path.c_str());
-}
-
-TEST(TraceV1Compat, EmptyV1Rejected) {
-  const std::string path = temp_path("v1_empty");
-  write_bytes(path, v1_header(1, 1));
-  EXPECT_THROW({ TraceReplayer r(path); }, TraceError);
-  std::remove(path.c_str());
-}
-
-TEST(TraceV1Compat, RecordOutsideGeometryRejected) {
-  const std::string path = temp_path("v1_geom");
-  std::string raw = v1_header(1, 1);
-  append_v1_record(raw, 3, 0, 0, 32, 1, {});  // sm 3 of a 1-SM trace
-  write_bytes(path, raw);
-  EXPECT_THROW({ TraceReplayer r(path); }, TraceError);
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
 // Error catalogue: every corruption class maps to a TraceError with a
 // specific message, never silent UB.
 
@@ -359,6 +264,30 @@ TEST(TraceV2Error, UnsupportedVersion) {
   bytes[4] = 3;  // version field (LE low byte)
   write_bytes(path, bytes);
   expect_open_fails(path, "unsupported trace version");
+  std::remove(path.c_str());
+}
+
+// The host-order v1 layout ("LDTR", u32 version=1, u32 sms, u32 warps,
+// flat records) is no longer read: a well-formed v1 file fails like any
+// other unknown version, in the replayer and in the full-file scan.
+TEST(TraceV1, HeaderFailsAsUnsupportedVersion) {
+  const std::string path = temp_path("v1");
+  std::string raw = "LDTR";
+  for (const std::uint32_t field : {1u, 1u, 1u}) {  // version, sms, warps
+    raw.append(reinterpret_cast<const char*>(&field), sizeof field);
+  }
+  raw.append(12, '\0');  // one compute record: sm, warp, kind, lanes, latency
+  write_bytes(path, raw);
+  expect_open_fails(path, "unsupported trace version", ReplayMode::kStreaming);
+  expect_open_fails(path, "unsupported trace version", ReplayMode::kInMemory);
+  try {
+    (void)scan_trace(path);
+    FAIL() << "scan_trace accepted a v1 file";
+  } catch (const TraceError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported trace version"),
+              std::string::npos)
+        << e.what();
+  }
   std::remove(path.c_str());
 }
 

@@ -2,8 +2,8 @@
 //
 // The analyzer is deliberately *lightweight*: it lexes real C++ tokens and
 // recovers just enough structure (scopes, class members, function
-// signatures, loops, type aliases) to make the determinism / observer-purity
-// / shard-safety rules scope- and type-aware, without a full C++ frontend.
+// signatures, loops, type aliases) to make the determinism and
+// observer-purity rules scope- and type-aware, without a full C++ frontend.
 // Everything it knows about a translation unit lives in a FileModel; the
 // rules run over the pooled models of every analyzed file, so a member
 // declared in one header is recognized when iterated in any .cpp.
@@ -43,13 +43,11 @@ struct Suppression {
 struct VarDecl {
   std::string name;
   std::string type;    ///< space-joined type tokens, aliases pre-expansion
-  std::string klass;   ///< enclosing class ("" at namespace/function scope)
   std::string file;
   int line = 0;
   bool is_static = false;  ///< `static` or `thread_local` storage
   bool is_const = false;   ///< the variable itself is immutable
-  bool is_member = false;  ///< declared at class scope
-  bool annotated = false;  ///< carries LATDIV_GUARDED_BY / LATDIV_SHARD_LOCAL
+  bool annotated = false;  ///< carries LATDIV_GUARDED_BY / LATDIV_PT_GUARDED_BY
 };
 
 struct Param {

@@ -9,8 +9,7 @@ namespace {
 
 bool is_annotation_macro(const std::string& t) {
   return t.rfind("LATDIV_GUARDED_BY", 0) == 0 ||
-         t.rfind("LATDIV_PT_GUARDED_BY", 0) == 0 ||
-         t == "LATDIV_SHARD_LOCAL";
+         t.rfind("LATDIV_PT_GUARDED_BY", 0) == 0;
 }
 
 // Modifier tokens stripped from declaration heads.
@@ -564,8 +563,6 @@ class Parser {
     v.name = tok(name_idx);
     v.file = m_.path;
     v.line = line(name_idx);
-    v.klass = current_class();
-    v.is_member = at_type_scope() && !v.klass.empty();
     v.is_static = is_static;
     v.annotated = annotated;
     bool saw_const = false;

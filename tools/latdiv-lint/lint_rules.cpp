@@ -8,20 +8,6 @@
 namespace latdiv::lint {
 namespace {
 
-// Classes whose fields the shard-safety rule audits: the boundary set for
-// the channel-sharded core (src/par; ROADMAP item 1).  Fields of these
-// classes that hold pointers, references, or callbacks are the escape
-// hatches through which cross-shard sharing can happen, so each must be
-// classified with LATDIV_GUARDED_BY(...) or LATDIV_SHARD_LOCAL — this is
-// enforcement now that the threaded core exists, not pre-threading
-// classification.  Classes declared in files under src/par/ are audited
-// unconditionally (see is_par_file), whatever their name.
-const std::set<std::string> kShardClasses = {
-    "MemoryController", "Channel",     "Crossbar",
-    "Partition",        "Simulator",   "ShardEngine",
-    "ShardEffectBuffer", "WorkerPool", "ShardArena",
-    "ArenaAllocator"};
-
 // Simulation-state types observers may only see through const: seeded with
 // the core component classes, extended with every class discovered outside
 // src/obs and src/check.
@@ -38,12 +24,6 @@ bool path_contains(const std::string& path, const char* dir) {
 bool is_observer_file(const std::string& path) {
   return path_contains(path, "/obs/") || path_contains(path, "/check/") ||
          path.rfind("obs/", 0) == 0 || path.rfind("check/", 0) == 0;
-}
-
-/// Everything under src/par/ is inside the parallel core: every class
-/// there is on the shard boundary by construction.
-bool is_par_file(const std::string& path) {
-  return path_contains(path, "/par/") || path.rfind("par/", 0) == 0;
 }
 
 std::vector<std::string> split_tokens(const std::string& type) {
@@ -192,7 +172,6 @@ class Checker {
     pointer_key();
     if (is_observer_file(f_.path)) observer_purity();
     mutable_static();
-    shard_boundary();
   }
 
  private:
@@ -381,35 +360,9 @@ class Checker {
       if (!v.is_static || v.is_const || v.annotated) continue;
       emit("mutable-static", v.line,
            "mutable static '" + v.name +
-               "' is cross-shard shared state; annotate with "
-               "LATDIV_GUARDED_BY(lock) or LATDIV_SHARD_LOCAL "
-               "(common/annotations.hpp), or make it const");
-    }
-  }
-
-  void shard_boundary() {
-    for (const VarDecl& v : f_.vars) {
-      if (!v.is_member || v.annotated) continue;
-      if (kShardClasses.count(v.klass) == 0 && !is_par_file(v.file)) {
-        continue;
-      }
-      const std::string expanded = expand_aliases(v.type, tb_.aliases);
-      if (expanded.find("unique_ptr") != std::string::npos) continue;
-      if (contains_token(expanded, "char")) continue;  // const char* names
-      // A const-qualified reference/pointer is immutable shared state —
-      // safe to read from any shard without classification.
-      if (contains_token(expanded, "const")) continue;
-      const bool escape = contains_token(expanded, "*") ||
-                          contains_token(expanded, "&") ||
-                          contains_token(expanded, "function");
-      if (!escape) continue;
-      emit("shard-boundary", v.line,
-           "field '" + v.klass + "::" + v.name +
-               "' holds a pointer/reference/callback across the "
-               "channel-shard boundary (src/par runs partitions on worker "
-               "threads); annotate with LATDIV_GUARDED_BY(lock) or "
-               "LATDIV_SHARD_LOCAL (common/annotations.hpp), or justify "
-               "with `// lint: shard-boundary-ok`");
+               "' is state shared by every simulation in the process "
+               "(--jobs runs them concurrently); make it const or annotate "
+               "it with LATDIV_GUARDED_BY(lock) (common/annotations.hpp)");
     }
   }
 };
@@ -420,7 +373,7 @@ const std::vector<std::string>& rule_ids() {
   static const std::vector<std::string> kIds = {
       "wall-clock",     "unseeded-rng",  "unordered-iter",
       "pointer-key",    "float-accum",   "observer-purity",
-      "mutable-static", "shard-boundary", "unused-suppression",
+      "mutable-static", "unused-suppression",
   };
   return kIds;
 }

@@ -10,9 +10,8 @@
 //
 // Families and ids:
 //   determinism:     wall-clock, unseeded-rng, unordered-iter,
-//                    pointer-key, float-accum
+//                    pointer-key, float-accum, mutable-static
 //   observer-purity: observer-purity
-//   shard-safety:    mutable-static, shard-boundary
 //   meta:            unused-suppression
 #pragma once
 

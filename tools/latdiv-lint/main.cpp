@@ -3,7 +3,7 @@
 //   latdiv-lint [--json FILE] [--list-rules] PATH...
 //
 // Analyzes every *.hpp/*.cpp under the given paths with the determinism /
-// observer-purity / shard-safety rule catalogue (see DESIGN.md, "Static
+// observer-purity rule catalogue (see DESIGN.md, "Static
 // analysis & determinism contract").  Prints one `file:line: rule:
 // message` per finding; exit 0 clean, 1 findings, 2 usage or I/O error.
 #include <cstdio>

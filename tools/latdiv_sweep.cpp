@@ -44,10 +44,6 @@ void usage(std::FILE* out) {
                "  --quick           quarter-length smoke run\n"
                "  --filter S        keep only points whose id contains S\n"
                "  --jobs N          executor threads (default 1)\n"
-               "  --shards N        channel shards per simulated point "
-               "(default $LATDIV_SHARDS or 1;\n"
-               "                    artifact bytes are identical at any "
-               "value)\n"
                "  --out FILE        write the JSON artifact\n"
                "  --csv FILE        write the CSV artifact\n"
                "  --timings         include per-point wall_ms in the JSON "
@@ -74,9 +70,6 @@ void usage(std::FILE* out) {
                "W warm-up cycles every P-cycle\n"
                "                    period (default 8000,4000,120000); "
                "reports estimate metrics\n"
-               "  --no-fast-forward\n"
-               "                    disable idle-cycle fast-forward (results "
-               "are byte-identical either way)\n"
                "  --quiet           no per-point progress on stderr\n"
                "  --check FILE      golden-check the artifact against FILE\n"
                "  --default-tol R   relative tolerance for --check "
@@ -94,20 +87,6 @@ std::uint64_t parse_u64(const char* flag, const char* text) {
     std::exit(2);
   }
   return v;
-}
-
-/// Shard count from --shards or the LATDIV_SHARDS env var; 0 (a silent
-/// serial fallback waiting to happen) is rejected.
-std::uint32_t parse_shards(const char* origin, const char* text) {
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(text, &end, 10);
-  if (end == text || *end != '\0' || v == 0 || v > 4096) {
-    std::fprintf(stderr,
-                 "latdiv-sweep: %s wants a shard count >= 1, got '%s'\n",
-                 origin, text);
-    std::exit(2);
-  }
-  return static_cast<std::uint32_t>(v);
 }
 
 /// "D,W,P" -> SamplingConfig{detail, warm, period}; bare --sampling
@@ -234,9 +213,6 @@ int cmd_check(int argc, char** argv) {
 
 int cmd_run(const std::string& manifest, int argc, char** argv) {
   SweepRunArgs args;
-  if (const char* env = std::getenv("LATDIV_SHARDS")) {
-    args.shards = parse_shards("LATDIV_SHARDS", env);
-  }
   for (int i = 2; i < argc; ++i) {
     const char* flag = argv[i];
     if (std::strcmp(flag, "--cycles") == 0) {
@@ -255,8 +231,6 @@ int cmd_run(const std::string& manifest, int argc, char** argv) {
     } else if (std::strcmp(flag, "--jobs") == 0) {
       args.opts.jobs =
           static_cast<unsigned>(parse_u64(flag, next_arg(argc, argv, i)));
-    } else if (std::strcmp(flag, "--shards") == 0) {
-      args.shards = parse_shards(flag, next_arg(argc, argv, i));
     } else if (std::strcmp(flag, "--out") == 0) {
       args.out_json = next_arg(argc, argv, i);
     } else if (std::strcmp(flag, "--csv") == 0) {
@@ -283,8 +257,6 @@ int cmd_run(const std::string& manifest, int argc, char** argv) {
     } else if (std::strncmp(flag, "--sampling=", 11) == 0) {
       args.sampled = true;
       args.sampling = parse_sampling(flag + 11);
-    } else if (std::strcmp(flag, "--no-fast-forward") == 0) {
-      args.fast_forward = false;
     } else if (std::strcmp(flag, "--quiet") == 0) {
       args.progress = false;
     } else if (std::strcmp(flag, "--check") == 0) {

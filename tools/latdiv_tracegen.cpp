@@ -157,8 +157,7 @@ int scan_and(const char* path, bool full_stats) {
     return 1;
   }
   std::printf("trace: %s\n", path);
-  std::printf("  version      : v%u%s\n", st.version,
-              st.version == 1 ? " (legacy host-order, in-memory only)" : "");
+  std::printf("  version      : v%u\n", st.version);
   std::printf("  geometry     : %u SMs x %u warps\n", st.sms,
               st.warps_per_sm);
   std::printf("  records      : %" PRIu64 " total, %" PRIu64
@@ -166,10 +165,8 @@ int scan_and(const char* path, bool full_stats) {
               " per warp)\n",
               st.total_records, st.active_warps, st.min_warp_records,
               st.max_warp_records);
-  if (st.version >= 2) {
-    std::printf("  chunks       : %" PRIu64 " of <= %u records\n", st.chunks,
-                st.chunk_records);
-  }
+  std::printf("  chunks       : %" PRIu64 " of <= %u records\n", st.chunks,
+              st.chunk_records);
   std::printf("  file bytes   : %" PRIu64 " (%" PRIu64 " record payload)\n",
               st.file_bytes, st.payload_bytes);
   if (full_stats) {
