@@ -1,8 +1,9 @@
 // Checkpoint determinism contract (src/ckpt): loading a snapshot taken
 // at cycle C into a fresh simulator and running to the end must be
-// byte-identical to the run that never paused — across schedulers and
-// workload frontends.  DESIGN.md "Checkpoint, sampling & determinism
-// contract" states the guarantee; this suite is its enforcement.
+// byte-identical to the run that never paused — across schedulers,
+// workload frontends, the number of cuts, and file vs in-memory snapshots.
+// DESIGN.md "Checkpoint, sampling & determinism contract" states the
+// guarantee; this suite is its enforcement.
 //
 // Also covered here: snapshot-of-resume stability (re-saving at the same
 // cycle reproduces the same bytes, the basis of CI's golden-hash job),
@@ -13,6 +14,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -71,42 +73,65 @@ void expect_same_result(const RunResult& a, const RunResult& b) {
 }
 
 // ---------------------------------------------------------------------------
-// The core contract: straight-through vs save/load/resume.
+// The core contract: straight-through vs save/load/resume, however the run
+// is cut.  Each instance name keeps the suite's established test IDs:
+// `shardsN` cuts the run at N evenly spaced cycles (every cut saves, loads
+// into a fresh simulator and continues from there), and `ff`/`noff` says
+// whether each cut goes through a snapshot file (save_snapshot_file /
+// load_snapshot_file) or stays an in-memory buffer.
 
 class CkptResume
-    : public ::testing::TestWithParam<std::tuple<SchedulerKind, const char*>> {
-};
+    : public ::testing::TestWithParam<
+          std::tuple<SchedulerKind, const char*, std::uint32_t, bool>> {};
 
 TEST_P(CkptResume, ResumeMatchesStraightThrough) {
-  const auto [sched, scenario] = GetParam();
+  const auto [sched, scenario, cuts, via_file] = GetParam();
   const SimConfig cfg = scenario_cfg(sched, scenario);
 
   const RunResult straight = Simulator(cfg).run();
 
-  Simulator paused(cfg);
-  paused.run_to(cfg.max_cycles / 2);
-  ASSERT_EQ(paused.now(), cfg.max_cycles / 2);
-  const std::vector<unsigned char> snap = ckpt::save_snapshot(paused);
+  std::string name =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  for (char& c : name) {
+    if (c == '/') c = '_';
+  }
+  const std::string path =
+      ::testing::TempDir() + "latdiv_resume_" + name + ".snap";
+  auto sim = std::make_unique<Simulator>(cfg);
+  for (std::uint32_t k = 1; k <= cuts; ++k) {
+    const Cycle cut = cfg.max_cycles * k / (cuts + 1);
+    sim->run_to(cut);
+    ASSERT_EQ(sim->now(), cut);
+    const std::vector<unsigned char> snap = ckpt::save_snapshot(*sim);
 
-  Simulator resumed(cfg);
-  ckpt::load_snapshot(resumed, snap.data(), snap.size());
-  ASSERT_EQ(resumed.now(), cfg.max_cycles / 2);
+    auto resumed = std::make_unique<Simulator>(cfg);
+    if (via_file) {
+      ckpt::save_snapshot_file(*sim, path);
+      ckpt::load_snapshot_file(*resumed, path);
+      std::remove(path.c_str());
+    } else {
+      ckpt::load_snapshot(*resumed, snap.data(), snap.size());
+    }
+    ASSERT_EQ(resumed->now(), cut);
 
-  // Snapshot-of-resume stability: the loaded simulator re-serializes to
-  // the exact bytes it was loaded from (basis of CI's golden hash).
-  EXPECT_EQ(ckpt::save_snapshot(resumed), snap);
+    // Snapshot-of-resume stability: the loaded simulator re-serializes to
+    // the exact bytes it was loaded from (basis of CI's golden hash).
+    EXPECT_EQ(ckpt::save_snapshot(*resumed), snap) << "cut " << k;
+    sim = std::move(resumed);
+  }
 
-  resumed.run_to(cfg.max_cycles);
-  expect_same_result(straight, resumed.finish());
+  sim->run_to(cfg.max_cycles);
+  expect_same_result(straight, sim->finish());
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SchedXScen, CkptResume,
+    SchedXScenXShardsXFf, CkptResume,
     ::testing::Combine(
         ::testing::Values(SchedulerKind::kGmc, SchedulerKind::kWgM,
                           SchedulerKind::kWgW),
         ::testing::Values("pointer-chase", "powerlaw-rows",
-                          "threshold-compact")),
+                          "threshold-compact"),
+        ::testing::Values(1u, 2u, 6u), ::testing::Bool()),
     [](const auto& info) {
       std::string n = to_string(std::get<0>(info.param));
       n += '_';
@@ -114,7 +139,8 @@ INSTANTIATE_TEST_SUITE_P(
       for (char& c : n) {
         if (c == '-') c = '_';
       }
-      return n;
+      return n + "_shards" + std::to_string(std::get<2>(info.param)) +
+             (std::get<3>(info.param) ? "_ff" : "_noff");
     });
 
 // The config fingerprint excludes max_cycles: a snapshot taken in a short
