@@ -17,19 +17,79 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
-#include "bench/harness.hpp"
 #include "ckpt/sampler.hpp"
+#include "exp/manifest.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/simulator.hpp"
 #include "workload/trace.hpp"
 
 using namespace latdiv;
-using namespace latdiv::bench;
 
 namespace {
+
+constexpr const char* kUsage =
+    "usage: bench_throughput [--cycles N] [--warmup N] [--seed N] "
+    "[--quick] [--out FILE]\n";
+
+/// --cycles/--warmup/--seed/--quick go through exp::SweepOptions so the
+/// quick and warmup rules match latdiv-sweep.  Exits 2 on an unknown
+/// flag or a malformed value.
+exp::RunShape parse_args(int argc, char** argv, std::string& out_json) {
+  exp::SweepOptions opts;
+  for (int i = 1; i < argc; ++i) {
+    const char* flag = argv[i];
+    if (std::strcmp(flag, "--quick") == 0) {
+      opts.quick = true;
+      continue;
+    }
+    if (std::strcmp(flag, "--help") == 0) {
+      std::printf("%s", kUsage);
+      std::exit(0);
+    }
+    const bool numeric = std::strcmp(flag, "--cycles") == 0 ||
+                         std::strcmp(flag, "--warmup") == 0 ||
+                         std::strcmp(flag, "--seed") == 0;
+    if (!numeric && std::strcmp(flag, "--out") != 0) {
+      std::fprintf(stderr, "bench_throughput: unknown option '%s'\n%s", flag,
+                   kUsage);
+      std::exit(2);
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "bench_throughput: %s needs a value\n", flag);
+      std::exit(2);
+    }
+    const char* text = argv[++i];
+    if (!numeric) {
+      out_json = text;
+      continue;
+    }
+    char* end = nullptr;
+    const std::uint64_t v = std::strtoull(text, &end, 10);
+    if (end == text || *end != '\0') {
+      std::fprintf(stderr, "bench_throughput: %s wants a number, got '%s'\n",
+                   flag, text);
+      std::exit(2);
+    }
+    if (std::strcmp(flag, "--cycles") == 0) opts.cycles = v;
+    else if (std::strcmp(flag, "--warmup") == 0) opts.warmup = v;
+    else opts.seed = v;
+  }
+  return opts.shape();
+}
+
+/// One table row of fixed-width cells.
+void print_row(const std::string& head,
+               const std::vector<std::string>& cells) {
+  std::printf("%-16s", head.c_str());
+  for (const std::string& c : cells) std::printf("%10s", c.c_str());
+  std::printf("\n");
+}
 
 struct Measured {
   double ipc = 0.0;
@@ -44,17 +104,22 @@ enum class ObsMode {
 };
 
 Measured measure(const WorkloadProfile& w, SchedulerKind sched,
-                 const Options& opts, ObsMode obs) {
+                 const exp::RunShape& shape, ObsMode obs) {
   const auto start = std::chrono::steady_clock::now();  // lint: wall-clock-ok
-  const RunResult r = run_point(w, sched, opts, [&](SimConfig& cfg) {
-    if (obs == ObsMode::kMetrics) {
-      cfg.obs.metrics_path = "/dev/null";  // enables the hub, nothing else
-    } else if (obs == ObsMode::kTrace) {
-      cfg.obs.trace = true;  // no trace_path: buffers in memory only
-    } else if (obs == ObsMode::kAttrib) {
-      cfg.obs.attrib = true;  // no attrib_path: aggregates in memory only
-    }
-  });
+  SimConfig cfg;
+  cfg.workload = w;
+  cfg.scheduler = sched;
+  cfg.max_cycles = shape.cycles;
+  cfg.warmup_cycles = shape.warmup;
+  cfg.seed = shape.base_seed;
+  if (obs == ObsMode::kMetrics) {
+    cfg.obs.metrics_path = "/dev/null";  // enables the hub, nothing else
+  } else if (obs == ObsMode::kTrace) {
+    cfg.obs.trace = true;  // no trace_path: buffers in memory only
+  } else if (obs == ObsMode::kAttrib) {
+    cfg.obs.attrib = true;  // no attrib_path: aggregates in memory only
+  }
+  const RunResult r = Simulator(cfg).run();
   const double wall_s =
       std::chrono::duration<double>(
           std::chrono::steady_clock::now() - start)  // lint: wall-clock-ok
@@ -71,7 +136,7 @@ Measured measure(const WorkloadProfile& w, SchedulerKind sched,
 /// modes must never perturb simulated results.  Any IPC difference across
 /// modes aborts the bench; wall-clock ratios are reported for trend
 /// tracking (EXPERIMENTS.md records reference numbers).
-int obs_overhead_section(const Options& opts) {
+int obs_overhead_section(const exp::RunShape& shape) {
   std::printf("\nobservability overhead — obs off / repeat (noise floor) / "
               "metrics-only / attribution / full tracing\n");
   print_row("workload",
@@ -81,11 +146,11 @@ int obs_overhead_section(const Options& opts) {
     for (const SchedulerKind sched :
          {SchedulerKind::kGmc, SchedulerKind::kWgW}) {
       const char* sname = sched == SchedulerKind::kGmc ? "GMC" : "WG-W";
-      const Measured off1 = measure(w, sched, opts, ObsMode::kOff);
-      const Measured off2 = measure(w, sched, opts, ObsMode::kOff);
-      const Measured met = measure(w, sched, opts, ObsMode::kMetrics);
-      const Measured att = measure(w, sched, opts, ObsMode::kAttrib);
-      const Measured trc = measure(w, sched, opts, ObsMode::kTrace);
+      const Measured off1 = measure(w, sched, shape, ObsMode::kOff);
+      const Measured off2 = measure(w, sched, shape, ObsMode::kOff);
+      const Measured met = measure(w, sched, shape, ObsMode::kMetrics);
+      const Measured att = measure(w, sched, shape, ObsMode::kAttrib);
+      const Measured trc = measure(w, sched, shape, ObsMode::kTrace);
       if (off1.ipc != off2.ipc || off1.ipc != met.ipc ||
           off1.ipc != att.ipc || off1.ipc != trc.ipc) {
         std::fprintf(stderr,
@@ -129,8 +194,8 @@ void json_row(std::string& rows, const std::string& obj) {
 /// the sampled estimate must stay within 2%.  Wall-clock speedups
 /// (sequential and jobs=4 snapshot fan-out) are reported for trend
 /// tracking only.  Any gate failure aborts the bench.
-int sampling_section(const Options& opts, std::string& json) {
-  const Cycle cycles = std::max<Cycle>(opts.cycles, 1'000'000);
+int sampling_section(const exp::RunShape& shape, std::string& json) {
+  const Cycle cycles = std::max<Cycle>(shape.cycles, 1'000'000);
   const ckpt::SamplingConfig sched;  // default 8k detail / 4k warm / 120k
   std::printf("\ninterval sampling — detailed vs sampled, %llu cycles, "
               "WG-W (detail %llu / warm %llu / period %llu)\n",
@@ -151,7 +216,7 @@ int sampling_section(const Options& opts, std::string& json) {
     cfg.scheduler = SchedulerKind::kWgW;
     cfg.max_cycles = cycles;
     cfg.warmup_cycles = 0;  // the estimator has no warmup-exclusion notion
-    cfg.seed = opts.seed;
+    cfg.seed = shape.base_seed;
 
     const auto t0 = std::chrono::steady_clock::now();  // lint: wall-clock-ok
     const RunResult detailed = Simulator(cfg).run();
@@ -366,16 +431,19 @@ int trace_streaming_section() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts = Options::parse(argc, argv);
-  banner("simulator throughput — sampling, observability overhead, "
-         "streaming replay",
-         "each section gates on a machine-independent contract");
-  print_config(opts);
+  std::string out_path = "BENCH_throughput.json";
+  const exp::RunShape shape = parse_args(argc, argv, out_path);
+  std::printf("simulator throughput — sampling, observability overhead, "
+              "streaming replay\n"
+              "run: %llu cycles (%llu warmup), seed %llu\n",
+              static_cast<unsigned long long>(shape.cycles),
+              static_cast<unsigned long long>(shape.warmup),
+              static_cast<unsigned long long>(shape.base_seed));
 
   std::string sampling_json;
-  const int sampling_rc = sampling_section(opts, sampling_json);
+  const int sampling_rc = sampling_section(shape, sampling_json);
   if (sampling_rc != 0) return sampling_rc;
-  const int obs_rc = obs_overhead_section(opts);
+  const int obs_rc = obs_overhead_section(shape);
   if (obs_rc != 0) return obs_rc;
   const int stream_rc = trace_streaming_section();
   if (stream_rc != 0) return stream_rc;
@@ -384,10 +452,8 @@ int main(int argc, char** argv) {
   // job).  Wall-clock fields are for trend inspection, never gates; the
   // sampling section's gate results are recorded so downstream tooling
   // can assert on them without re-parsing the console output.
-  const std::string out_path =
-      opts.out_json.empty() ? "BENCH_throughput.json" : opts.out_json;
   std::ostringstream doc;
-  doc << "{\"bench\":\"throughput\",\"cycles\":" << opts.cycles
+  doc << "{\"bench\":\"throughput\",\"cycles\":" << shape.cycles
       << ",\"sampling\":" << sampling_json
       << ",\"gates\":{\"sampling_cycle_reduction_min\":5.0,"
       << "\"sampling_ipc_err_max\":0.02,\"passed\":true}}\n";

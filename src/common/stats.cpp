@@ -12,12 +12,6 @@ double geomean(std::span<const double> values) {
   return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-std::string percent(double fraction) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.1f%%", fraction * 100.0);
-  return buf;
-}
-
 std::string fixed(double value, int decimals) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "%.*f", decimals, value);

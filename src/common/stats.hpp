@@ -102,9 +102,6 @@ class Histogram {
 /// Geometric mean of a positive series (0.0 for an empty one).
 [[nodiscard]] double geomean(std::span<const double> values);
 
-/// Render a fraction as a percentage string with one decimal, e.g. "12.3%".
-[[nodiscard]] std::string percent(double fraction);
-
 /// Fixed-width numeric cell used by the bench report printers.
 [[nodiscard]] std::string fixed(double value, int decimals = 2);
 

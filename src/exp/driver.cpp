@@ -122,6 +122,14 @@ void apply_sampling(Manifest& manifest, const ckpt::SamplingConfig& sc) {
 
 int run_manifest(const std::string& name, const SweepRunArgs& args) {
   const auto t0 = std::chrono::steady_clock::now();  // lint: wall-clock-ok
+  if (args.opts.seeds == 0) {
+    std::fprintf(stderr, "latdiv-sweep: --seeds must be > 0\n");
+    return 2;
+  }
+  if (args.sample_interval == 0) {
+    std::fprintf(stderr, "latdiv-sweep: --sample-interval must be > 0\n");
+    return 2;
+  }
   Manifest manifest;
   try {
     manifest = make_manifest(name, args.opts);
@@ -134,10 +142,6 @@ int run_manifest(const std::string& name, const SweepRunArgs& args) {
     std::fprintf(stderr,
                  "latdiv-sweep: filter '%s' matched no points of '%s'\n",
                  args.opts.filter.c_str(), name.c_str());
-    return 2;
-  }
-  if (args.sample_interval == 0) {
-    std::fprintf(stderr, "latdiv-sweep: --sample-interval must be > 0\n");
     return 2;
   }
   if (args.sampled && (!args.trace_dir.empty() ||

@@ -1,9 +1,7 @@
 // End-to-end sweep driver: manifest -> executor -> artifacts -> console.
 //
-// This is the single code path behind both the `latdiv-sweep` CLI and
-// the re-plumbed per-figure bench binaries; it owns progress reporting,
-// artifact writing and the golden-regression hook so every entry point
-// behaves identically.
+// This is the single code path behind the `latdiv-sweep` CLI; it owns
+// progress reporting, artifact writing and the golden-regression hook.
 #pragma once
 
 #include <cstdint>
@@ -59,8 +57,8 @@ struct SweepRunArgs {
 
 /// Run the named manifest and print its figure table.  Returns the
 /// process exit code: 0 on success, 1 when any point failed or the
-/// golden check found regressions, 2 on setup errors (unknown manifest,
-/// empty filtered grid, unwritable output).
+/// golden check found regressions, 2 on setup errors (zero seeds,
+/// unknown manifest, empty filtered grid, unwritable output).
 int run_manifest(const std::string& name, const SweepRunArgs& args);
 
 }  // namespace latdiv::exp

@@ -2,10 +2,10 @@
 //
 // A manifest binds a paper figure/table to a concrete sweep: its grid
 // (workloads x schedulers/variants x seeds) plus the presentation spec
-// (title, column order, baseline for the normalized view).  The four
-// re-plumbed bench binaries and the `latdiv-sweep` CLI all resolve their
-// experiments here, so there is exactly one definition of each figure's
-// configuration in the repo.
+// (title, column order, baseline for the normalized view).  Every paper
+// figure, table and ablation is a manifest here, run by
+// `latdiv-sweep <name>`, so there is exactly one definition of each
+// figure's configuration in the repo.
 #pragma once
 
 #include <string>
@@ -16,8 +16,7 @@
 
 namespace latdiv::exp {
 
-/// Sweep-wide options (the CLI surface shared by latdiv-sweep and the
-/// bench binaries).
+/// Sweep-wide options (the run-shape part of the latdiv-sweep CLI).
 struct SweepOptions {
   Cycle cycles = 50'000;
   Cycle warmup = 5'000;

@@ -79,8 +79,8 @@ struct Artifact {
 /// discriminated by the leading "kind" column.
 [[nodiscard]] std::string to_csv(const Artifact& a);
 
-/// Render the figure table (baseline column absolute, others normalized,
-/// geomean footer) the way the retired per-figure mains printed it.
+/// Render the figure table of the primary metric (baseline column
+/// absolute, others normalized, geomean footer).
 void print_table(const Artifact& a, std::FILE* out = stdout);
 
 /// Count of failed points (nonzero => the sweep's exit code should be 1).

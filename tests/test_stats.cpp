@@ -73,11 +73,6 @@ TEST(StatsFormat, SafeRatio) {
   EXPECT_DOUBLE_EQ(safe_ratio(6.0, 0.0), 0.0);
 }
 
-TEST(StatsFormat, Percent) {
-  EXPECT_EQ(percent(0.123), "12.3%");
-  EXPECT_EQ(percent(1.0), "100.0%");
-}
-
 TEST(StatsFormat, Fixed) {
   EXPECT_EQ(fixed(3.14159, 2), "3.14");
   EXPECT_EQ(fixed(2.0, 0), "2");

@@ -12,6 +12,11 @@
 //
 // Exit codes: 0 success, 1 failed points or golden regression, 2 usage or
 // I/O errors.
+#include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -78,12 +83,36 @@ void usage(std::FILE* out) {
                "(repeatable)\n");
 }
 
-std::uint64_t parse_u64(const char* flag, const char* text) {
+/// Unsigned decimal in [0, max]; anything else exits 2.  strtoull
+/// accepts a minus sign and wraps "-1" to 2^64-1, so any '-' is refused,
+/// and ERANGE catches values past 2^64-1.
+std::uint64_t parse_u64(const char* flag, const char* text,
+                        std::uint64_t max = UINT64_MAX) {
   char* end = nullptr;
+  errno = 0;
   const std::uint64_t v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
+  if (end == text || *end != '\0' || std::strchr(text, '-') != nullptr) {
     std::fprintf(stderr, "latdiv-sweep: %s wants a number, got '%s'\n", flag,
                  text);
+    std::exit(2);
+  }
+  if (errno == ERANGE || v > max) {
+    std::fprintf(stderr,
+                 "latdiv-sweep: %s value '%s' is out of range (max %llu)\n",
+                 flag, text, static_cast<unsigned long long>(max));
+    std::exit(2);
+  }
+  return v;
+}
+
+/// A relative tolerance: finite and >= 0, or exit 2.
+double parse_tolerance(const char* flag, const char* text) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || v < 0.0) {
+    std::fprintf(stderr,
+                 "latdiv-sweep: %s wants a finite tolerance >= 0, got '%s'\n",
+                 flag, text);
     std::exit(2);
   }
   return v;
@@ -133,7 +162,7 @@ bool parse_tolerance_flags(int argc, char** argv, int& i,
                            GoldenOptions& golden) {
   if (std::strcmp(argv[i], "--default-tol") == 0) {
     golden.default_tol.rel =
-        std::strtod(next_arg(argc, argv, i), nullptr);
+        parse_tolerance("--default-tol", next_arg(argc, argv, i));
     return true;
   }
   if (std::strcmp(argv[i], "--tol") == 0) {
@@ -145,7 +174,7 @@ bool parse_tolerance_flags(int argc, char** argv, int& i,
       std::exit(2);
     }
     GoldenTolerance tol;
-    tol.rel = std::strtod(spec.c_str() + eq + 1, nullptr);
+    tol.rel = parse_tolerance("--tol", spec.c_str() + eq + 1);
     golden.per_metric[spec.substr(0, eq)] = tol;
     return true;
   }
@@ -153,9 +182,13 @@ bool parse_tolerance_flags(int argc, char** argv, int& i,
 }
 
 int cmd_list() {
+  int width = 0;
+  for (const std::string& name : manifest_names()) {
+    width = std::max(width, static_cast<int>(name.size()));
+  }
   std::printf("manifests:\n");
   for (const std::string& name : manifest_names()) {
-    std::printf("  %-8s %s\n", name.c_str(),
+    std::printf("  %-*s %s\n", width, name.c_str(),
                 manifest_summary(name).c_str());
   }
   return 0;
@@ -222,15 +255,15 @@ int cmd_run(const std::string& manifest, int argc, char** argv) {
     } else if (std::strcmp(flag, "--seed") == 0) {
       args.opts.seed = parse_u64(flag, next_arg(argc, argv, i));
     } else if (std::strcmp(flag, "--seeds") == 0) {
-      args.opts.seeds =
-          static_cast<std::uint32_t>(parse_u64(flag, next_arg(argc, argv, i)));
+      args.opts.seeds = static_cast<std::uint32_t>(
+          parse_u64(flag, next_arg(argc, argv, i), UINT32_MAX));
     } else if (std::strcmp(flag, "--quick") == 0) {
       args.opts.quick = true;
     } else if (std::strcmp(flag, "--filter") == 0) {
       args.opts.filter = next_arg(argc, argv, i);
     } else if (std::strcmp(flag, "--jobs") == 0) {
-      args.opts.jobs =
-          static_cast<unsigned>(parse_u64(flag, next_arg(argc, argv, i)));
+      args.opts.jobs = static_cast<unsigned>(
+          parse_u64(flag, next_arg(argc, argv, i), UINT_MAX));
     } else if (std::strcmp(flag, "--out") == 0) {
       args.out_json = next_arg(argc, argv, i);
     } else if (std::strcmp(flag, "--csv") == 0) {
