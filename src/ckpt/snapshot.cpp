@@ -208,13 +208,8 @@ void io_wg_meta(Ar& ar, WgGroupMeta& meta) {
       ar.u64(qr.arrival);
       ar.u32(qr.row);
     });
-    ar.u64(slot.score_epoch);
   });
-  ar.u64(meta.version);
   ar.b(meta.in_active);
-  ar.u64(meta.score_version);
-  ar.u32(meta.score_completion);
-  ar.u32(meta.score_row_hits);
 }
 
 }  // namespace
@@ -296,7 +291,6 @@ void Sm::ckpt_io(Ar& ar) {
   io_seq(ar, lsu_.queue, [&ar](MemRequest& req) { io_req(ar, req); });
   io_size(ar, lsu_.next);
   ar.u64(mem_epoch_);
-  ar.u64(idle_until_);
   ar.u16(last_issued_);
   ar.u64(next_uid_);
   ar.u64(stats_.instructions);
@@ -445,7 +439,6 @@ void MemoryController::ckpt_io(Ar& ar) {
   for (auto& streak : bank_tail_streak_) ar.u32(streak);
   io_size(ar, cmdq_total_);
   ar.u32(nonempty_banks_);
-  for (auto& epoch : bank_epoch_) ar.u64(epoch);
   ar.u64(mutation_epoch_);
   ar.b(write_mode_);
   ar.b(opportunistic_mode_);
@@ -587,10 +580,6 @@ void WgPolicy::ckpt_io(Ar& ar) {
   ar.u64(next_seq_);
   ar.u64(skip_epoch_);
   ar.u64(skip_until_);
-  io_seq(ar, bqs_cache_, [&ar](std::pair<std::uint64_t, std::uint32_t>& e) {
-    ar.u64(e.first);
-    ar.u32(e.second);
-  });
   // row_counts_ / census_ (WG-Bw / shared-boost indexes): sorted-key walk
   // like groups_ above.
   if constexpr (Ar::kIsWriter) {

@@ -10,7 +10,7 @@
 // and running to the end produces a RunResult (and obs artifacts)
 // byte-identical to the run that never paused.
 //
-// File layout ("LDSN" format, version 1):
+// File layout ("LDSN" format, version 2):
 //
 //   header (24 bytes, all multi-byte fields little-endian):
 //     magic "LDSN", u32 version, u32 config fingerprint, u64 cycle,
@@ -50,7 +50,7 @@ struct SimConfig;
 
 namespace latdiv::ckpt {
 
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 inline constexpr std::size_t kSnapshotHeaderBytes = 24;
 
 /// CRC-32 over the curated configuration fields above.  Two configs with

@@ -19,6 +19,14 @@ inline std::uint32_t census_key(BankId bank, RowId row) {
   return (static_cast<std::uint32_t>(bank) << 24) | (row & 0xFFFFFF);
 }
 
+/// Liveness fallback: the read queue counts as "under pressure" once it
+/// is within this many entries of full.
+constexpr std::size_t kRqPressureSlack = 4;
+
+/// Cap on bank-queue insertions per drain_current call (selected-group
+/// requests plus MERB fillers).
+constexpr std::uint32_t kMaxPushesPerCycle = 8;
+
 }  // namespace
 
 // ---- incremental read-queue index -------------------------------------
@@ -36,12 +44,11 @@ void WgPolicy::index_add(WgGroupMeta& meta, const MemRequest& req) {
       meta.slots.begin(), meta.slots.end(),
       [&](const WgGroupMeta::BankSlot& s) { return s.bank == req.loc.bank; });
   if (it == meta.slots.end()) {
-    meta.slots.push_back(WgGroupMeta::BankSlot{req.loc.bank, {}, 0});
+    meta.slots.push_back(WgGroupMeta::BankSlot{req.loc.bank, {}});
     it = meta.slots.end() - 1;
   }
   it->items.push_back(
       WgGroupMeta::QueuedReq{seq, req.arrived_at_mc, req.loc.row});
-  ++meta.version;
   if (!meta.in_active) {
     active_.emplace_back(req.tag.instr, &meta);
     meta.in_active = true;
@@ -74,7 +81,6 @@ void WgPolicy::index_remove(WgGroupMeta& meta, const MemRequest& req) {
       });
   LATDIV_ASSERT(rit != it->items.end(), "index_remove: request not indexed");
   it->items.erase(rit);
-  ++meta.version;
   if (cfg_.merb) {
     auto cit = row_counts_.find(row_key(req.loc.bank, req.loc.row));
     LATDIV_ASSERT(cit != row_counts_.end() && cit->second > 0,
@@ -180,7 +186,7 @@ void WgPolicy::on_remote_selection(MemoryController& mc, const CoordMsg& msg,
 void WgPolicy::on_drain_start(MemoryController& mc, Cycle) {
   std::size_t stalled = 0;
   std::size_t small = 0;
-  // lint: order-independent (pure counting; no selection by position)
+  // lint: unordered-iter-ok (pure counting; no selection by position)
   for (const auto& [instr, meta] : groups_) {
     const std::uint32_t remaining = meta.queued();
     if (remaining == 0) continue;
@@ -206,17 +212,12 @@ bool WgPolicy::write_pressure(const MemoryController& mc) const {
 
 std::uint32_t WgPolicy::bank_queue_score(const MemoryController& mc,
                                          BankId bank) const {
-  if (bqs_cache_.empty()) bqs_cache_.assign(banks_, {0, 0});
-  auto& entry = bqs_cache_[bank];
-  const std::uint64_t epoch = mc.bank_epoch(bank) + 1;  // 0 = never cached
-  if (entry.first == epoch) return entry.second;
   std::uint32_t score = 0;
   RowId running = mc.channel().open_row(bank);
   for (const MemRequest& queued : mc.bank_queue(bank)) {
-    score += (queued.loc.row == running) ? cfg_.score_hit : cfg_.score_miss;
+    score += (queued.loc.row == running) ? kScoreHit : cfg_.score_miss;
     running = queued.loc.row;
   }
-  entry = {epoch, score};
   return score;
 }
 
@@ -225,18 +226,6 @@ WgPolicy::Score WgPolicy::score_group(const MemoryController& mc,
   const auto git = groups_.find(instr);
   if (git == groups_.end()) return {};
   const WgGroupMeta& meta = git->second;
-
-  if (meta.score_version == meta.version) {
-    bool valid = true;
-    for (const WgGroupMeta::BankSlot& slot : meta.slots) {
-      if (!slot.items.empty() &&
-          slot.score_epoch != mc.bank_epoch(slot.bank) + 1) {
-        valid = false;
-        break;
-      }
-    }
-    if (valid) return Score{meta.score_completion, meta.score_row_hits};
-  }
 
   // Walk the group's queued requests per touched bank, simulating the
   // bank's planned row sequence starting from the controller's predictor.
@@ -247,16 +236,12 @@ WgPolicy::Score WgPolicy::score_group(const MemoryController& mc,
     std::uint32_t score = bank_queue_score(mc, slot.bank);
     for (const WgGroupMeta::QueuedReq& q : slot.items) {
       const bool hit = q.row == running;
-      score += hit ? cfg_.score_hit : cfg_.score_miss;
+      score += hit ? kScoreHit : cfg_.score_miss;
       if (hit) ++out.row_hits;
       running = q.row;
     }
     out.completion = std::max(out.completion, score);
-    slot.score_epoch = mc.bank_epoch(slot.bank) + 1;
   }
-  meta.score_version = meta.version;
-  meta.score_completion = out.completion;
-  meta.score_row_hits = out.row_hits;
   return out;
 }
 
@@ -423,7 +408,7 @@ void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
     // No fully-formed warp-group.  Liveness fallback: under queue pressure
     // or age limit, drain the group holding the oldest request so the
     // remaining members of other groups can reach the controller.
-    const bool pressure = rq.size() + cfg_.rq_pressure_slack >= rq.capacity();
+    const bool pressure = rq.size() + kRqPressureSlack >= rq.capacity();
     const Cand* oldest = nullptr;
     for (const Cand& c : cands_) {
       if (!fits(c, /*require_drained=*/false)) continue;
@@ -541,7 +526,7 @@ std::uint32_t WgPolicy::drain_current(MemoryController& mc, Cycle now) {
   // arrival order.  Two passes: row-extending requests, then the rest.
   for (int pass = 0; pass < 2; ++pass) {
     auto it = rq.begin();
-    while (it != rq.end() && pushes < cfg_.max_pushes_per_cycle) {
+    while (it != rq.end() && pushes < kMaxPushesPerCycle) {
       if (it->tag.instr != *current_) {
         ++it;
         continue;
@@ -579,7 +564,7 @@ std::uint32_t WgPolicy::drain_current(MemoryController& mc, Cycle now) {
         const std::uint32_t fillers = total - own;
         if (fillers >= 1 && fillers <= cfg_.orphan_limit) {
           bool pushed_any = false;
-          while (pushes < cfg_.max_pushes_per_cycle &&
+          while (pushes < kMaxPushesPerCycle &&
                  push_filler(mc, bank, now)) {
             ++stats_.orphan_topups;
             ++pushes;

@@ -66,7 +66,6 @@ struct WgConfig {
   bool shared_data_boost = false;
   std::uint32_t shared_weight = 1;  ///< score discount per shared request
 
-  std::uint32_t score_hit = 1;   ///< ~tCAS (12 ns)
   std::uint32_t score_miss = 3;  ///< ~tRP+tRCD+tCAS (36 ns)
   std::uint32_t orphan_limit = 2;
   std::uint32_t wq_guard = 8;  ///< WG-W arms at (high watermark - guard)
@@ -76,8 +75,6 @@ struct WgConfig {
   /// WG-M: how long a remote-selection message stays matchable against
   /// not-yet-arrived warp-groups.
   Cycle coord_msg_ttl = 256;
-  std::size_t rq_pressure_slack = 4;
-  std::uint32_t max_pushes_per_cycle = 8;
 };
 
 /// Per-warp-group bookkeeping (the warp sorter / bank table entry).
@@ -104,22 +101,12 @@ struct WgGroupMeta {
     BankId bank;
     std::vector<QueuedReq> items;  ///< this group's queued requests, in
                                    ///< read-queue (= seq) order
-    /// bank_epoch(bank)+1 when cached_score was computed (score cache).
-    mutable std::uint64_t score_epoch = 0;
   };
   /// Per-bank slots in first-touch order; a slot may drain empty.
   std::vector<BankSlot> slots;
-  std::uint64_t version = 0;  ///< bumped on every index add/remove
   /// Listed in WgPolicy::active_ (groups with queued requests); cleared
   /// lazily when a sweep finds the group drained.
   bool in_active = false;
-
-  /// Group score cache (see WgPolicy::score_group): valid while
-  /// score_version matches `version` and every non-empty slot's
-  /// score_epoch matches the controller's current bank epoch.
-  mutable std::uint64_t score_version = ~std::uint64_t{0};
-  mutable std::uint32_t score_completion = 0;
-  mutable std::uint32_t score_row_hits = 0;
 
   /// Requests of this group currently in the read queue (== the old
   /// O(read-queue) pending_in_queue scan).
@@ -141,7 +128,7 @@ struct WgStats {
 class WgPolicy final : public TransactionScheduler {
  public:
   WgPolicy(const WgConfig& cfg, const DramTiming& timing)
-      : cfg_(cfg), merb_(timing), banks_(timing.banks) {
+      : cfg_(cfg), merb_(timing) {
     // The per-group bank footprint uses 32-bit bank masks (and the WG
     // paper's GDDR5 devices have 16 banks); wider devices need a wider
     // opens_row_mask before this policy can run on them.
@@ -173,6 +160,10 @@ class WgPolicy final : public TransactionScheduler {
   [[nodiscard]] bool quiescent() const override { return !current_; }
   [[nodiscard]] const WgConfig& config() const { return cfg_; }
 
+  /// Score of a queued request that extends the bank's row: ~tCAS
+  /// (12 ns).  The row-miss score is WgConfig::score_miss.
+  static constexpr std::uint32_t kScoreHit = 1;
+
   struct Score {
     std::uint32_t completion = 0;  ///< estimated completion-time score
     std::uint32_t row_hits = 0;    ///< tie-breaker
@@ -197,8 +188,9 @@ class WgPolicy final : public TransactionScheduler {
   }
 
   /// Snapshot serialization (src/ckpt): the warp sorter, the incremental
-  /// read-queue index, caches and stats all round-trip; merb_ is a pure
-  /// function of the DRAM timing and is rebuilt at construction.
+  /// read-queue index, the select-skip memo and stats all round-trip;
+  /// merb_ is a pure function of the DRAM timing and is rebuilt at
+  /// construction.
   void ckpt_save(ckpt::CkptWriter& ar) const override;
   void ckpt_load(ckpt::CkptReader& ar) override;
 
@@ -208,8 +200,7 @@ class WgPolicy final : public TransactionScheduler {
   template <class Ar>
   void ckpt_io(Ar& ar);
 
-  /// Sum of request scores pending in `bank`'s command queue (cached per
-  /// bank, invalidated by the controller's bank epoch).
+  /// Sum of request scores pending in `bank`'s command queue.
   [[nodiscard]] std::uint32_t bank_queue_score(const MemoryController& mc,
                                                BankId bank) const;
 
@@ -237,7 +228,6 @@ class WgPolicy final : public TransactionScheduler {
 
   WgConfig cfg_;
   MerbTable merb_;
-  std::uint32_t banks_;
   std::unordered_map<WarpInstrUid, WgGroupMeta> groups_;
   std::optional<WarpInstrUid> current_;
   /// Groups that (may) have queued requests — the candidate universe for
@@ -259,9 +249,6 @@ class WgPolicy final : public TransactionScheduler {
   // the selection is provably futile and is skipped.
   std::uint64_t skip_epoch_ = ~std::uint64_t{0};
   Cycle skip_until_ = 0;
-
-  /// Per-bank queue-score cache: (bank_epoch+1, score); 0 = invalid.
-  mutable std::vector<std::pair<std::uint64_t, std::uint32_t>> bqs_cache_;
 
   /// WG-Bw orphan control: total queued read requests per exact
   /// (bank, row), across all groups.  Maintained only when cfg_.merb.

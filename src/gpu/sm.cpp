@@ -1,7 +1,5 @@
 #include "gpu/sm.hpp"
 
-#include <algorithm>
-
 #include "common/log.hpp"
 
 namespace latdiv {
@@ -29,7 +27,6 @@ void Sm::accept_response(Cycle now) {
   auto resp = xbar_.pop_response(id_, now);
   if (!resp) return;
   ++mem_epoch_;
-  idle_until_ = 0;  // the fill below may wake a warp
   l1_.fill(resp->addr, /*dirty=*/false);
   for (const MemRequest& waiter : mshr_.release(resp->addr)) {
     Warp& w = warps_[waiter.tag.warp];
@@ -233,35 +230,12 @@ void Sm::try_issue(Cycle now) {
     }
   }
   ++stats_.no_ready_warp_cycles;
-  // Nothing issued and every warp holds a pre-generated instruction: the
-  // scan is a no-op until the earliest wake-up (next_event returns `now`
-  // whenever any state — LSU, MSHR stall, missing instruction — makes a
-  // retry meaningful, so this memo never skips a tick that could act).
-  idle_until_ = next_event(now);
 }
 
 void Sm::tick(Cycle now) {
   accept_response(now);
   dispatch_lsu(now);
-  if (now < idle_until_) {
-    // Provably idle scheduler tick (see try_issue): same accounting,
-    // no warp scan.
-    ++stats_.no_ready_warp_cycles;
-    return;
-  }
   try_issue(now);
-}
-
-Cycle Sm::next_event(Cycle now) const {
-  if (lsu_.active) return now;
-  Cycle ev = kNoCycle;
-  for (const Warp& w : warps_) {
-    if (!w.has_next) return now;  // a tick would draw from the shared stream
-    if (w.pending_lines > 0 || w.waiting_lsu) continue;  // response-driven
-    if (w.ready_at <= now) return now;
-    ev = std::min(ev, w.ready_at);
-  }
-  return ev;
 }
 
 }  // namespace latdiv

@@ -68,16 +68,6 @@ class Sm {
   /// Core-domain tick.
   void tick(Cycle now);
 
-  /// Earliest core-domain cycle >= now at which a tick can change this
-  /// SM's own state (it sets the idle_until_ memo): `now` while the LSU
-  /// is busy, a warp lacks a pre-generated instruction (the next draw
-  /// from the shared instruction stream is globally ordered and must not
-  /// move), or any unblocked warp is ready; otherwise the earliest
-  /// ready_at of the unblocked warps.  Warps blocked on loads are woken
-  /// externally (the crossbar's response queues carry that event), so
-  /// they contribute nothing; kNoCycle when every warp is blocked.
-  [[nodiscard]] Cycle next_event(Cycle now) const;
-
   [[nodiscard]] const SmStats& stats() const { return stats_; }
   [[nodiscard]] const Coalescer& coalescer() const { return coalescer_; }
   [[nodiscard]] const Cache& l1() const { return l1_; }
@@ -155,10 +145,6 @@ class Sm {
   /// invalidates, reservations) — the entire state the issue_memory
   /// classify loop reads.  Keys the per-warp issue_fail_epoch memo.
   std::uint64_t mem_epoch_ = 0;
-  /// Until this cycle no warp can issue (set by a fully-failed scheduler
-  /// scan via next_event(); reset whenever a response wakes a warp).  A
-  /// tick before it skips the warp scan and just counts the idle cycle.
-  Cycle idle_until_ = 0;
   WarpId last_issued_ = 0;
   WarpInstrUid next_uid_;
   WarpInstrUid uid_stride_;

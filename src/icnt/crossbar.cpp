@@ -64,9 +64,7 @@ std::optional<MemResponse> Crossbar::pop_response(SmId sm, Cycle now) {
 void Crossbar::tick(Cycle now) {
   // Request crossbar: each partition grants one SM whose head targets it.
   // With no queued injections no grant is possible and the arbitration
-  // pointers cannot move — skip the whole grant scan.  Occupancy is
-  // recounted here (main thread) rather than kept as shared counters the
-  // partition-side injectors would race on.
+  // pointers cannot move — skip the whole grant scan.
   std::size_t sm_queued = requests_queued();
   for (std::uint32_t p = 0; sm_queued != 0 && p < cfg_.partitions; ++p) {
     if (part_in_[p].size() >= cfg_.partition_in_depth) continue;

@@ -55,7 +55,6 @@ MemoryController::MemoryController(ChannelId id, const McConfig& cfg,
       bank_q_(timing.banks),
       bank_tail_row_(timing.banks, kNoRow),
       bank_tail_streak_(timing.banks, 0),
-      bank_epoch_(timing.banks, 0),
       rr_bank_in_group_(timing.banks / timing.banks_per_group, 0) {
   LATDIV_ASSERT(policy_ != nullptr, "controller needs a policy");
   LATDIV_ASSERT(cfg.wq_low_watermark < cfg.wq_high_watermark &&
@@ -134,7 +133,6 @@ void MemoryController::send_to_bank(MemRequest req, Cycle now) {
   bank_q_[bank].push_back(req);
   ++cmdq_total_;
   ++mutation_epoch_;
-  ++bank_epoch_[bank];
   if (obs_ != nullptr) obs_->req_to_bank(req, now);
 }
 
@@ -161,8 +159,8 @@ void MemoryController::update_drain_mode(Cycle now) {
       writes_arrived_in_drain_ = 0;
       if (obs_ != nullptr) obs_->drain_begin(id_, now);
       policy_->on_drain_start(*this, now);
-    } else if (cfg_.opportunistic_drain && read_q_.empty() &&
-               !write_q_.empty() && all_bank_queues_empty()) {
+    } else if (read_q_.empty() && !write_q_.empty() &&
+               all_bank_queues_empty()) {
       write_mode_ = true;
       opportunistic_mode_ = true;
       ++mutation_epoch_;
@@ -219,7 +217,6 @@ void MemoryController::issue_one_command(Cycle now) {
       if (channel_.open_row(b) != kNoRow && channel_.can_issue(pre, now)) {
         channel_.issue(pre, now);
         ++mutation_epoch_;
-        ++bank_epoch_[b];
         return;
       }
     }
@@ -253,7 +250,6 @@ void MemoryController::issue_one_command(Cycle now) {
 
       const Cycle done = channel_.issue(cmd, now);
       ++mutation_epoch_;
-      ++bank_epoch_[bank];
       // The first command issued on behalf of a still-unclassified head
       // fixes its row-buffer outcome: straight CAS = the row was already
       // open (hit), ACT from precharged = miss, PRE of another row =

@@ -46,7 +46,6 @@ struct McConfig {
   std::uint32_t wq_high_watermark = 32;
   std::uint32_t wq_low_watermark = 16;
   std::uint32_t bank_queue_depth = 8;
-  bool opportunistic_drain = true;
 };
 
 /// Controller-level counters (DRAM-level counters live in ChannelStats).
@@ -143,15 +142,7 @@ class MemoryController {
     return nonempty_banks_;
   }
 
-  // --- change tracking (policy score caches) ---
-  /// Bumped whenever `bank`'s scheduling-visible state changes: its
-  /// command queue contents, its insertion metadata (predicted row /
-  /// tail streak) or its DRAM array state (open row).  Policies key
-  /// per-bank score caches on this.
-  [[nodiscard]] std::uint64_t bank_epoch(BankId bank) const {
-    LATDIV_DCHECK(bank < bank_epoch_.size(), "bank out of range");
-    return bank_epoch_[bank];
-  }
+  // --- change tracking (policy select-skip memo) ---
   /// Bumped on every controller-state change a transaction scheduler can
   /// observe (queue pushes and pulls, command issue, drain-mode flips,
   /// group-completion and coordination deliveries).  A scheduling
@@ -220,8 +211,8 @@ class MemoryController {
   std::size_t cmdq_total_ = 0;
   std::uint32_t nonempty_banks_ = 0;
 
-  // Change counters for policy-side caches (see bank_epoch()).
-  std::vector<std::uint64_t> bank_epoch_;
+  // Change counter for the policy-side select-skip memo (see
+  // mutation_epoch()).
   std::uint64_t mutation_epoch_ = 0;
 
   bool write_mode_ = false;

@@ -31,12 +31,6 @@ struct GmcConfig {
   Cycle age_threshold = 1024;
   /// Maximum consecutive same-row transactions planned per bank.
   std::uint32_t max_hit_streak = 16;
-  /// Per-bank lookahead: how many transactions may sit in a bank's
-  /// command queue before the row sorter stops feeding it.  Committing
-  /// decisions early into a deep in-order queue would forfeit row hits
-  /// from requests that arrive a few cycles later; the row sorter keeps
-  /// the choice open until the bank is nearly ready (double-buffering).
-  std::uint32_t bank_lookahead = 2;
 };
 
 class GmcPolicy : public TransactionScheduler {
@@ -54,6 +48,12 @@ class GmcPolicy : public TransactionScheduler {
     // erase, which happens afterwards in descending order).
     constexpr std::size_t kMaxBanks = 32;
     constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    // Per-bank lookahead: how many transactions may sit in a bank's
+    // command queue before the row sorter stops feeding it.  Committing
+    // decisions early into a deep in-order queue would forfeit row hits
+    // from requests that arrive a few cycles later; the row sorter keeps
+    // the choice open until the bank is nearly ready (double-buffering).
+    constexpr std::size_t kBankLookahead = 2;
     struct Cand {
       std::size_t aged, hit, breaker, oldest;
     };
@@ -66,7 +66,7 @@ class GmcPolicy : public TransactionScheduler {
     for (auto it = rq.begin(); it != rq.end(); ++it, ++pos) {
       const BankId bank = it->loc.bank;
       const std::size_t depth = mc.bank_queue_size(bank);
-      if (depth >= cfg_.bank_lookahead) continue;
+      if (depth >= kBankLookahead) continue;
       Cand& c = cands[bank];
       const bool extends = mc.predicted_row(bank) == it->loc.row;
       // Row-closing candidates only go in once the bank has fully drained:

@@ -24,6 +24,15 @@ constexpr std::size_t kMaxRecordBytes = 6 + sizeof(Addr) * kWarpLanes;
 /// size cannot drive a giant allocation before validation catches it.
 constexpr std::uint64_t kMaxWarpStreams = 1ull << 22;
 constexpr std::uint32_t kMaxChunkRecords = 1u << 20;
+/// Chunk headers store u16 sm / u16 warp ids, so neither dimension may
+/// exceed 65536 (ids 0..65535); larger values would wrap silently.
+constexpr std::uint64_t kMaxGeometryDim = 1ull << 16;
+
+bool valid_geometry(std::uint64_t sms, std::uint64_t warps_per_sm) {
+  return sms != 0 && warps_per_sm != 0 && sms <= kMaxGeometryDim &&
+         warps_per_sm <= kMaxGeometryDim &&
+         sms * warps_per_sm <= kMaxWarpStreams;
+}
 
 [[noreturn]] void fail(const std::string& what, const std::string& path) {
   throw TraceError("trace: " + what + ": " + path);
@@ -220,8 +229,7 @@ TraceWriter::TraceWriter(const std::string& path, std::uint32_t sms,
       sms_(sms),
       warps_per_sm_(warps_per_sm),
       chunk_records_(chunk_records) {
-  if (sms == 0 || warps_per_sm == 0 ||
-      static_cast<std::uint64_t>(sms) * warps_per_sm > kMaxWarpStreams) {
+  if (!valid_geometry(sms, warps_per_sm)) {
     fail("invalid trace geometry", path);
   }
   if (chunk_records == 0 || chunk_records > kMaxChunkRecords) {
@@ -372,8 +380,7 @@ void TraceReplayer::load_v2(std::FILE* f, ReplayMode mode) {
   chunk_records_ = get_le32(hdr + 16);
   total_ = get_le64(hdr + 20);
   const std::uint64_t index_offset = get_le64(hdr + 28);
-  if (sms_ == 0 || warps_per_sm_ == 0 ||
-      static_cast<std::uint64_t>(sms_) * warps_per_sm_ > kMaxWarpStreams) {
+  if (!valid_geometry(sms_, warps_per_sm_)) {
     fail("invalid trace geometry", path_);
   }
   if (chunk_records_ == 0 || chunk_records_ > kMaxChunkRecords) {
@@ -626,9 +633,7 @@ TraceStats scan_trace(const std::string& path) {
   acc.stats.chunk_records = get_le32(hdr + 16);
   acc.stats.total_records = get_le64(hdr + 20);
   const std::uint64_t index_offset = get_le64(hdr + 28);
-  if (acc.stats.sms == 0 || acc.stats.warps_per_sm == 0 ||
-      static_cast<std::uint64_t>(acc.stats.sms) * acc.stats.warps_per_sm >
-          kMaxWarpStreams) {
+  if (!valid_geometry(acc.stats.sms, acc.stats.warps_per_sm)) {
     fail("invalid trace geometry", path);
   }
   if (acc.stats.chunk_records == 0 ||

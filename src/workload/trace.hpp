@@ -68,6 +68,9 @@ class TraceError : public std::runtime_error {
 inline constexpr std::uint32_t kTraceChunkRecords = 64;
 
 /// Streams instruction records to a v2 trace file as they are recorded.
+/// Throws TraceError ("invalid trace geometry") unless sms and
+/// warps_per_sm are each in 1..65536 (chunk headers carry u16 ids) and
+/// their product is at most 2^22; readers reject such headers alike.
 class TraceWriter {
  public:
   TraceWriter(const std::string& path, std::uint32_t sms,

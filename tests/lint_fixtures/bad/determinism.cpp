@@ -48,7 +48,7 @@ double biased_sum() {
   // The loop itself is vouched order-independent, but float accumulation
   // inside it must still be reported: FP addition does not commute across
   // reorderings.
-  // lint: order-independent
+  // lint: unordered-iter-ok
   for (const auto& [k, w] : weights) {
     (void)k;
     sum += w;  // expect: float-accum

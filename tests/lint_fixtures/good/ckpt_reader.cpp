@@ -35,7 +35,7 @@ std::uint64_t cached_payload_total() {
   std::unordered_map<std::uint32_t, SectionFrame> frame_cache;
   std::uint64_t payload_sum = 0;
   // Integer sum: commutative, so hash order cannot change the result.
-  // lint: order-independent
+  // lint: unordered-iter-ok
   for (const auto& [pos, frame] : frame_cache) {
     (void)pos;
     payload_sum += frame.payload.size();

@@ -22,7 +22,7 @@ int count_entries() {
   std::unordered_map<int, int> m;
   int n = 0;
   // Pure aggregation with integer arithmetic: order-independent.
-  // lint: order-independent
+  // lint: unordered-iter-ok
   for (const auto& [k, v] : m) {
     (void)k;
     n += v;
@@ -40,7 +40,7 @@ class TagIndex {
 double float_total() {
   std::unordered_map<int, double> m;
   double total = 0.0;
-  // lint: order-independent
+  // lint: unordered-iter-ok
   for (const auto& [k, w] : m) {
     (void)k;
     total += w;  // lint: float-accum-ok

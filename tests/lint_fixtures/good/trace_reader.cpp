@@ -35,7 +35,7 @@ std::uint64_t cached_record_total() {
   std::unordered_map<std::uint32_t, WarpStreamBuf> cache;
   std::uint64_t record_sum = 0;
   // Integer sum: commutative, so hash order cannot change the result.
-  // lint: order-independent
+  // lint: unordered-iter-ok
   for (const auto& [wi, ws] : cache) {
     (void)wi;
     record_sum += ws.records;

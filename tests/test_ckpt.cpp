@@ -330,9 +330,9 @@ TEST_F(CkptErrors, HeaderCrcMismatch) {
 
 TEST_F(CkptErrors, UnsupportedVersion) {
   std::vector<unsigned char> bad = snap_;
-  put_le32(bad.data() + 4, 2);
+  put_le32(bad.data() + 4, 1);  // the retired v1 layout
   fix_header_crc(bad);
-  expect_load_error(bad, "unsupported snapshot version 2 (expected 1)");
+  expect_load_error(bad, "unsupported snapshot version 1 (expected 2)");
 }
 
 TEST_F(CkptErrors, FingerprintMismatch) {

@@ -11,8 +11,11 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/crc32.hpp"
+#include "common/endian.hpp"
 #include "exp/executor.hpp"
 #include "exp/json.hpp"
 #include "scenario/scenario.hpp"
@@ -302,6 +305,52 @@ TEST(TraceV2Error, WriterRejectsBadInputs) {
     WarpInstr instr;
     EXPECT_THROW(w.record(2, 0, instr), TraceError);  // outside geometry
     w.close();
+  }
+  std::remove(path.c_str());
+}
+
+// Chunk headers carry u16 sm / u16 warp ids: a geometry past 65536 in
+// either dimension would wrap SM 65536 onto SM 0's stream, so it is
+// refused when writing and when reading a header that claims it.
+TEST(TraceV2, WriterRejectsGeometryAboveU16Ids) {
+  const std::string path = temp_path("big_geom_writer");
+  for (const auto& [sms, warps] :
+       {std::pair{65537u, 1u}, std::pair{1u, 65537u}}) {
+    try {
+      TraceWriter w(path, sms, warps);
+      FAIL() << "writer accepted " << sms << " x " << warps;
+    } catch (const TraceError& e) {
+      EXPECT_NE(std::string(e.what()).find("invalid trace geometry"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  TraceWriter edge(path, 65536, 1);  // the largest SM id still fits
+  edge.close();
+  std::remove(path.c_str());
+}
+
+TEST(TraceV2, ReadersRejectGeometryAboveU16Ids) {
+  const std::string path = temp_path("big_geom_reader");
+  for (const auto& [sms, warps] :
+       {std::pair{65537u, 1u}, std::pair{1u, 65537u}}) {
+    write_scenario_trace(path, 40);
+    std::string bytes = read_bytes(path);
+    auto* hdr = reinterpret_cast<unsigned char*>(bytes.data());
+    put_le32(hdr + 8, sms);
+    put_le32(hdr + 12, warps);
+    put_le32(hdr + 36, crc32(hdr, 36));  // a well-formed header otherwise
+    write_bytes(path, bytes);
+    expect_open_fails(path, "invalid trace geometry", ReplayMode::kInMemory);
+    expect_open_fails(path, "invalid trace geometry", ReplayMode::kStreaming);
+    try {
+      (void)scan_trace(path);
+      FAIL() << "scan_trace accepted " << sms << " x " << warps;
+    } catch (const TraceError& e) {
+      EXPECT_NE(std::string(e.what()).find("invalid trace geometry"),
+                std::string::npos)
+          << e.what();
+    }
   }
   std::remove(path.c_str());
 }

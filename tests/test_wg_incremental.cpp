@@ -87,14 +87,14 @@ std::vector<WarpInstrUid> ref_candidate_order(const MemoryController& mc) {
 }
 
 /// Reference bank backlog score: walk the bank's command queue from the
-/// channel's open row (score_hit per extending request, score_miss per
-/// row change).
+/// channel's open row (WgPolicy::kScoreHit per extending request,
+/// score_miss per row change).
 std::uint32_t ref_bank_queue_score(const MemoryController& mc, BankId bank,
                                    const WgConfig& cfg) {
   std::uint32_t score = 0;
   RowId running = mc.channel().open_row(bank);
   for (const MemRequest& q : mc.bank_queue(bank)) {
-    score += (q.loc.row == running) ? cfg.score_hit : cfg.score_miss;
+    score += (q.loc.row == running) ? WgPolicy::kScoreHit : cfg.score_miss;
     running = q.loc.row;
   }
   return score;
@@ -118,7 +118,7 @@ WgPolicy::Score ref_score(const MemoryController& mc, const WgConfig& cfg,
     for (const MemRequest& r : ref_pending(mc, instr)) {
       if (r.loc.bank != bank) continue;
       const bool hit = r.loc.row == running;
-      score += hit ? cfg.score_hit : cfg.score_miss;
+      score += hit ? WgPolicy::kScoreHit : cfg.score_miss;
       if (hit) ++out.row_hits;
       running = r.loc.row;
     }

@@ -183,9 +183,7 @@ void collect_suppressions(FileModel& out) {
       Suppression sup;
       sup.line = c.line;
       sup.directive = word;
-      if (word == "order-independent") {
-        sup.rule = "unordered-iter";
-      } else if (word.size() > 3 && word.ends_with("-ok")) {
+      if (word.size() > 3 && word.ends_with("-ok")) {
         sup.rule = word.substr(0, word.size() - 3);
       } else {
         sup.rule = "";  // unknown directive; reported by unused-suppression

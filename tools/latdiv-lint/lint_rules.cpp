@@ -274,7 +274,7 @@ class Checker {
            "iteration over unordered container: " + origin +
                "; iteration order depends on hashing salt and pointer "
                "values (aggregation-only loops: `// lint: "
-               "order-independent`)");
+               "unordered-iter-ok`)");
       // Float accumulation inside the loop body is order-dependent even
       // when the loop itself is vouched order-independent — floating-point
       // addition does not commute across reorderings.
@@ -393,7 +393,7 @@ std::vector<Finding> run_rules(std::vector<FileModel>& files) {
         out.push_back(Finding{
             f.path, s.line, "unused-suppression",
             "unknown lint directive '" + s.directive +
-                "'; expected `<rule>-ok` or `order-independent`"});
+                "'; expected `<rule>-ok`"});
       } else {
         out.push_back(Finding{
             f.path, s.line, "unused-suppression",

@@ -4,9 +4,8 @@
 // information crosses file boundaries (a member declared in a header is
 // recognized when iterated in any .cpp).  Each finding carries a stable
 // rule id; `// lint: <rule>-ok` on the finding's line or the line above
-// suppresses it (`// lint: order-independent` is the legacy spelling for
-// `unordered-iter-ok`).  Suppressions that suppress nothing are themselves
-// findings (`unused-suppression`).
+// suppresses it.  Suppressions that suppress nothing, or name no rule,
+// are themselves findings (`unused-suppression`).
 //
 // Families and ids:
 //   determinism:     wall-clock, unseeded-rng, unordered-iter,
