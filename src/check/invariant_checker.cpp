@@ -6,7 +6,9 @@
 
 #include "cache/mshr.hpp"
 #include "gpu/partition.hpp"
+#include "gpu/sm.hpp"
 #include "gpu/tracker.hpp"
+#include "icnt/crossbar.hpp"
 #include "mc/controller.hpp"
 #include "obs/attrib.hpp"
 
@@ -121,6 +123,18 @@ void InvariantChecker::audit_tracker(const InstrTracker& tracker,
   ++audits_run_;
   expect_eq(tracker.inflight(), blocked_warps, now, "tracker-liveness",
             "live tracker records == warps blocked on loads");
+}
+
+void InvariantChecker::audit_hot_path(const Sm& sm, Cycle now) {
+  ++audits_run_;
+  expect_eq(sm.issue_masks_consistent(), 1, now, "sm-issue-masks",
+            "SM issue masks == recomputation from the warp table");
+}
+
+void InvariantChecker::audit_hot_path(const Crossbar& xbar, Cycle now) {
+  ++audits_run_;
+  expect_eq(xbar.heads_consistent(), 1, now, "icnt-head-masks",
+            "crossbar head masks and counters == recomputation from queues");
 }
 
 void InvariantChecker::audit_attribution(const obs::AttributionProfiler& prof,

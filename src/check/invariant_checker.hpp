@@ -19,6 +19,9 @@
 //                outstanding MSHR lines == controller reads outstanding
 //                                           + fills awaiting install
 //   tracker:     live InstrTracker records == warps blocked on loads
+//   hot path:    each SM's issue masks and the crossbar's head masks and
+//                queue counters equal a recomputation from the queues
+//                and warp table (derived state never drifts)
 //
 // Violations carry the failing equation with both sides evaluated; with
 // abort_on_violation the first one aborts the run.
@@ -36,9 +39,11 @@ namespace obs {
 class AttributionProfiler;
 }
 
+class Crossbar;
 class MemoryController;
 class Partition;
 class InstrTracker;
+class Sm;
 
 struct InvariantViolation {
   Cycle cycle = 0;
@@ -62,6 +67,12 @@ class InvariantChecker {
   /// (sum of Sm::warps_blocked_on_loads() over all SMs).
   void audit_tracker(const InstrTracker& tracker, std::size_t blocked_warps,
                      Cycle now);
+
+  /// Audit the event-driven hot path's derived state: an SM's issue masks
+  /// and the crossbar's head masks / queue counters must equal their
+  /// recomputation from primary state.
+  void audit_hot_path(const Sm& sm, Cycle now);
+  void audit_hot_path(const Crossbar& xbar, Cycle now);
 
   /// Audit the attribution profiler's sum-exactness contract: no load was
   /// ever excluded for a broken telescope or a failed request join, and

@@ -298,6 +298,7 @@ void Sm::ckpt_io(Ar& ar) {
   ar.u64(stats_.stores);
   ar.u64(stats_.issue_stall_mshr);
   ar.u64(stats_.no_ready_warp_cycles);
+  if constexpr (!Ar::kIsWriter) rebuild_issue_masks();
 }
 
 template <class Ar>
@@ -382,6 +383,27 @@ void Crossbar::ckpt_io(Ar& ar) {
   ar.u64(stats_.requests_moved);
   ar.u64(stats_.responses_moved);
   ar.u64(stats_.inject_stalls);
+  if constexpr (!Ar::kIsWriter) {
+    // The head masks index partitions by a request's channel and SMs by a
+    // response's tag; a corrupt snapshot must not index past them.
+    for (const auto& q : sm_queues_) {
+      for (const MemRequest& req : q) {
+        if (req.loc.channel >= cfg_.partitions) {
+          throw ckpt::CkptError(
+              "snapshot corrupt: crossbar request for an unknown partition");
+        }
+      }
+    }
+    for (const auto& q : part_out_) {
+      for (const MemResponse& resp : q) {
+        if (resp.tag.sm >= cfg_.sms) {
+          throw ckpt::CkptError(
+              "snapshot corrupt: crossbar response for an unknown SM");
+        }
+      }
+    }
+    rebuild_heads();
+  }
 }
 
 template <class Ar>
@@ -468,6 +490,7 @@ void MemoryController::ckpt_io(Ar& ar) {
     policy_->ckpt_save(ar);
   } else {
     policy_->ckpt_load(ar);
+    cmd_wake_ = 0;
   }
 }
 

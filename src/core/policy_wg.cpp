@@ -1,6 +1,7 @@
 #include "core/policy_wg.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/log.hpp"
 
@@ -278,9 +279,9 @@ void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
   }
 
   // Candidates come from the incremental per-group index (one entry per
-  // group with queued requests), sorted by each group's earliest queued
-  // request so the list reproduces the read queue's first-occurrence
-  // order — the final tie-breaker of every selection rule below.
+  // group with queued requests), in no particular order: every selection
+  // rule below ends on (oldest, head_seq), which reproduces the read
+  // queue's first-occurrence order as the final tie-breaker.
   cands_.clear();
   for (std::size_t i = 0; i < active_.size();) {
     const WarpInstrUid instr = active_[i].first;
@@ -305,29 +306,36 @@ void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
     }
     cands_.push_back(c);
   }
-  std::sort(cands_.begin(), cands_.end(),
-            [](const Cand& a, const Cand& b) { return a.head_seq < b.head_seq; });
+  auto older = [](const Cand& a, const Cand& b) {
+    return a.oldest < b.oldest ||
+           (a.oldest == b.oldest && a.head_seq < b.head_seq);
+  };
 
   // A group is selectable when (a) its requests fit the bank command
   // queues and (b) any bank whose row it would close has drained — the
   // same stream hysteresis the GMC row sorter applies: a hit for the
   // still-open row may be one arrival away, and closing early forfeits
-  // it.  The liveness fallback below ignores (b).
+  // it.  The liveness fallback below ignores (b).  Nothing mutates the
+  // bank queues during a selection, so both tests read one snapshot of
+  // their sizes.
   const auto depth_cap = mc.config().bank_queue_depth;
+  std::array<std::size_t, kMaxBanks> queued_at{};
+  std::uint32_t nonempty_banks = 0;
+  for (std::uint32_t b = 0; b < banks_; ++b) {
+    queued_at[b] = mc.bank_queue_size(static_cast<BankId>(b));
+    if (queued_at[b] != 0) nonempty_banks |= 1u << b;
+  }
   auto fits = [&](const Cand& c, bool require_drained) {
+    if (require_drained && (c.opens_row_mask & nonempty_banks) != 0) {
+      return false;
+    }
     for (const WgGroupMeta::BankSlot& slot : c.meta->slots) {
       if (slot.items.empty()) continue;
       // Groups larger than a bank's command queue can never fit whole;
       // they become selectable once the full queue depth is free and
       // then drain incrementally (drain_current keeps them current).
       const auto need = std::min<std::size_t>(slot.items.size(), depth_cap);
-      if (!mc.bank_queue_has_space(slot.bank, need)) {
-        return false;
-      }
-      if (require_drained && (c.opens_row_mask & (1u << slot.bank)) != 0 &&
-          mc.bank_queue_size(slot.bank) != 0) {
-        return false;
-      }
+      if (queued_at[slot.bank] + need > depth_cap) return false;
     }
     return true;
   };
@@ -342,7 +350,7 @@ void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
       for (const Cand& c : cands_) {
         if (!c.meta->complete) continue;
         if (c.count != 1 || !fits(c, require_drained)) continue;
-        if (best == nullptr || c.oldest < best->oldest) best = &c;
+        if (best == nullptr || older(c, *best)) best = &c;
       }
       if (best != nullptr) break;
     }
@@ -394,7 +402,7 @@ void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
         best == nullptr || eff < best_effective ||
         (eff == best_effective &&
          (s.row_hits > best_score.row_hits ||
-          (s.row_hits == best_score.row_hits && c.oldest < best->oldest)));
+          (s.row_hits == best_score.row_hits && older(c, *best))));
     if (better) {
       best = &c;
       best_score = s;
@@ -412,7 +420,7 @@ void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
     const Cand* oldest = nullptr;
     for (const Cand& c : cands_) {
       if (!fits(c, /*require_drained=*/false)) continue;
-      if (oldest == nullptr || c.oldest < oldest->oldest) oldest = &c;
+      if (oldest == nullptr || older(c, *oldest)) oldest = &c;
     }
     if (oldest == nullptr) {
       // Every candidate waits on bank space; only a state change helps.

@@ -128,11 +128,11 @@ struct WgStats {
 class WgPolicy final : public TransactionScheduler {
  public:
   WgPolicy(const WgConfig& cfg, const DramTiming& timing)
-      : cfg_(cfg), merb_(timing) {
+      : cfg_(cfg), merb_(timing), banks_(timing.banks) {
     // The per-group bank footprint uses 32-bit bank masks (and the WG
     // paper's GDDR5 devices have 16 banks); wider devices need a wider
     // opens_row_mask before this policy can run on them.
-    LATDIV_ASSERT(timing.banks <= 32,
+    LATDIV_ASSERT(timing.banks <= kMaxBanks,
                   "WgPolicy bank masks support at most 32 banks");
   }
 
@@ -226,8 +226,12 @@ class WgPolicy final : public TransactionScheduler {
   [[nodiscard]] std::uint32_t group_row_count(const WgGroupMeta& meta,
                                               BankId bank, RowId row) const;
 
+  /// Width of the per-group bank masks.
+  static constexpr std::uint32_t kMaxBanks = 32;
+
   WgConfig cfg_;
   MerbTable merb_;
+  std::uint32_t banks_;
   std::unordered_map<WarpInstrUid, WgGroupMeta> groups_;
   std::optional<WarpInstrUid> current_;
   /// Groups that (may) have queued requests — the candidate universe for

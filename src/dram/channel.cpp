@@ -31,62 +31,56 @@ bool Channel::refresh_due(Cycle now) const {
   return timing_.refresh_enabled && now >= next_refresh_at_;
 }
 
-bool Channel::act_legal(BankId bank, Cycle now) const {
-  if (bank_row_[bank] != kNoRow) return false;       // must be precharged
-  if (now < bank_earliest_act_[bank]) return false;  // tRP / tRC / tRFC
-  if (last_act_ != kNoCycle && now < last_act_ + timing_.trrd) return false;
-  const Cycle fourth_newest = act_window_[act_window_pos_];
-  if (fourth_newest != kNoCycle && now < fourth_newest + timing_.tfaw) {
-    return false;
-  }
-  return true;
+namespace {
+
+/// `at` raised to `prev + gap` when a previous command at `prev` exists.
+inline Cycle after(Cycle at, Cycle prev, Cycle gap) {
+  return prev != kNoCycle ? std::max(at, prev + gap) : at;
 }
 
-bool Channel::cas_legal(const DramCommand& cmd, Cycle now) const {
+}  // namespace
+
+Cycle Channel::act_earliest(BankId bank, Cycle now) const {
+  if (bank_row_[bank] != kNoRow) return kNoCycle;  // must be precharged
+  Cycle at = std::max(now, bank_earliest_act_[bank]);  // tRP / tRC / tRFC
+  at = after(at, last_act_, timing_.trrd);
+  return after(at, act_window_[act_window_pos_], timing_.tfaw);
+}
+
+Cycle Channel::cas_earliest(const DramCommand& cmd, Cycle now) const {
   const RowId row = bank_row_[cmd.bank];
-  if (row == kNoRow || row != cmd.row) return false;  // row must be open
-  if (now < bank_earliest_cas_[cmd.bank]) return false;  // tRCD
+  if (row == kNoRow || row != cmd.row) return kNoCycle;  // row must be open
+  Cycle at = std::max(now, bank_earliest_cas_[cmd.bank]);  // tRCD
   const auto group = static_cast<BankGroupId>(cmd.bank / timing_.banks_per_group);
   if (cmd.cmd == DramCmd::kRead) {
-    if (last_rd_cmd_ != kNoCycle) {
-      const Cycle ccd = (group == last_rd_group_) ? timing_.tccdl : timing_.tccds;
-      if (now < last_rd_cmd_ + ccd) return false;
-    }
-    if (last_wr_cmd_ != kNoCycle &&
-        now < last_wr_cmd_ + timing_.write_to_read()) {
-      return false;
-    }
-  } else {
-    if (last_wr_cmd_ != kNoCycle) {
-      const Cycle ccd = (group == last_wr_group_) ? timing_.tccdl : timing_.tccds;
-      if (now < last_wr_cmd_ + ccd) return false;
-    }
-    if (last_rd_cmd_ != kNoCycle &&
-        now < last_rd_cmd_ + timing_.read_to_write()) {
-      return false;
-    }
+    at = after(at, last_rd_cmd_,
+               group == last_rd_group_ ? timing_.tccdl : timing_.tccds);
+    return after(at, last_wr_cmd_, timing_.write_to_read());
   }
-  return true;
+  at = after(at, last_wr_cmd_,
+             group == last_wr_group_ ? timing_.tccdl : timing_.tccds);
+  return after(at, last_rd_cmd_, timing_.read_to_write());
 }
 
-bool Channel::can_issue(const DramCommand& cmd, Cycle now) const {
+Cycle Channel::earliest(const DramCommand& cmd, Cycle now) const {
   LATDIV_ASSERT(cmd.bank < bank_row_.size() || cmd.cmd == DramCmd::kRefresh,
                 "bank index out of range");
   switch (cmd.cmd) {
     case DramCmd::kActivate:
-      return act_legal(cmd.bank, now);
+      return act_earliest(cmd.bank, now);
     case DramCmd::kPrecharge:
-      return bank_row_[cmd.bank] != kNoRow &&
-             now >= bank_earliest_pre_[cmd.bank];
+      if (bank_row_[cmd.bank] == kNoRow) return kNoCycle;
+      return std::max(now, bank_earliest_pre_[cmd.bank]);
     case DramCmd::kRead:
     case DramCmd::kWrite:
-      return cas_legal(cmd, now);
+      return cas_earliest(cmd, now);
     case DramCmd::kRefresh:
-      if (!all_banks_closed()) return false;
+      if (!all_banks_closed()) return kNoCycle;
       // Every bank's precharge must have completed (earliest_act embeds
       // tRP after a PRE).
-      return std::all_of(bank_earliest_act_.begin(), bank_earliest_act_.end(),
-                         [now](Cycle at) { return now >= at; });
+      Cycle at = now;
+      for (Cycle bank_at : bank_earliest_act_) at = std::max(at, bank_at);
+      return at;
   }
   LATDIV_UNREACHABLE("bad DramCmd");
 }

@@ -47,8 +47,18 @@ class Channel {
  public:
   explicit Channel(const DramTiming& timing);
 
+  /// First cycle at or after `now` at which `cmd` is legal if no other
+  /// command issues in between, or kNoCycle if the bank's row state must
+  /// change first (ACT to an open bank, PRE to a closed one, CAS to a row
+  /// that is not open, REF with a bank open).  Every timing constraint is
+  /// a lower bound on the issue cycle, so legality is monotone in time and
+  /// this is the single definition of it.  Never mutates state.
+  [[nodiscard]] Cycle earliest(const DramCommand& cmd, Cycle now) const;
+
   /// Is `cmd` legal at cycle `now`?  Never mutates state.
-  [[nodiscard]] bool can_issue(const DramCommand& cmd, Cycle now) const;
+  [[nodiscard]] bool can_issue(const DramCommand& cmd, Cycle now) const {
+    return earliest(cmd, now) == now;
+  }
 
   /// Apply `cmd` at cycle `now` (caller must have checked can_issue).
   /// Returns the cycle the command's data transfer completes: for RD the
@@ -109,8 +119,8 @@ class Channel {
   void ckpt_io(Ar& ar);
 
  private:
-  [[nodiscard]] bool act_legal(BankId bank, Cycle now) const;
-  [[nodiscard]] bool cas_legal(const DramCommand& cmd, Cycle now) const;
+  [[nodiscard]] Cycle act_earliest(BankId bank, Cycle now) const;
+  [[nodiscard]] Cycle cas_earliest(const DramCommand& cmd, Cycle now) const;
 
   DramTiming timing_;
   // Per-bank row-buffer state, SoA: the hottest probes scan exactly one

@@ -17,10 +17,40 @@ Sm::Sm(SmId id, const SmConfig& cfg, InstrSource& gen,
       mshr_(cfg.l1_mshr),
       coalescer_(cfg.l1.line_bytes, cfg.perfect_coalescing),
       warps_(cfg.warps),
+      masks_(kIssueMasks, cfg.warps),
       next_uid_(uid_base),
       uid_stride_(uid_stride) {
   LATDIV_ASSERT(cfg.warps > 0, "SM needs warps");
   LATDIV_ASSERT(uid_stride > 0, "uid stride must be positive");
+  rebuild_issue_masks();
+}
+
+bool Sm::Warp::is_free() const {
+  return pending_lines == 0 && !waiting_lsu;
+}
+
+bool Sm::Warp::memory_next() const {
+  return has_next && next.kind != WarpInstr::Kind::kCompute;
+}
+
+void Sm::rebuild_issue_masks() {
+  for (std::size_t wid = 0; wid < warps_.size(); ++wid) {
+    const Warp& w = warps_[wid];
+    masks_.assign(kNeedsGen, wid, !w.has_next);
+    masks_.assign(kFree, wid, w.is_free());
+    masks_.assign(kMemNext, wid, w.memory_next());
+  }
+}
+
+bool Sm::issue_masks_consistent() const {
+  for (std::size_t wid = 0; wid < warps_.size(); ++wid) {
+    const Warp& w = warps_[wid];
+    if (masks_.test(kNeedsGen, wid) != !w.has_next || masks_.test(kFree, wid) != w.is_free() ||
+        masks_.test(kMemNext, wid) != w.memory_next()) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void Sm::accept_response(Cycle now) {
@@ -33,6 +63,7 @@ void Sm::accept_response(Cycle now) {
     LATDIV_ASSERT(w.pending_lines > 0, "fill for a warp with no loads");
     if (--w.pending_lines == 0) {
       w.ready_at = now + cfg_.fill_ready_delay;
+      masks_.set(kFree, waiter.tag.warp);
       tracker_.finalize(waiter.tag.instr, now);
     }
   }
@@ -55,6 +86,7 @@ void Sm::dispatch_lsu(Cycle now) {
       Warp& w = warps_[lsu_.warp];
       w.waiting_lsu = false;
       w.ready_at = now + cfg_.core_clock_ratio;
+      masks_.set(kFree, lsu_.warp);
     }
     lsu_.active = false;
     lsu_.queue.clear();
@@ -75,9 +107,10 @@ void Sm::generate_next(WarpId wid) {
   w.next = gen_.next(id_, wid);
   w.has_next = true;
   w.issue_fail_epoch = 0;
-  if (w.next.kind != WarpInstr::Kind::kCompute) {
-    coalescer_.coalesce(w.next, w.lines);
-  }
+  masks_.reset(kNeedsGen, wid);
+  const bool mem = w.next.kind != WarpInstr::Kind::kCompute;
+  masks_.assign(kMemNext, wid, mem);
+  if (mem) coalescer_.coalesce(w.next, w.lines);
 }
 
 bool Sm::issue_memory(WarpId wid, Cycle now) {
@@ -113,6 +146,7 @@ bool Sm::issue_memory(WarpId wid, Cycle now) {
     lsu_.warp = wid;
     lsu_.next = 0;
     w.waiting_lsu = true;
+    masks_.reset(kFree, wid);
     next_uid_ += uid_stride_;
     ++stats_.stores;
     coalescer_.record(WarpInstr::Kind::kStore, lines.size());
@@ -177,6 +211,7 @@ bool Sm::issue_memory(WarpId wid, Cycle now) {
   if (w.pending_lines == 0) {
     w.ready_at = now + cfg_.l1_hit_latency;
   } else {
+    masks_.reset(kFree, wid);
     tracker_.on_issue(tag, now);
   }
   if (!lsu_.queue.empty()) {
@@ -189,6 +224,19 @@ bool Sm::issue_memory(WarpId wid, Cycle now) {
   ++stats_.loads;
   coalescer_.record(WarpInstr::Kind::kLoad, lines.size());
   return true;
+}
+
+std::size_t Sm::next_candidate(std::size_t from, std::size_t end,
+                               bool mem_open) const {
+  // A warp's visit has an effect only if it generates the warp's next
+  // instruction or can issue: a blocked warp (outstanding load, store in
+  // dispatch) or a memory-next warp while the LSU port is closed would
+  // fall straight through attempt().
+  const std::uint64_t mem_keep = mem_open ? ~std::uint64_t{0} : 0;
+  return BitRows::scan_words(from, end, [&](std::size_t w) {
+    return masks_.word(kNeedsGen, w) |
+           (masks_.word(kFree, w) & (~masks_.word(kMemNext, w) | mem_keep));
+  });
 }
 
 void Sm::try_issue(Cycle now) {
@@ -209,25 +257,33 @@ void Sm::try_issue(Cycle now) {
       if (!issue_memory(wid, now)) return false;
     }
     w.has_next = false;
+    masks_.set(kNeedsGen, wid);
+    masks_.reset(kMemNext, wid);
     ++stats_.instructions;
     last_issued_ = wid;
     return true;
   };
+  // Visit, in scheduler order, only the warps of [from, end) (minus
+  // `skip`) whose visit can have an effect.  The candidate set is
+  // recomputed after every visit: a failed memory attempt closes the LSU
+  // port for the rest of the scan.
+  auto scan = [&](std::size_t from, std::size_t end, std::size_t skip) {
+    for (std::size_t wid = from;; ++wid) {
+      wid = next_candidate(wid, end, !lsu_.active && !mem_tried);
+      if (wid == end) return false;
+      if (wid != skip && attempt(static_cast<WarpId>(wid))) return true;
+    }
+  };
 
+  const std::size_t n = warps_.size();
   if (cfg_.warp_sched == WarpSchedPolicy::kGto) {
     // Greedy-then-oldest: stick with the last issuer, else lowest warp id.
-    if (attempt(last_issued_)) return;
-    for (WarpId wid = 0; wid < warps_.size(); ++wid) {
-      if (wid != last_issued_ && attempt(wid)) return;
-    }
+    if (attempt(last_issued_) || scan(0, n, last_issued_)) return;
   } else {
     // Loose round-robin: resume scanning after the last issuer, spreading
     // issue slots (and therefore memory divergence) across all warps.
-    const auto n = static_cast<WarpId>(warps_.size());
-    for (WarpId off = 1; off <= n; ++off) {
-      const auto wid = static_cast<WarpId>((last_issued_ + off) % n);
-      if (attempt(wid)) return;
-    }
+    const std::size_t first = last_issued_ + std::size_t{1};
+    if (scan(first, n, n) || scan(0, first, n)) return;
   }
   ++stats_.no_ready_warp_cycles;
 }

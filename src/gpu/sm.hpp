@@ -24,6 +24,7 @@
 
 #include "cache/cache.hpp"
 #include "cache/mshr.hpp"
+#include "common/bit_rows.hpp"
 #include "common/types.hpp"
 #include "gpu/coalescer.hpp"
 #include "gpu/tracker.hpp"
@@ -84,6 +85,10 @@ class Sm {
     return n;
   }
 
+  /// The issue masks match the warp table (invariant audit: they are
+  /// maintained incrementally and rebuilt after a snapshot load).
+  [[nodiscard]] bool issue_masks_consistent() const;
+
   /// Functional L1 warming during a sampled-mode skip interval
   /// (ckpt::SampledRunner): install recency/presence for `line` without
   /// issuing any request.  Counts in cache stats like a normal access —
@@ -112,6 +117,11 @@ class Sm {
     /// (issue retries must not re-run the coalescer: it is pure, and
     /// re-running it would double-count statistics and burn host time).
     std::vector<Addr> lines;
+
+    /// No outstanding load and no store in dispatch.
+    [[nodiscard]] bool is_free() const;
+    /// The next instruction is generated and is a load or store.
+    [[nodiscard]] bool memory_next() const;
   };
 
   struct Lsu {
@@ -128,6 +138,13 @@ class Sm {
   [[nodiscard]] bool issuable(const Warp& w, Cycle now) const;
   bool issue_memory(WarpId wid, Cycle now);
   void generate_next(WarpId wid);
+  /// First warp in [from, end) whose visit by try_issue can have an
+  /// effect, or `end`; `mem_open` says whether a memory instruction may
+  /// still be attempted this cycle.
+  [[nodiscard]] std::size_t next_candidate(std::size_t from, std::size_t end,
+                                           bool mem_open) const;
+  /// Recompute the issue masks from the warp table (after a snapshot load).
+  void rebuild_issue_masks();
 
   SmId id_;
   SmConfig cfg_;
@@ -140,6 +157,17 @@ class Sm {
   MshrFile mshr_;
   Coalescer coalescer_;
   std::vector<Warp> warps_;
+  // Issue masks, one row of one bit per warp: derived from warps_, kept
+  // current at every state change and rebuilt after a snapshot load
+  // (never saved).  try_issue visits only kNeedsGen | (kFree & ~kMemNext),
+  // plus kFree & kMemNext while a memory instruction may still issue.
+  enum IssueMask : std::size_t {
+    kNeedsGen,  ///< !has_next: the visit generates the next instr
+    kFree,      ///< no outstanding load and no store in dispatch
+    kMemNext,   ///< has_next and the next instr is a load/store
+    kIssueMasks
+  };
+  BitRows masks_;
   Lsu lsu_;
   /// Bumped whenever L1 or MSHR contents change (fills, releases,
   /// invalidates, reservations) — the entire state the issue_memory

@@ -1,7 +1,5 @@
 #include "icnt/crossbar.hpp"
 
-#include <algorithm>
-
 namespace latdiv {
 
 Crossbar::Crossbar(const IcntConfig& cfg)
@@ -12,8 +10,58 @@ Crossbar::Crossbar(const IcntConfig& cfg)
       sm_in_(cfg.sms),
       part_rr_(cfg.partitions, 0),
       part_sticky_(cfg.partitions, cfg.sms),  // sms = "no sticky grant yet"
-      sm_rr_(cfg.sms, 0) {
+      sm_rr_(cfg.sms, 0),
+      req_heads_(cfg.partitions, cfg.sms),
+      resp_heads_(cfg.sms, cfg.partitions) {
   LATDIV_ASSERT(cfg.sms > 0 && cfg.partitions > 0, "empty crossbar");
+}
+
+void Crossbar::rebuild_heads() {
+  requests_queued_ = 0;
+  responses_queued_ = 0;
+  req_heads_.clear();
+  resp_heads_.clear();
+  for (std::uint32_t sm = 0; sm < cfg_.sms; ++sm) {
+    const auto& q = sm_queues_[sm];
+    requests_queued_ += q.size();
+    if (!q.empty()) req_heads_.set(q.front().loc.channel, sm);
+  }
+  for (std::uint32_t p = 0; p < cfg_.partitions; ++p) {
+    const auto& q = part_out_[p];
+    responses_queued_ += q.size();
+    if (!q.empty()) resp_heads_.set(q.front().tag.sm, p);
+  }
+}
+
+bool Crossbar::heads_consistent() const {
+  Crossbar rebuilt(cfg_);
+  rebuilt.sm_queues_ = sm_queues_;
+  rebuilt.part_out_ = part_out_;
+  rebuilt.rebuild_heads();
+  return rebuilt.req_heads_ == req_heads_ &&
+         rebuilt.resp_heads_ == resp_heads_ &&
+         rebuilt.requests_queued_ == requests_queued_ &&
+         rebuilt.responses_queued_ == responses_queued_;
+}
+
+MemRequest Crossbar::pop_sm_queue(std::uint32_t sm) {
+  auto& q = sm_queues_[sm];
+  MemRequest req = q.front();
+  q.pop_front();
+  --requests_queued_;
+  req_heads_.reset(req.loc.channel, sm);
+  if (!q.empty()) req_heads_.set(q.front().loc.channel, sm);
+  return req;
+}
+
+MemResponse Crossbar::pop_part_out(std::uint32_t part) {
+  auto& q = part_out_[part];
+  MemResponse resp = q.front();
+  q.pop_front();
+  --responses_queued_;
+  resp_heads_.reset(resp.tag.sm, part);
+  if (!q.empty()) resp_heads_.set(q.front().tag.sm, part);
+  return resp;
 }
 
 bool Crossbar::can_inject_request(SmId sm) const {
@@ -23,8 +71,11 @@ bool Crossbar::can_inject_request(SmId sm) const {
 
 void Crossbar::inject_request(SmId sm, MemRequest req, Cycle now) {
   LATDIV_ASSERT(can_inject_request(sm), "SM injection queue overflow");
+  LATDIV_ASSERT(req.loc.channel < cfg_.partitions, "partition out of range");
   (void)now;
+  if (sm_queues_[sm].empty()) req_heads_.set(req.loc.channel, sm);
   sm_queues_[sm].push_back(req);
+  ++requests_queued_;
 }
 
 const MemRequest* Crossbar::peek_request(ChannelId part, Cycle now) const {
@@ -48,8 +99,11 @@ bool Crossbar::can_inject_response(ChannelId part) const {
 
 void Crossbar::inject_response(ChannelId part, MemResponse resp, Cycle now) {
   LATDIV_ASSERT(can_inject_response(part), "partition response overflow");
+  LATDIV_ASSERT(resp.tag.sm < cfg_.sms, "response for an unknown SM");
   (void)now;
+  if (part_out_[part].empty()) resp_heads_.set(resp.tag.sm, part);
   part_out_[part].push_back(resp);
+  ++responses_queued_;
 }
 
 std::optional<MemResponse> Crossbar::pop_response(SmId sm, Cycle now) {
@@ -63,54 +117,34 @@ std::optional<MemResponse> Crossbar::pop_response(SmId sm, Cycle now) {
 
 void Crossbar::tick(Cycle now) {
   // Request crossbar: each partition grants one SM whose head targets it.
-  // With no queued injections no grant is possible and the arbitration
-  // pointers cannot move — skip the whole grant scan.
-  std::size_t sm_queued = requests_queued();
-  for (std::uint32_t p = 0; sm_queued != 0 && p < cfg_.partitions; ++p) {
+  // A pop moves the granted SM's head bit at once, so its next request
+  // may still win a later partition this same tick.
+  for (std::uint32_t p = 0; requests_queued_ != 0 && p < cfg_.partitions;
+       ++p) {
     if (part_in_[p].size() >= cfg_.partition_in_depth) continue;
-
-    auto head_targets_p = [&](std::uint32_t sm) {
-      return !sm_queues_[sm].empty() &&
-             sm_queues_[sm].front().loc.channel == p;
-    };
-
     std::uint32_t granted = cfg_.sms;  // sentinel: none
     if (cfg_.sticky_arbitration && part_sticky_[p] < cfg_.sms &&
-        head_targets_p(part_sticky_[p])) {
+        req_heads_.test(p, part_sticky_[p])) {
       granted = part_sticky_[p];
     } else {
-      for (std::uint32_t off = 0; off < cfg_.sms; ++off) {
-        const std::uint32_t sm = (part_rr_[p] + off) % cfg_.sms;
-        if (head_targets_p(sm)) {
-          granted = sm;
-          part_rr_[p] = (sm + 1) % cfg_.sms;
-          break;
-        }
-      }
+      granted =
+          static_cast<std::uint32_t>(req_heads_.find_cyclic(p, part_rr_[p]));
+      if (granted != cfg_.sms) part_rr_[p] = (granted + 1) % cfg_.sms;
     }
     if (granted == cfg_.sms) continue;
     part_sticky_[p] = granted;
-    part_in_[p].push_back(
-        {now + cfg_.request_latency, sm_queues_[granted].front()});
-    sm_queues_[granted].pop_front();
-    --sm_queued;
+    part_in_[p].push_back({now + cfg_.request_latency, pop_sm_queue(granted)});
     ++stats_.requests_moved;
   }
 
   // Response crossbar: each SM accepts one response per cycle.
-  std::size_t part_out_queued = responses_queued();
-  for (std::uint32_t sm = 0; part_out_queued != 0 && sm < cfg_.sms; ++sm) {
-    for (std::uint32_t off = 0; off < cfg_.partitions; ++off) {
-      const std::uint32_t p = (sm_rr_[sm] + off) % cfg_.partitions;
-      if (part_out_[p].empty() || part_out_[p].front().tag.sm != sm) continue;
-      sm_in_[sm].push_back(
-          {now + cfg_.response_latency, part_out_[p].front()});
-      part_out_[p].pop_front();
-      --part_out_queued;
-      sm_rr_[sm] = (p + 1) % cfg_.partitions;
-      ++stats_.responses_moved;
-      break;
-    }
+  for (std::uint32_t sm = 0; responses_queued_ != 0 && sm < cfg_.sms; ++sm) {
+    const auto p =
+        static_cast<std::uint32_t>(resp_heads_.find_cyclic(sm, sm_rr_[sm]));
+    if (p == cfg_.partitions) continue;
+    sm_in_[sm].push_back({now + cfg_.response_latency, pop_part_out(p)});
+    sm_rr_[sm] = (p + 1) % cfg_.partitions;
+    ++stats_.responses_moved;
   }
 }
 

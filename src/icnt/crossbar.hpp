@@ -15,6 +15,11 @@
 //
 // Response side: symmetric — per-partition output FIFOs, one response
 // delivered per SM per cycle, fixed pipeline latency each way.
+//
+// Arbitration is event-driven: per partition, the set of SMs whose
+// injection-queue head targets it, and per SM, the set of partitions whose
+// output-queue head targets it, are updated at every push and pop.  A
+// grant is a cyclic find-first-set from the round-robin pointer.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +27,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/bit_rows.hpp"
 #include "common/log.hpp"
 #include "common/types.hpp"
 #include "mem/request.hpp"
@@ -74,16 +80,16 @@ class Crossbar {
   // Occupancy snapshots (time-series sampling; no timing effects).
   /// Requests waiting in SM injection queues.
   [[nodiscard]] std::size_t requests_queued() const {
-    std::size_t n = 0;
-    for (const auto& q : sm_queues_) n += q.size();
-    return n;
+    return requests_queued_;
   }
   /// Responses waiting in partition output queues.
   [[nodiscard]] std::size_t responses_queued() const {
-    std::size_t n = 0;
-    for (const auto& q : part_out_) n += q.size();
-    return n;
+    return responses_queued_;
   }
+
+  /// Head masks and queue counters match the queues (invariant audit:
+  /// they are maintained incrementally and rebuilt after a snapshot load).
+  [[nodiscard]] bool heads_consistent() const;
 
   /// Snapshot serialization of every queue + arbiter pointer (src/ckpt).
   template <class Ar>
@@ -96,6 +102,14 @@ class Crossbar {
     T payload;
   };
 
+  /// Pop the head of `sm`'s injection queue / `part`'s output queue,
+  /// moving the queue's head-target bit to its new head.
+  MemRequest pop_sm_queue(std::uint32_t sm);
+  MemResponse pop_part_out(std::uint32_t part);
+  /// Recompute head masks and counters from the queues (after a snapshot
+  /// load).
+  void rebuild_heads();
+
   IcntConfig cfg_;
   std::vector<std::deque<MemRequest>> sm_queues_;
   std::vector<std::deque<Timed<MemRequest>>> part_in_;
@@ -104,6 +118,11 @@ class Crossbar {
   std::vector<std::uint32_t> part_rr_;      ///< per-partition SM pointer
   std::vector<std::uint32_t> part_sticky_;  ///< last granted SM (sticky mode)
   std::vector<std::uint32_t> sm_rr_;        ///< per-SM partition pointer
+  // Derived state (rebuilt after a snapshot load, never saved).
+  BitRows req_heads_;   ///< row per partition: SMs whose head targets it
+  BitRows resp_heads_;  ///< row per SM: partitions whose head targets it
+  std::size_t requests_queued_ = 0;
+  std::size_t responses_queued_ = 0;
   IcntStats stats_;
 };
 

@@ -88,7 +88,6 @@ void MemoryController::notify_group_complete(const WarpTag& tag, Cycle now) {
 }
 
 void MemoryController::deliver_coordination(const CoordMsg& msg, Cycle now) {
-  ++mutation_epoch_;
   policy_->on_remote_selection(*this, msg, now);
 }
 
@@ -129,7 +128,10 @@ void MemoryController::send_to_bank(MemRequest req, Cycle now) {
     bank_tail_row_[bank] = req.loc.row;
     bank_tail_streak_[bank] = 1;
   }
-  if (bank_q_[bank].empty()) ++nonempty_banks_;
+  if (bank_q_[bank].empty()) {
+    ++nonempty_banks_;
+    cmd_wake_ = 0;  // a new bank head: the next scan may issue for it
+  }
   bank_q_[bank].push_back(req);
   ++cmdq_total_;
   ++mutation_epoch_;
@@ -207,7 +209,7 @@ void MemoryController::issue_one_command(Cycle now) {
       const DramCommand ref{DramCmd::kRefresh, 0, kNoRow};
       if (channel_.can_issue(ref, now)) {
         channel_.issue(ref, now);
-        ++mutation_epoch_;
+        cmd_wake_ = 0;
       }
       return;
     }
@@ -216,7 +218,7 @@ void MemoryController::issue_one_command(Cycle now) {
       const DramCommand pre{DramCmd::kPrecharge, b, kNoRow};
       if (channel_.open_row(b) != kNoRow && channel_.can_issue(pre, now)) {
         channel_.issue(pre, now);
-        ++mutation_epoch_;
+        cmd_wake_ = 0;
         return;
       }
     }
@@ -224,7 +226,11 @@ void MemoryController::issue_one_command(Cycle now) {
   }
 
   if (cmdq_total_ == 0) return;  // every bank queue is empty
+  // The last scan issued nothing and no bank head or row state has changed
+  // since: no head's command is legal before the recorded wake cycle.
+  if (now < cmd_wake_) return;
 
+  Cycle wake = kNoCycle;
   const DramTiming& t = channel_.timing();
   const std::uint32_t groups = t.banks / t.banks_per_group;
   for (std::uint32_t g_off = 0; g_off < groups; ++g_off) {
@@ -246,10 +252,14 @@ void MemoryController::issue_one_command(Cycle now) {
       } else {
         cmd = {DramCmd::kActivate, bank, head.loc.row};
       }
-      if (!channel_.can_issue(cmd, now)) continue;
+      const Cycle at = channel_.earliest(cmd, now);
+      if (at != now) {
+        wake = std::min(wake, at);
+        continue;
+      }
 
       const Cycle done = channel_.issue(cmd, now);
-      ++mutation_epoch_;
+      cmd_wake_ = 0;
       // The first command issued on behalf of a still-unclassified head
       // fixes its row-buffer outcome: straight CAS = the row was already
       // open (hit), ACT from precharged = miss, PRE of another row =
@@ -275,6 +285,7 @@ void MemoryController::issue_one_command(Cycle now) {
         }
       }
       if (cmd.cmd == DramCmd::kRead || cmd.cmd == DramCmd::kWrite) {
+        ++mutation_epoch_;  // the bank queue shrinks
         MemRequest req = bank_q_[bank].front();
         bank_q_[bank].pop_front();
         if (bank_q_[bank].empty()) --nonempty_banks_;
@@ -299,6 +310,7 @@ void MemoryController::issue_one_command(Cycle now) {
       return;  // one command per cycle on the command bus
     }
   }
+  cmd_wake_ = wake;
 }
 
 void MemoryController::tick(Cycle now) {

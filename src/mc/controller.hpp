@@ -120,9 +120,16 @@ class MemoryController {
   void send_to_bank(MemRequest req, Cycle now);
   [[nodiscard]] const Channel& channel() const { return channel_; }
   /// Mutable channel access, needed to attach a command observer
-  /// (src/check protocol checker).  Scheduling code must use the const
-  /// accessor.
+  /// (src/check protocol checker) and for sampled-mode row warming.
+  /// Scheduling code must use the const accessor.
   [[nodiscard]] Channel& channel_mut() { return channel_; }
+  /// Resynchronise after the clock jumped to `now` past unsimulated
+  /// cycles (Simulator::teleport): re-anchor refresh and drop the command
+  /// wake, since row warming may have changed what each bank head needs.
+  void on_teleport(Cycle now) {
+    channel_.rebase_refresh(now);
+    cmd_wake_ = 0;
+  }
   /// Reads that issued their CAS but whose data burst has not completed
   /// (conservation audits: accepted == queued + pending + inflight + served).
   [[nodiscard]] std::size_t inflight_reads() const {
@@ -143,11 +150,14 @@ class MemoryController {
   }
 
   // --- change tracking (policy select-skip memo) ---
-  /// Bumped on every controller-state change a transaction scheduler can
-  /// observe (queue pushes and pulls, command issue, drain-mode flips,
-  /// group-completion and coordination deliveries).  A scheduling
-  /// decision that failed at epoch E cannot succeed at epoch E unless
-  /// time alone changes the answer.
+  /// Bumped on every controller-state change that can turn a failed
+  /// warp-group selection into a successful one: request-queue pushes and
+  /// pulls, bank-queue pushes, CAS pops, drain-mode flips and
+  /// group-completion deliveries.  ACT/PRE/REF and coordination messages
+  /// do not bump it: they change only the open row and score bonuses,
+  /// which enter scoring but never the failed answer (DESIGN.md, "Hot
+  /// path & determinism contract").  A selection that failed at epoch E
+  /// cannot succeed at epoch E unless time alone changes the answer.
   [[nodiscard]] std::uint64_t mutation_epoch() const {
     return mutation_epoch_;
   }
@@ -214,6 +224,13 @@ class MemoryController {
   // Change counter for the policy-side select-skip memo (see
   // mutation_epoch()).
   std::uint64_t mutation_epoch_ = 0;
+
+  // Command wake: after a scan of the bank heads issues nothing, the
+  // earliest cycle any head's command becomes legal.  Scans before it are
+  // skipped; any issued command or a request reaching an empty bank queue
+  // resets it to 0 (scan).  Derived state: reset on snapshot load, never
+  // saved.
+  Cycle cmd_wake_ = 0;
 
   bool write_mode_ = false;
   bool opportunistic_mode_ = false;

@@ -1,6 +1,8 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "common/log.hpp"
 #include "mc/policy_fcfs.hpp"
@@ -74,8 +76,31 @@ std::unique_ptr<TransactionScheduler> Simulator::make_policy(ChannelId id) {
   LATDIV_UNREACHABLE("bad SchedulerKind");
 }
 
+namespace {
+
+/// `cfg`, once its geometry fits the id types: SmId and WarpId are 16-bit,
+/// so more than 65536 SMs or warps per SM would alias ids (crossbar
+/// routing, warp tags) through silent truncation.  Throws before any
+/// component is built.
+const SimConfig& checked_geometry(const SimConfig& cfg) {
+  constexpr std::uint64_t kSmIds = std::uint64_t{1} << (8 * sizeof(SmId));
+  constexpr std::uint64_t kWarpIds = std::uint64_t{1}
+                                     << (8 * sizeof(WarpId));
+  if (cfg.num_sms == 0 || cfg.num_sms > kSmIds) {
+    throw std::invalid_argument("num_sms must be in [1, 65536], got " +
+                                std::to_string(cfg.num_sms));
+  }
+  if (cfg.sm.warps == 0 || cfg.sm.warps > kWarpIds) {
+    throw std::invalid_argument("sm.warps must be in [1, 65536], got " +
+                                std::to_string(cfg.sm.warps));
+  }
+  return cfg;
+}
+
+}  // namespace
+
 Simulator::Simulator(const SimConfig& cfg)
-    : cfg_(cfg),
+    : cfg_(checked_geometry(cfg)),
       timing_(DramTiming::from(cfg.dram)),
       amap_([&] {
         AddressMapConfig a = cfg.amap;
@@ -200,8 +225,12 @@ void Simulator::audit_invariants() {
     invariant_checker_->audit_partition(*part, now_);
   }
   std::size_t blocked = 0;
-  for (const auto& sm : sms_) blocked += sm->warps_blocked_on_loads();
+  for (const auto& sm : sms_) {
+    blocked += sm->warps_blocked_on_loads();
+    invariant_checker_->audit_hot_path(*sm, now_);
+  }
   invariant_checker_->audit_tracker(tracker_, blocked, now_);
+  invariant_checker_->audit_hot_path(xbar_, now_);
   if (obs_hub_ && obs_hub_->attrib() != nullptr) {
     invariant_checker_->audit_attribution(*obs_hub_->attrib(), now_);
   }
@@ -300,9 +329,7 @@ void Simulator::teleport(Cycle target) {
                     !obs_hub_,
                 "teleport requires checkers and the obs hub disabled");
   now_ = target;
-  for (auto& part : partitions_) {
-    part->mc().channel_mut().rebase_refresh(now_);
-  }
+  for (auto& part : partitions_) part->mc().on_teleport(now_);
   if (warmup_done_at_ == 0 && now_ >= cfg_.warmup_cycles) {
     warmup_done_at_ = now_;
     warmup_instructions_ = total_instructions();

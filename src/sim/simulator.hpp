@@ -27,6 +27,9 @@ namespace latdiv {
 
 class Simulator {
  public:
+  /// Throws std::invalid_argument, before building anything, when
+  /// cfg.num_sms or cfg.sm.warps is 0 or exceeds the 65536 ids SmId /
+  /// WarpId can address.
   explicit Simulator(const SimConfig& cfg);
 
   /// Run to cfg.max_cycles and aggregate results.  Equivalent to

@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "check/protocol_checker.hpp"
 #include "common/rng.hpp"
 #include "dram/channel.hpp"
 #include "dram/params.hpp"
@@ -160,6 +161,87 @@ TEST_P(DeviceProperty, ThroughputCeilingRespectsBurstLength) {
   }
   EXPECT_LE(reads, 3000 / t.tccdl + 1);
   EXPECT_GE(reads, 3000 / t.tccdl - 1);
+}
+
+// Channel::earliest is the single definition of command legality
+// (can_issue is earliest == now).  Along a random legal command stream,
+// for every bank's ACT, PRE and CAS candidates (plus REF) at every cycle:
+// the command is illegal at each cycle strictly before `earliest`, legal
+// at `earliest` when nothing issues in between (can_issue is pure, so
+// probing ahead on the current state is exactly that), and `earliest` is
+// kNoCycle exactly when the row state forbids the command.  The stream
+// issues commands at their first legal cycle, and the protocol checker —
+// which shares no code with the channel — shadow-verifies every one, so a
+// constraint missing from `earliest` itself is caught too.
+TEST_P(DeviceProperty, EarliestIsTheFirstLegalCycle) {
+  const DramTiming t = DramTiming::from(device().params);
+  Channel ch(t);
+  ProtocolChecker shadow(t, /*abort_on_violation=*/false);
+  ch.add_command_observer(
+      [&shadow](const DramCommand& cmd, Cycle at) { shadow.on_command(cmd, at); });
+  Rng rng(GetParam() + 300);
+  std::uint64_t finite = 0;
+  std::uint64_t forbidden = 0;
+
+  auto check = [&](const DramCommand& cmd, Cycle now, bool row_forbids) {
+    const Cycle at = ch.earliest(cmd, now);
+    ASSERT_EQ(at == kNoCycle, row_forbids)
+        << "cmd " << static_cast<int>(cmd.cmd) << " bank "
+        << static_cast<int>(cmd.bank) << " at " << now;
+    if (at == kNoCycle) {
+      ++forbidden;
+      for (Cycle c = now; c < now + 64; ++c) ASSERT_FALSE(ch.can_issue(cmd, c));
+      return;
+    }
+    ++finite;
+    ASSERT_GE(at, now);
+    for (Cycle c = now; c < at; ++c) {
+      ASSERT_FALSE(ch.can_issue(cmd, c)) << "legal before earliest";
+    }
+    ASSERT_TRUE(ch.can_issue(cmd, at)) << "illegal at earliest";
+  };
+
+  for (Cycle now = 1; now < 2'000; ++now) {
+    bool all_closed = true;
+    for (BankId b = 0; b < t.banks; ++b) {
+      const RowId open = ch.open_row(b);
+      const bool closed = open == kNoRow;
+      all_closed = all_closed && closed;
+      const RowId other = closed ? 5 : open + 1;
+      check({DramCmd::kActivate, b, 5}, now, !closed);
+      check({DramCmd::kPrecharge, b, kNoRow}, now, closed);
+      check({DramCmd::kRead, b, open}, now, closed);
+      check({DramCmd::kWrite, b, open}, now, closed);
+      check({DramCmd::kRead, b, other}, now, true);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    check({DramCmd::kRefresh, 0, kNoRow}, now, !all_closed);
+    if (::testing::Test::HasFatalFailure()) return;
+
+    // Advance the stream: try one state-appropriate command most cycles.
+    if (!rng.chance(0.7)) continue;
+    DramCommand cmd;
+    cmd.bank = static_cast<BankId>(rng.below(t.banks));
+    const RowId open = ch.open_row(cmd.bank);
+    if (all_closed && rng.chance(0.05)) {
+      cmd = {DramCmd::kRefresh, 0, kNoRow};
+    } else if (open == kNoRow) {
+      cmd.cmd = DramCmd::kActivate;
+      cmd.row = static_cast<RowId>(rng.below(32));
+    } else if (rng.chance(0.25)) {
+      cmd.cmd = DramCmd::kPrecharge;
+    } else {
+      cmd.cmd = rng.chance(0.6) ? DramCmd::kRead : DramCmd::kWrite;
+      cmd.row = open;
+    }
+    if (ch.can_issue(cmd, now)) ch.issue(cmd, now);
+  }
+  EXPECT_TRUE(shadow.clean()) << shadow.violations().front().rule;
+  // The stream exercised both outcomes and kept commands flowing.
+  EXPECT_GT(finite, 10'000u);
+  EXPECT_GT(forbidden, 10'000u);
+  EXPECT_GT(ch.stats().activates, 50u);
+  EXPECT_GT(ch.stats().reads + ch.stats().writes, 50u);
 }
 
 }  // namespace

@@ -80,23 +80,24 @@ void expect_same_result(const RunResult& a, const RunResult& b) {
 // whether each cut goes through a snapshot file (save_snapshot_file /
 // load_snapshot_file) or stays an in-memory buffer.
 
-class CkptResume
-    : public ::testing::TestWithParam<
-          std::tuple<SchedulerKind, const char*, std::uint32_t, bool>> {};
-
-TEST_P(CkptResume, ResumeMatchesStraightThrough) {
-  const auto [sched, scenario, cuts, via_file] = GetParam();
-  const SimConfig cfg = scenario_cfg(sched, scenario);
-
-  const RunResult straight = Simulator(cfg).run();
-
+/// Snapshot path unique to the running test.
+std::string test_snapshot_path() {
   std::string name =
       ::testing::UnitTest::GetInstance()->current_test_info()->name();
   for (char& c : name) {
     if (c == '/') c = '_';
   }
-  const std::string path =
-      ::testing::TempDir() + "latdiv_resume_" + name + ".snap";
+  return ::testing::TempDir() + "latdiv_resume_" + name + ".snap";
+}
+
+/// Run `cfg` straight through, then again cut at `cuts` evenly spaced
+/// cycles (each cut saves, loads into a fresh simulator and continues),
+/// and require identical results.
+void expect_resume_matches(const SimConfig& cfg, std::uint32_t cuts,
+                           bool via_file) {
+  const RunResult straight = Simulator(cfg).run();
+  const std::string path = test_snapshot_path();
+
   auto sim = std::make_unique<Simulator>(cfg);
   for (std::uint32_t k = 1; k <= cuts; ++k) {
     const Cycle cut = cfg.max_cycles * k / (cuts + 1);
@@ -124,6 +125,15 @@ TEST_P(CkptResume, ResumeMatchesStraightThrough) {
   expect_same_result(straight, sim->finish());
 }
 
+class CkptResume
+    : public ::testing::TestWithParam<
+          std::tuple<SchedulerKind, const char*, std::uint32_t, bool>> {};
+
+TEST_P(CkptResume, ResumeMatchesStraightThrough) {
+  const auto [sched, scenario, cuts, via_file] = GetParam();
+  expect_resume_matches(scenario_cfg(sched, scenario), cuts, via_file);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     SchedXScenXShardsXFf, CkptResume,
     ::testing::Combine(
@@ -141,6 +151,34 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return n + "_shards" + std::to_string(std::get<2>(info.param)) +
              (std::get<3>(info.param) ? "_ff" : "_noff");
+    });
+
+// The hot path's derived state is rebuilt after a load, never saved: the
+// SM issue masks (exercised hardest by LRR, whose scan start rotates), the
+// crossbar head-target masks (WAFCFS turns on sticky grants, which test
+// one mask bit) and the controller's command wake.  Cutting at several
+// cycles — core-clock and DRAM-only ones alike — must not perturb a run.
+class CkptResumeDerived
+    : public ::testing::TestWithParam<std::tuple<const char*, std::uint32_t>> {
+};
+
+TEST_P(CkptResumeDerived, ResumeMatchesStraightThrough) {
+  const auto [variant, cuts] = GetParam();
+  const std::string v = variant;
+  SimConfig cfg = scenario_cfg(
+      v == "WAFCFS" ? SchedulerKind::kWafcfs : SchedulerKind::kWgW,
+      "pointer-chase");
+  if (v == "LRR") cfg.sm.warp_sched = WarpSchedPolicy::kLrr;
+  expect_resume_matches(cfg, cuts, /*via_file=*/false);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LrrAndSticky, CkptResumeDerived,
+    ::testing::Combine(::testing::Values("LRR", "WAFCFS"),
+                       ::testing::Values(5u, 6u)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param)) + "_cuts" +
+             std::to_string(std::get<1>(info.param));
     });
 
 // The config fingerprint excludes max_cycles: a snapshot taken in a short

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <stdexcept>
+#include <string>
+
 namespace latdiv {
 namespace {
 
@@ -180,6 +184,95 @@ TEST(Simulator, WriteIntensityReflectsWorkload) {
   EXPECT_GT(nw.write_intensity, spmv.write_intensity)
       << "nw is the write-heavy benchmark";
 }
+
+// SmId and WarpId are 16-bit: geometry beyond 65536 SMs or warps per SM
+// would alias ids, so construction refuses it up front (no SM, crossbar
+// or partition is built first — a 70000-SM machine would take seconds).
+TEST(Simulator, RejectsGeometryTheIdTypesCannotAddress) {
+  auto expect_rejected = [](SimConfig cfg, const char* field) {
+    try {
+      Simulator sim(cfg);
+      ADD_FAILURE() << "accepted " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  SimConfig too_many_sms = small_cfg(SchedulerKind::kGmc);
+  too_many_sms.num_sms = 70'000;
+  expect_rejected(too_many_sms, "num_sms");
+  SimConfig too_many_warps = small_cfg(SchedulerKind::kGmc);
+  too_many_warps.sm.warps = 65'537;
+  expect_rejected(too_many_warps, "sm.warps");
+  SimConfig no_warps = small_cfg(SchedulerKind::kGmc);
+  no_warps.sm.warps = 0;
+  expect_rejected(no_warps, "sm.warps");
+}
+
+// Geometry wider than one 64-bit mask word on every event-driven layer:
+// 96 warps per SM (SM issue masks) and 72 SMs (crossbar head masks), as
+// trace replay can produce.  Checked run (protocol verifier + invariant
+// audits); the counters are pinned to the values the full-scan
+// implementation produced, under both warp schedulers.
+struct WideExpect {
+  WarpSchedPolicy sched;
+  std::uint64_t instructions, dram_reads, dram_writes, dram_activates;
+  std::uint64_t no_ready_warp_cycles, issue_stall_mshr, inject_stalls;
+  std::uint64_t drains_started, groups_selected;
+  double loads, ipc, effective_mem_latency_ns;
+};
+
+void PrintTo(const WideExpect& e, std::ostream* os) {
+  *os << (e.sched == WarpSchedPolicy::kGto ? "GTO" : "LRR");
+}
+
+class WideGeometry : public ::testing::TestWithParam<WideExpect> {};
+
+TEST_P(WideGeometry, CheckedRunMatchesPinnedCounters) {
+  const WideExpect& want = GetParam();
+  SimConfig cfg;
+  cfg.scheduler = SchedulerKind::kWgW;
+  cfg.workload = profile_by_name("PVC");
+  cfg.num_sms = 72;
+  cfg.sm.warps = 96;
+  cfg.sm.warp_sched = want.sched;
+  cfg.max_cycles = 6'000;
+  cfg.warmup_cycles = 600;
+  cfg.seed = 1;
+  cfg.check.protocol = true;
+  cfg.check.invariants = true;
+  cfg.check.abort_on_violation = true;
+  Simulator sim(cfg);
+  const RunResult r = sim.run();
+  EXPECT_EQ(r.instructions, want.instructions);
+  EXPECT_EQ(r.dram_reads, want.dram_reads);
+  EXPECT_EQ(r.dram_writes, want.dram_writes);
+  EXPECT_EQ(r.dram_activates, want.dram_activates);
+  EXPECT_EQ(r.sm_no_ready_warp_cycles, want.no_ready_warp_cycles);
+  EXPECT_EQ(r.sm_issue_stall_mshr, want.issue_stall_mshr);
+  EXPECT_EQ(r.icnt_inject_stalls, want.inject_stalls);
+  EXPECT_EQ(r.mc_drains_started, want.drains_started);
+  EXPECT_EQ(r.wg_groups_selected, want.groups_selected);
+  EXPECT_EQ(r.loads, want.loads);
+  EXPECT_EQ(r.ipc, want.ipc);
+  EXPECT_EQ(r.effective_mem_latency_ns, want.effective_mem_latency_ns);
+  for (std::size_t c = 0; sim.protocol_checker(c) != nullptr; ++c) {
+    EXPECT_TRUE(sim.protocol_checker(c)->clean()) << "channel " << c;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sched, WideGeometry,
+    ::testing::Values(
+        WideExpect{WarpSchedPolicy::kGto, 25954, 3969, 974, 3516, 190046,
+                   64384, 147088, 60, 1826, 919, 1.9803703703703703,
+                   853.59783502170774},
+        WideExpect{WarpSchedPolicy::kLrr, 26596, 3819, 904, 3463, 189404,
+                   43124, 168324, 55, 1866, 984, 2.2274074074074073,
+                   893.65052878179392}),
+    [](const auto& info) {
+      return info.param.sched == WarpSchedPolicy::kGto ? "GTO" : "LRR";
+    });
 
 }  // namespace
 }  // namespace latdiv
