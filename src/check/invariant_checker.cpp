@@ -137,6 +137,12 @@ void InvariantChecker::audit_hot_path(const Crossbar& xbar, Cycle now) {
             "crossbar head masks and counters == recomputation from queues");
 }
 
+void InvariantChecker::audit_hot_path(const Channel& channel, Cycle now) {
+  ++audits_run_;
+  expect_eq(channel.open_banks_consistent(), 1, now, "dram-open-banks",
+            "channel open-bank count == banks with an open row");
+}
+
 void InvariantChecker::audit_attribution(const obs::AttributionProfiler& prof,
                                          Cycle now) {
   ++audits_run_;

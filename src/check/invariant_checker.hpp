@@ -39,6 +39,7 @@ namespace obs {
 class AttributionProfiler;
 }
 
+class Channel;
 class Crossbar;
 class MemoryController;
 class Partition;
@@ -69,10 +70,11 @@ class InvariantChecker {
                      Cycle now);
 
   /// Audit the event-driven hot path's derived state: an SM's issue masks
-  /// and the crossbar's head masks / queue counters must equal their
-  /// recomputation from primary state.
+  /// the crossbar's head masks / queue counters and a channel's open-bank
+  /// count must equal their recomputation from primary state.
   void audit_hot_path(const Sm& sm, Cycle now);
   void audit_hot_path(const Crossbar& xbar, Cycle now);
+  void audit_hot_path(const Channel& channel, Cycle now);
 
   /// Audit the attribution profiler's sum-exactness contract: no load was
   /// ever excluded for a broken telescope or a failed request join, and

@@ -443,6 +443,11 @@ void Channel::ckpt_io(Ar& ar) {
   ar.u64(stats_.all_banks_idle_cycles);
   for (auto& n : stats_.per_bank_activates) ar.u64(n);
   for (auto& n : stats_.per_bank_precharges) ar.u64(n);
+  if constexpr (!Ar::kIsWriter) {
+    open_banks_ = static_cast<std::uint32_t>(
+        std::count_if(bank_row_.begin(), bank_row_.end(),
+                      [](RowId row) { return row != kNoRow; }));
+  }
 }
 
 // --- memory controller ------------------------------------------------
@@ -491,6 +496,7 @@ void MemoryController::ckpt_io(Ar& ar) {
   } else {
     policy_->ckpt_load(ar);
     cmd_wake_ = 0;
+    ++layout_epoch_;
   }
 }
 

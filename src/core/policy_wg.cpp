@@ -1,7 +1,6 @@
 #include "core/policy_wg.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "common/log.hpp"
 
@@ -122,6 +121,11 @@ void WgPolicy::on_push(MemoryController& mc, const MemRequest& req,
   if (req.kind != ReqKind::kRead) return;  // warp-groups are read-only
   WgGroupMeta& meta = groups_[req.tag.instr];
   const bool first = meta.seen == 0;
+  // With no fallback candidate, a group gaining its first queued request
+  // may become one, which sets an age bound the failed selection lacks.
+  if (wake_.armed && wake_.fb_oldest == kNoCycle && meta.queued() == 0) {
+    wake_.due = true;
+  }
   // Index before the WG-M replay below: the replay scores this group, and
   // the request is already in the read queue when on_push fires.
   index_add(meta, req);
@@ -157,6 +161,7 @@ void WgPolicy::on_group_complete(MemoryController&, const WarpTag& tag,
   if (it == groups_.end()) return;  // every request hit in the caches
   it->second.complete = true;
   ++stats_.groups_completed;
+  if (wake_.armed) completed_.push_back(tag.instr);
   forget_if_done(tag.instr);
 }
 
@@ -268,10 +273,41 @@ void WgPolicy::forget_if_done(WarpInstrUid instr) {
 
 // ---- selection --------------------------------------------------------
 
+WgPolicy::Cand WgPolicy::make_cand(const MemoryController& mc,
+                                   WarpInstrUid instr,
+                                   const WgGroupMeta& meta) const {
+  // A group fits when (a) its requests fit the bank command queues and
+  // (b) any bank whose row it would close has drained — the same stream
+  // hysteresis the GMC row sorter applies: a hit for the still-open row
+  // may be one arrival away, and closing early forfeits it.  The
+  // liveness fallback ignores (b).
+  const auto depth_cap = mc.config().bank_queue_depth;
+  Cand c{instr, &meta, ~std::uint64_t{0}, 0, kNoCycle, 0, 0};
+  for (const WgGroupMeta::BankSlot& slot : meta.slots) {
+    if (slot.items.empty()) continue;
+    const WgGroupMeta::QueuedReq& front = slot.items.front();
+    c.head_seq = std::min(c.head_seq, front.seq);
+    c.oldest = std::min(c.oldest, front.arrival);
+    c.count += static_cast<std::uint32_t>(slot.items.size());
+    const std::size_t queued = mc.bank_queue_size(slot.bank);
+    // Groups larger than a bank's command queue can never fit whole;
+    // they become selectable once the full queue depth is free and then
+    // drain incrementally (drain_current keeps them current).
+    const auto need = std::min<std::size_t>(slot.items.size(), depth_cap);
+    if (queued + need > depth_cap) c.room_block |= 1u << slot.bank;
+    if (queued != 0 && mc.predicted_row(slot.bank) != front.row) {
+      c.drain_block |= 1u << slot.bank;
+    }
+  }
+  return c;
+}
+
 void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
   auto& rq = mc.read_queue();
   const std::uint64_t epoch = mc.mutation_epoch();
   if (skip_epoch_ == epoch && now < skip_until_) return;
+  if (wake_.armed && now < skip_until_ && !wake_due(mc)) return;
+  wake_.armed = false;
   if (rq.empty()) {
     skip_epoch_ = epoch;
     skip_until_ = kNoCycle;  // only new state can change the answer
@@ -281,7 +317,9 @@ void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
   // Candidates come from the incremental per-group index (one entry per
   // group with queued requests), in no particular order: every selection
   // rule below ends on (oldest, head_seq), which reproduces the read
-  // queue's first-occurrence order as the final tie-breaker.
+  // queue's first-occurrence order as the final tie-breaker.  Nothing
+  // mutates the bank queues during a selection, so the candidates' fit
+  // masks stay valid throughout.
   cands_.clear();
   for (std::size_t i = 0; i < active_.size();) {
     const WarpInstrUid instr = active_[i].first;
@@ -293,51 +331,11 @@ void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
       continue;
     }
     ++i;
-    Cand c{instr, &meta, ~std::uint64_t{0}, 0, kNoCycle, 0};
-    for (const WgGroupMeta::BankSlot& slot : meta.slots) {
-      if (slot.items.empty()) continue;
-      const WgGroupMeta::QueuedReq& front = slot.items.front();
-      c.head_seq = std::min(c.head_seq, front.seq);
-      c.oldest = std::min(c.oldest, front.arrival);
-      c.count += static_cast<std::uint32_t>(slot.items.size());
-      if (mc.predicted_row(slot.bank) != front.row) {
-        c.opens_row_mask |= 1u << slot.bank;
-      }
-    }
-    cands_.push_back(c);
+    cands_.push_back(make_cand(mc, instr, meta));
   }
   auto older = [](const Cand& a, const Cand& b) {
     return a.oldest < b.oldest ||
            (a.oldest == b.oldest && a.head_seq < b.head_seq);
-  };
-
-  // A group is selectable when (a) its requests fit the bank command
-  // queues and (b) any bank whose row it would close has drained — the
-  // same stream hysteresis the GMC row sorter applies: a hit for the
-  // still-open row may be one arrival away, and closing early forfeits
-  // it.  The liveness fallback below ignores (b).  Nothing mutates the
-  // bank queues during a selection, so both tests read one snapshot of
-  // their sizes.
-  const auto depth_cap = mc.config().bank_queue_depth;
-  std::array<std::size_t, kMaxBanks> queued_at{};
-  std::uint32_t nonempty_banks = 0;
-  for (std::uint32_t b = 0; b < banks_; ++b) {
-    queued_at[b] = mc.bank_queue_size(static_cast<BankId>(b));
-    if (queued_at[b] != 0) nonempty_banks |= 1u << b;
-  }
-  auto fits = [&](const Cand& c, bool require_drained) {
-    if (require_drained && (c.opens_row_mask & nonempty_banks) != 0) {
-      return false;
-    }
-    for (const WgGroupMeta::BankSlot& slot : c.meta->slots) {
-      if (slot.items.empty()) continue;
-      // Groups larger than a bank's command queue can never fit whole;
-      // they become selectable once the full queue depth is free and
-      // then drain incrementally (drain_current keeps them current).
-      const auto need = std::min<std::size_t>(slot.items.size(), depth_cap);
-      if (queued_at[slot.bank] + need > depth_cap) return false;
-    }
-    return true;
   };
 
   // WG-W: imminent write drain — unit-remaining complete groups first.
@@ -349,7 +347,7 @@ void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
     for (const bool require_drained : {true, false}) {
       for (const Cand& c : cands_) {
         if (!c.meta->complete) continue;
-        if (c.count != 1 || !fits(c, require_drained)) continue;
+        if (c.count != 1 || !c.fits(require_drained)) continue;
         if (best == nullptr || older(c, *best)) best = &c;
       }
       if (best != nullptr) break;
@@ -389,7 +387,7 @@ void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
   std::uint32_t best_effective = 0;
   bool best_was_boosted = false;
   for (const Cand& c : cands_) {
-    if (!c.meta->complete || !fits(c, /*require_drained=*/true)) continue;
+    if (!c.meta->complete || !c.fits(/*require_drained=*/true)) continue;
     const Score s = score_group(mc, c.instr);
     std::uint32_t bonus = c.meta->coord_bonus;
     std::uint32_t shared_bonus = 0;
@@ -419,19 +417,21 @@ void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
     const bool pressure = rq.size() + kRqPressureSlack >= rq.capacity();
     const Cand* oldest = nullptr;
     for (const Cand& c : cands_) {
-      if (!fits(c, /*require_drained=*/false)) continue;
+      if (!c.fits(/*require_drained=*/false)) continue;
       if (oldest == nullptr || older(c, *oldest)) oldest = &c;
     }
     if (oldest == nullptr) {
       // Every candidate waits on bank space; only a state change helps.
       skip_epoch_ = epoch;
       skip_until_ = kNoCycle;
+      arm_wake(mc, nullptr, pressure);
       return;
     }
     if (!pressure && now - oldest->oldest < cfg_.fallback_age) {
       // Time alone can flip this outcome: wake when the age bound hits.
       skip_epoch_ = epoch;
       skip_until_ = oldest->oldest + cfg_.fallback_age;
+      arm_wake(mc, oldest, pressure);
       return;
     }
     current_ = oldest->instr;
@@ -449,6 +449,102 @@ void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
   if (cfg_.multi_channel) {
     mc.announce_selection(best->meta->tag, best_effective);
   }
+}
+
+// ---- selection wake ---------------------------------------------------
+//
+// A failed selection stays failed until one of its inputs moves: the
+// candidate set, each candidate's completeness and fit masks, the read
+// and write pressure, and the clock against the fallback age bound.  With
+// no selection in progress nothing pulls from the read queue, so queued
+// requests only accumulate: a push can only add banks a group must fit,
+// and a new group's oldest request is younger than every queued one.
+// A group's fit can therefore only improve through a CAS pop at one of
+// its blocking banks (a send or a drain flip moves layout_epoch()).
+
+bool WgPolicy::older_than_fallback(const Cand& c) const {
+  return c.oldest < wake_.fb_oldest ||
+         (c.oldest == wake_.fb_oldest && c.head_seq < wake_.fb_seq);
+}
+
+bool WgPolicy::wakes(const Cand& c) const {
+  if (c.meta->complete) {
+    // BASJF (or the WG-W hysteresis tier) would select it, the WG-W
+    // unit tier would, or it moves the fallback's age bound.
+    return c.fits(true) ||
+           (c.fits(false) && (older_than_fallback(c) ||
+                              (wake_.write_pressure && c.count == 1)));
+  }
+  return c.fits(false) && older_than_fallback(c);
+}
+
+std::uint32_t WgPolicy::watch_banks(const Cand& c) const {
+  if (c.meta->complete) return c.room_block | c.drain_block;
+  // An incomplete group matters only as a fallback older than the current
+  // one, which must be failing to fit (else it would be the fallback).
+  return older_than_fallback(c) ? c.room_block : 0;
+}
+
+void WgPolicy::arm_wake(MemoryController& mc, const Cand* fallback,
+                        bool pressure) {
+  wake_ = Wake{};
+  wake_.armed = true;
+  wake_.pressure = pressure;
+  wake_.write_pressure = write_pressure(mc);
+  wake_.layout_epoch = mc.layout_epoch();
+  if (fallback != nullptr) {
+    wake_.fb_oldest = fallback->oldest;
+    wake_.fb_seq = fallback->head_seq;
+  }
+  (void)mc.take_popped_banks();  // this selection already saw them
+  completed_.clear();
+  watches_.clear();
+  for (const Cand& c : cands_) {
+    const std::uint32_t banks = watch_banks(c);
+    if (banks == 0) continue;
+    watches_.push_back(Watch{c.instr, c.meta, banks});
+    wake_.banks |= banks;
+  }
+}
+
+bool WgPolicy::wake_due(MemoryController& mc) {
+  if (wake_.due || mc.layout_epoch() != wake_.layout_epoch) return true;
+  const auto& rq = mc.read_queue();
+  if (!wake_.pressure && rq.size() + kRqPressureSlack >= rq.capacity()) {
+    return true;
+  }
+  if (!wake_.write_pressure && write_pressure(mc)) return true;
+
+  // Newly complete groups: selectable now, or watched from here on.
+  for (const WarpInstrUid instr : completed_) {
+    const auto it = groups_.find(instr);
+    if (it == groups_.end() || it->second.queued() == 0) continue;
+    const Cand c = make_cand(mc, instr, it->second);
+    if (wakes(c)) return true;
+    auto wit = std::find_if(watches_.begin(), watches_.end(),
+                            [&](const Watch& w) { return w.instr == instr; });
+    if (wit == watches_.end()) {
+      watches_.push_back(Watch{instr, c.meta, 0});
+      wit = watches_.end() - 1;
+    }
+    wit->banks = watch_banks(c);
+    wake_.banks |= wit->banks;
+  }
+  completed_.clear();
+
+  // CAS pops at watched banks: re-check only the groups they block.
+  const std::uint32_t popped = mc.take_popped_banks() & wake_.banks;
+  if (popped == 0) return false;
+  wake_.banks = 0;
+  for (Watch& w : watches_) {
+    if ((w.banks & popped) != 0) {
+      const Cand c = make_cand(mc, w.instr, *w.meta);
+      if (wakes(c)) return true;
+      w.banks = watch_banks(c);
+    }
+    wake_.banks |= w.banks;
+  }
+  return false;
 }
 
 // ---- draining ---------------------------------------------------------

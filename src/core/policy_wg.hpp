@@ -128,7 +128,7 @@ struct WgStats {
 class WgPolicy final : public TransactionScheduler {
  public:
   WgPolicy(const WgConfig& cfg, const DramTiming& timing)
-      : cfg_(cfg), merb_(timing), banks_(timing.banks) {
+      : cfg_(cfg), merb_(timing) {
     // The per-group bank footprint uses 32-bit bank masks (and the WG
     // paper's GDDR5 devices have 16 banks); wider devices need a wider
     // opens_row_mask before this policy can run on them.
@@ -186,6 +186,9 @@ class WgPolicy final : public TransactionScheduler {
   [[nodiscard]] const std::optional<WarpInstrUid>& current() const {
     return current_;
   }
+  /// A failed selection armed the selection wake and no selection has
+  /// run since.
+  [[nodiscard]] bool wake_armed() const { return wake_.armed; }
 
   /// Snapshot serialization (src/ckpt): the warp sorter, the incremental
   /// read-queue index, the select-skip memo and stats all round-trip;
@@ -204,7 +207,23 @@ class WgPolicy final : public TransactionScheduler {
   [[nodiscard]] std::uint32_t bank_queue_score(const MemoryController& mc,
                                                BankId bank) const;
 
+  struct Cand;
   void select_next_group(MemoryController& mc, Cycle now);
+  /// Candidate view of a group with queued requests: head, age, size and
+  /// the banks that keep it from fitting the bank command queues.
+  [[nodiscard]] Cand make_cand(const MemoryController& mc, WarpInstrUid instr,
+                               const WgGroupMeta& meta) const;
+  /// Selection wake: arm after a failed selection (`fallback` is the
+  /// liveness-fallback candidate, if one fits), then report whether an
+  /// event since can change the failed answer.
+  void arm_wake(MemoryController& mc, const Cand* fallback, bool pressure);
+  [[nodiscard]] bool wake_due(MemoryController& mc);
+  /// Would `c` now change a failed selection's answer?  Otherwise the
+  /// banks whose CAS pops can change that (0 = none).
+  [[nodiscard]] bool wakes(const Cand& c) const;
+  [[nodiscard]] std::uint32_t watch_banks(const Cand& c) const;
+  /// `c` precedes the armed wake's fallback candidate (or there is none).
+  [[nodiscard]] bool older_than_fallback(const Cand& c) const;
   /// Drain the current group's read-queue requests into bank queues,
   /// applying MERB admission for row misses when WG-Bw is on.  Returns
   /// the number of requests pushed.
@@ -231,7 +250,6 @@ class WgPolicy final : public TransactionScheduler {
 
   WgConfig cfg_;
   MerbTable merb_;
-  std::uint32_t banks_;
   std::unordered_map<WarpInstrUid, WgGroupMeta> groups_;
   std::optional<WarpInstrUid> current_;
   /// Groups that (may) have queued requests — the candidate universe for
@@ -254,6 +272,43 @@ class WgPolicy final : public TransactionScheduler {
   std::uint64_t skip_epoch_ = ~std::uint64_t{0};
   Cycle skip_until_ = 0;
 
+  // Selection wake (derived, never saved).  The epoch memo above wakes on
+  // every controller mutation; most of them — pushes, and pops or
+  // completions of groups that still cannot fit — cannot change a failed
+  // answer.  Armed by a failed selection, the wake lets the next one run
+  // only when:
+  //   * layout_epoch() moves (send, drain flip, teleport, load);
+  //   * read-queue or WG-W write pressure turns on;
+  //   * a CAS pops a bank that blocks a watched group, or a group
+  //     completes, and that group now fits (see wakes());
+  //   * with no fallback candidate, a request reaches a group that had
+  //     none queued (a new fallback candidate, and with it an age bound).
+  // The age bound itself stays with skip_until_.  A snapshot load or a
+  // teleport moves layout_epoch(), so the wake fires before any watch
+  // (whose meta pointer a load invalidates) is read, and the next failed
+  // selection re-arms it from scratch.
+  struct Watch {
+    WarpInstrUid instr;
+    const WgGroupMeta* meta;
+    std::uint32_t banks;  ///< CAS pops here can let the group fit
+  };
+  struct Wake {
+    bool armed = false;
+    bool due = false;  ///< set by on_push (new fallback candidate)
+    bool pressure = false;
+    bool write_pressure = false;
+    std::uint64_t layout_epoch = 0;
+    /// The fallback candidate's (oldest, head_seq); kNoCycle = none.  Only
+    /// an older group that starts to fit can move the age bound.
+    Cycle fb_oldest = kNoCycle;
+    std::uint64_t fb_seq = ~std::uint64_t{0};
+    std::uint32_t banks = 0;  ///< union of watches_[].banks
+  };
+  Wake wake_;
+  std::vector<Watch> watches_;
+  /// Groups completed since the wake was armed.
+  std::vector<WarpInstrUid> completed_;
+
   /// WG-Bw orphan control: total queued read requests per exact
   /// (bank, row), across all groups.  Maintained only when cfg_.merb.
   std::unordered_map<std::uint64_t, std::uint32_t> row_counts_;
@@ -272,7 +327,14 @@ class WgPolicy final : public TransactionScheduler {
     std::uint64_t head_seq;  ///< seq of the group's earliest queued request
     std::uint32_t count;
     Cycle oldest;
-    std::uint32_t opens_row_mask;  ///< banks where this group row-misses
+    /// Banks whose command queue lacks room for this group's slot.
+    std::uint32_t room_block;
+    /// Non-empty banks whose row this group would close (the stream
+    /// hysteresis; only selections that require drained banks check it).
+    std::uint32_t drain_block;
+    [[nodiscard]] bool fits(bool require_drained) const {
+      return (room_block | (require_drained ? drain_block : 0u)) == 0;
+    }
   };
   std::vector<Cand> cands_;
   /// WG-M: recent remote selections kept briefly so a coordination

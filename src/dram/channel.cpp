@@ -22,9 +22,10 @@ RowId Channel::open_row(BankId bank) const {
   return bank_row_[bank];
 }
 
-bool Channel::all_banks_closed() const {
-  return std::all_of(bank_row_.begin(), bank_row_.end(),
-                     [](RowId row) { return row == kNoRow; });
+bool Channel::open_banks_consistent() const {
+  return std::count_if(bank_row_.begin(), bank_row_.end(),
+                       [](RowId row) { return row != kNoRow; }) ==
+         static_cast<std::ptrdiff_t>(open_banks_);
 }
 
 bool Channel::refresh_due(Cycle now) const {
@@ -96,6 +97,7 @@ Cycle Channel::issue(const DramCommand& cmd, Cycle now) {
     case DramCmd::kActivate: {
       LATDIV_ASSERT(cmd.row != kNoRow, "ACT needs a row");
       bank_row_[cmd.bank] = cmd.row;
+      ++open_banks_;
       bank_earliest_cas_[cmd.bank] = now + timing_.trcd;
       bank_earliest_pre_[cmd.bank] = now + timing_.tras;
       bank_earliest_act_[cmd.bank] = now + timing_.trc;
@@ -108,6 +110,7 @@ Cycle Channel::issue(const DramCommand& cmd, Cycle now) {
     }
     case DramCmd::kPrecharge: {
       bank_row_[cmd.bank] = kNoRow;
+      --open_banks_;
       bank_earliest_act_[cmd.bank] =
           std::max(bank_earliest_act_[cmd.bank], now + timing_.trp);
       ++stats_.precharges;

@@ -89,7 +89,9 @@ class Channel {
   [[nodiscard]] bool refresh_due(Cycle now) const;
 
   /// True if every bank is precharged (prerequisite for kRefresh).
-  [[nodiscard]] bool all_banks_closed() const;
+  [[nodiscard]] bool all_banks_closed() const { return open_banks_ == 0; }
+  /// The open-bank count matches the row table (invariant audit).
+  [[nodiscard]] bool open_banks_consistent() const;
 
   /// Bookkeeping sampled once per cycle by the owning controller (idle
   /// accounting only; no timing effects).
@@ -102,7 +104,11 @@ class Channel {
   /// (ckpt::SampledRunner): open `row` in `bank` without issuing commands
   /// or consuming bus time.  Sampled mode runs with the protocol checker
   /// off; this is never called on a detailed-timing path.
-  void warm_row(BankId bank, RowId row) { bank_row_[bank] = row; }
+  void warm_row(BankId bank, RowId row) {
+    open_banks_ += static_cast<std::uint32_t>(row != kNoRow) -
+                   static_cast<std::uint32_t>(bank_row_[bank] != kNoRow);
+    bank_row_[bank] = row;
+  }
 
   /// Re-anchor the refresh cadence after a sampled-mode jump to `now`:
   /// keeps tREFI-multiple spacing while skipping the due times inside the
@@ -128,6 +134,9 @@ class Channel {
   // legality over earliest-ACT), so parallel arrays keep each scan dense
   // instead of striding over 32-byte bank structs.
   std::vector<RowId> bank_row_;           ///< open row (kNoRow = precharged)
+  /// Banks whose bank_row_ is not kNoRow.  Derived: kept at ACT, PRE and
+  /// warm_row, recounted on snapshot load, never saved.
+  std::uint32_t open_banks_ = 0;
   std::vector<Cycle> bank_earliest_act_;  ///< tRP after PRE, tRC after ACT, tRFC after REF
   std::vector<Cycle> bank_earliest_cas_;  ///< tRCD after ACT
   std::vector<Cycle> bank_earliest_pre_;  ///< tRAS after ACT, tRTP after RD, tWR after WR

@@ -40,6 +40,7 @@ void Sm::rebuild_issue_masks() {
     masks_.assign(kFree, wid, w.is_free());
     masks_.assign(kMemNext, wid, w.memory_next());
   }
+  for (Warp& w : warps_) w.deficit_releases = 0;
 }
 
 bool Sm::issue_masks_consistent() const {
@@ -107,6 +108,7 @@ void Sm::generate_next(WarpId wid) {
   w.next = gen_.next(id_, wid);
   w.has_next = true;
   w.issue_fail_epoch = 0;
+  w.deficit_releases = 0;
   masks_.reset(kNeedsGen, wid);
   const bool mem = w.next.kind != WarpInstr::Kind::kCompute;
   masks_.assign(kMemNext, wid, mem);
@@ -119,6 +121,17 @@ bool Sm::issue_memory(WarpId wid, Cycle now) {
   // classify loop reads has changed: fail again without re-probing (the
   // stall accounting stays cycle-accurate).
   if (w.issue_fail_epoch == mem_epoch_ + 1) {
+    ++stats_.issue_stall_mshr;
+    return false;
+  }
+  // MSHR-deficit wake: each release lowers (new fetches - free entries)
+  // by at most one — the fill frees an entry and may evict one of our
+  // hits — while other warps' allocations, stores and LRU touches never
+  // lower it.  Fewer releases than the recorded deficit cannot make the
+  // load fit, so fail as the classify loop would, memo refresh included.
+  if (w.deficit_releases > mshr_.stats().releases &&
+      w.deficit_warms == warm_lines_) {
+    w.issue_fail_epoch = mem_epoch_ + 1;
     ++stats_.issue_stall_mshr;
     return false;
   }
@@ -174,6 +187,9 @@ bool Sm::issue_memory(WarpId wid, Cycle now) {
   }
   if (new_fetches > mshr_.free_entries()) {
     w.issue_fail_epoch = mem_epoch_ + 1;
+    w.deficit_releases =
+        mshr_.stats().releases + (new_fetches - mshr_.free_entries());
+    w.deficit_warms = warm_lines_;
     ++stats_.issue_stall_mshr;
     return false;
   }

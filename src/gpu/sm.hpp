@@ -93,7 +93,15 @@ class Sm {
   /// (ckpt::SampledRunner): install recency/presence for `line` without
   /// issuing any request.  Counts in cache stats like a normal access —
   /// sampled-mode estimates never read hit rates across a skip.
+  ///
+  /// Known defect, kept for result compatibility: warming does not move
+  /// mem_epoch_, so a warp whose load failed before the skip keeps
+  /// short-circuiting on issue_fail_epoch after it, even if its lines are
+  /// now L1 hits, until some other L1/MSHR change moves the epoch.  It
+  /// does end the MSHR-deficit wake (warmed hits shrink the deficit
+  /// without a release).
   void warm_line(Addr line) {
+    ++warm_lines_;
     if (!l1_.touch(line)) l1_.fill(line);
   }
 
@@ -113,6 +121,13 @@ class Sm {
     /// would fail identically, so the retry short-circuits (it still
     /// counts its issue_stall_mshr tick).
     std::uint64_t issue_fail_epoch = 0;
+    /// MSHR-deficit wake (derived, never saved; 0 = none): after `next`
+    /// failed with more new fetches than free MSHR entries, the MSHR
+    /// release count at which it could first fit, and warm_lines_ then.
+    /// Until releases reach it (and while no line was warmed), a retry
+    /// fails exactly like the classify loop would.
+    std::uint64_t deficit_releases = 0;
+    std::uint64_t deficit_warms = 0;
     /// Coalesced line set of `next`, computed once at generation time
     /// (issue retries must not re-run the coalescer: it is pure, and
     /// re-running it would double-count statistics and burn host time).
@@ -138,12 +153,14 @@ class Sm {
   [[nodiscard]] bool issuable(const Warp& w, Cycle now) const;
   bool issue_memory(WarpId wid, Cycle now);
   void generate_next(WarpId wid);
+
   /// First warp in [from, end) whose visit by try_issue can have an
   /// effect, or `end`; `mem_open` says whether a memory instruction may
   /// still be attempted this cycle.
   [[nodiscard]] std::size_t next_candidate(std::size_t from, std::size_t end,
                                            bool mem_open) const;
-  /// Recompute the issue masks from the warp table (after a snapshot load).
+  /// Recompute the issue masks from the warp table and drop every
+  /// deficit wake (after a snapshot load).
   void rebuild_issue_masks();
 
   SmId id_;
@@ -168,11 +185,14 @@ class Sm {
     kIssueMasks
   };
   BitRows masks_;
+
   Lsu lsu_;
   /// Bumped whenever L1 or MSHR contents change (fills, releases,
   /// invalidates, reservations) — the entire state the issue_memory
   /// classify loop reads.  Keys the per-warp issue_fail_epoch memo.
   std::uint64_t mem_epoch_ = 0;
+  /// warm_line calls so far (derived: only compared with deficit_warms).
+  std::uint64_t warm_lines_ = 0;
   WarpId last_issued_ = 0;
   WarpInstrUid next_uid_;
   WarpInstrUid uid_stride_;

@@ -57,6 +57,7 @@ MemoryController::MemoryController(ChannelId id, const McConfig& cfg,
       bank_tail_streak_(timing.banks, 0),
       rr_bank_in_group_(timing.banks / timing.banks_per_group, 0) {
   LATDIV_ASSERT(policy_ != nullptr, "controller needs a policy");
+  LATDIV_ASSERT(timing.banks <= 32, "popped-bank mask supports 32 banks");
   LATDIV_ASSERT(cfg.wq_low_watermark < cfg.wq_high_watermark &&
                     cfg.wq_high_watermark <= cfg.write_queue_size,
                 "bad write watermarks");
@@ -135,6 +136,7 @@ void MemoryController::send_to_bank(MemRequest req, Cycle now) {
   bank_q_[bank].push_back(req);
   ++cmdq_total_;
   ++mutation_epoch_;
+  ++layout_epoch_;
   if (obs_ != nullptr) obs_->req_to_bank(req, now);
 }
 
@@ -157,6 +159,7 @@ void MemoryController::update_drain_mode(Cycle now) {
       opportunistic_mode_ = false;
       ++stats_.drains_started;
       ++mutation_epoch_;
+      ++layout_epoch_;
       wq_at_drain_start_ = write_q_.size();
       writes_arrived_in_drain_ = 0;
       if (obs_ != nullptr) obs_->drain_begin(id_, now);
@@ -166,6 +169,7 @@ void MemoryController::update_drain_mode(Cycle now) {
       write_mode_ = true;
       opportunistic_mode_ = true;
       ++mutation_epoch_;
+      ++layout_epoch_;
       wq_at_drain_start_ = write_q_.size();
       writes_arrived_in_drain_ = 0;
       if (obs_ != nullptr) obs_->drain_begin(id_, now);
@@ -174,12 +178,14 @@ void MemoryController::update_drain_mode(Cycle now) {
     if (write_q_.size() <= cfg_.wq_low_watermark) {
       write_mode_ = false;
       ++mutation_epoch_;
+      ++layout_epoch_;
       if (obs_ != nullptr) obs_->drain_end(id_, now, drained_writes());
     } else if (opportunistic_mode_ && !read_q_.empty() &&
                write_q_.size() < cfg_.wq_high_watermark) {
       // A read arrived during an opportunistic drain: yield to it.
       write_mode_ = false;
       ++mutation_epoch_;
+      ++layout_epoch_;
       if (obs_ != nullptr) obs_->drain_end(id_, now, drained_writes());
     }
   }
@@ -286,6 +292,7 @@ void MemoryController::issue_one_command(Cycle now) {
       }
       if (cmd.cmd == DramCmd::kRead || cmd.cmd == DramCmd::kWrite) {
         ++mutation_epoch_;  // the bank queue shrinks
+        popped_banks_ |= 1u << bank;
         MemRequest req = bank_q_[bank].front();
         bank_q_[bank].pop_front();
         if (bank_q_[bank].empty()) --nonempty_banks_;

@@ -23,6 +23,7 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/bounded_queue.hpp"
@@ -129,6 +130,7 @@ class MemoryController {
   void on_teleport(Cycle now) {
     channel_.rebase_refresh(now);
     cmd_wake_ = 0;
+    ++layout_epoch_;
   }
   /// Reads that issued their CAS but whose data burst has not completed
   /// (conservation audits: accepted == queued + pending + inflight + served).
@@ -160,6 +162,19 @@ class MemoryController {
   /// cannot succeed at epoch E unless time alone changes the answer.
   [[nodiscard]] std::uint64_t mutation_epoch() const {
     return mutation_epoch_;
+  }
+
+  /// Bumped on the events that reshape a policy's view other than
+  /// request-queue pushes, CAS pops and group completions: bank-queue
+  /// sends (new tail rows), drain flips, a sampled-mode teleport (row
+  /// warming moves open rows) and a snapshot load.  Policies key their
+  /// wakes on it (DESIGN.md, "Hot path & determinism contract").  Derived
+  /// state: never saved.
+  [[nodiscard]] std::uint64_t layout_epoch() const { return layout_epoch_; }
+  /// Banks that lost a request to a CAS since the last call (the WG
+  /// selection wake consumes them).  Derived state: never saved.
+  [[nodiscard]] std::uint32_t take_popped_banks() {
+    return std::exchange(popped_banks_, 0u);
   }
 
   [[nodiscard]] const std::vector<CoordMsg>& outbox() const {
@@ -231,6 +246,9 @@ class MemoryController {
   // resets it to 0 (scan).  Derived state: reset on snapshot load, never
   // saved.
   Cycle cmd_wake_ = 0;
+  // See layout_epoch() and take_popped_banks().
+  std::uint64_t layout_epoch_ = 0;
+  std::uint32_t popped_banks_ = 0;
 
   bool write_mode_ = false;
   bool opportunistic_mode_ = false;

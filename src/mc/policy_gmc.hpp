@@ -42,6 +42,12 @@ class GmcPolicy : public TransactionScheduler {
   void schedule_reads(MemoryController& mc, Cycle now) override {
     auto& rq = mc.read_queue();
     if (rq.empty()) return;
+    // A scan that picked nothing repeats identically until the queues or
+    // tail rows change, or the oldest request crosses the age threshold.
+    if (mc.mutation_epoch() == idle_epoch_ &&
+        mc.layout_epoch() == idle_layout_ && now < idle_until_) {
+      return;
+    }
 
     // One pass: per bank, remember the queue position of the best
     // candidate in each priority class (positions are stable until we
@@ -100,6 +106,13 @@ class GmcPolicy : public TransactionScheduler {
       if (pick == kNone) pick = c.oldest;
       if (pick != kNone) picks[n_picks++] = pick;
     }
+    if (n_picks == 0) {
+      // The queue is in arrival order, so its front ages out first.
+      idle_epoch_ = mc.mutation_epoch();
+      idle_layout_ = mc.layout_epoch();
+      idle_until_ = rq.front().arrived_at_mc + cfg_.age_threshold + 1;
+      return;
+    }
     std::sort(picks.begin(), picks.begin() + n_picks);
     for (std::size_t i = n_picks; i-- > 0;) {
       auto it = rq.begin() + static_cast<std::ptrdiff_t>(picks[i]);
@@ -111,6 +124,13 @@ class GmcPolicy : public TransactionScheduler {
 
  private:
   GmcConfig cfg_;
+  // Idle-scan memo (derived, never saved): the controller epochs of the
+  // last scan that picked nothing and the cycle its oldest request ages
+  // out.  A snapshot load or teleport moves layout_epoch(), so the memo
+  // never survives one.
+  std::uint64_t idle_epoch_ = ~std::uint64_t{0};
+  std::uint64_t idle_layout_ = 0;
+  Cycle idle_until_ = 0;
 };
 
 }  // namespace latdiv

@@ -223,6 +223,7 @@ Simulator::Simulator(const SimConfig& cfg)
 void Simulator::audit_invariants() {
   for (const auto& part : partitions_) {
     invariant_checker_->audit_partition(*part, now_);
+    invariant_checker_->audit_hot_path(part->mc().channel(), now_);
   }
   std::size_t blocked = 0;
   for (const auto& sm : sms_) {

@@ -158,13 +158,14 @@ INSTANTIATE_TEST_SUITE_P(
 // crossbar head-target masks (WAFCFS turns on sticky grants, which test
 // one mask bit) and the controller's command wake.  Cutting at several
 // cycles — core-clock and DRAM-only ones alike — must not perturb a run.
+// The variant is a std::string, not a const char*, so the parameter gtest
+// prints into each test's listing is its text rather than an address.
 class CkptResumeDerived
-    : public ::testing::TestWithParam<std::tuple<const char*, std::uint32_t>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint32_t>> {
 };
 
 TEST_P(CkptResumeDerived, ResumeMatchesStraightThrough) {
-  const auto [variant, cuts] = GetParam();
-  const std::string v = variant;
+  const auto& [v, cuts] = GetParam();
   SimConfig cfg = scenario_cfg(
       v == "WAFCFS" ? SchedulerKind::kWafcfs : SchedulerKind::kWgW,
       "pointer-chase");
@@ -174,11 +175,52 @@ TEST_P(CkptResumeDerived, ResumeMatchesStraightThrough) {
 
 INSTANTIATE_TEST_SUITE_P(
     LrrAndSticky, CkptResumeDerived,
-    ::testing::Combine(::testing::Values("LRR", "WAFCFS"),
+    ::testing::Combine(::testing::Values(std::string("LRR"),
+                                         std::string("WAFCFS")),
                        ::testing::Values(5u, 6u)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_cuts" +
+      return std::get<0>(info.param) + "_cuts" +
              std::to_string(std::get<1>(info.param));
+    });
+
+// Loading rewinds a simulator that already ran past the snapshot: the
+// wakes it armed since (the SM's MSHR-deficit records, the WG selection
+// wake, the GMC idle-scan memo) are derived state and must not survive
+// the load, or the replayed stretch skips work the first pass did.
+class CkptRewind
+    : public ::testing::TestWithParam<std::tuple<SchedulerKind, std::string>> {
+};
+
+TEST_P(CkptRewind, LoadIntoARunSimulatorMatchesStraightRun) {
+  const auto [sched, scenario] = GetParam();
+  const SimConfig cfg = scenario_cfg(sched, scenario);
+  const RunResult straight = Simulator(cfg).run();
+
+  Simulator sim(cfg);
+  sim.run_to(cfg.max_cycles / 2);
+  const std::vector<unsigned char> snap = ckpt::save_snapshot(sim);
+  sim.run_to(cfg.max_cycles * 3 / 4);
+  ckpt::load_snapshot(sim, snap.data(), snap.size());
+  ASSERT_EQ(sim.now(), cfg.max_cycles / 2);
+  sim.run_to(cfg.max_cycles);
+  expect_same_result(straight, sim.finish());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SchedXScen, CkptRewind,
+    ::testing::Combine(::testing::Values(SchedulerKind::kGmc,
+                                         SchedulerKind::kWgW),
+                       ::testing::Values(std::string("pointer-chase"),
+                                         std::string("powerlaw-rows"),
+                                         std::string("threshold-compact"))),
+    [](const auto& info) {
+      std::string n = to_string(std::get<0>(info.param));
+      n += '_';
+      n += std::get<1>(info.param);
+      for (char& c : n) {
+        if (c == '-') c = '_';
+      }
+      return n;
     });
 
 // The config fingerprint excludes max_cycles: a snapshot taken in a short

@@ -18,6 +18,7 @@
 #include "ckpt/snapshot.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
+#include "workload/profile.hpp"
 
 namespace latdiv {
 namespace {
@@ -231,6 +232,80 @@ TEST(SamplingFanOut, SequentialPathMatchesRunner) {
   EXPECT_EQ(free_fn.instructions, direct.instructions);
   EXPECT_EQ(free_fn.detailed_cycles, direct.detailed_cycles);
   ASSERT_EQ(free_fn.windows.size(), direct.windows.size());
+}
+
+// ---------------------------------------------------------------------------
+// Golden windows: the full-size bh profile sampled at the latbench
+// sampled-long shape (360k cycles, 36k warm-up, default SMARTS schedule,
+// seed 1), fanned out over 2 jobs as latbench runs it and sequentially.
+// The windows start from functionally warmed caches and rows, so they are
+// the only tier-1 runs whose counters depend on how the SM's host-side
+// retry memos treat Sm::warm_line (DESIGN.md, "Hot path & determinism
+// contract").  The fan-out warms right after a snapshot load, the
+// sequential runner warms warps that already failed loads; each path
+// catches a different memo rule.  The sums are pinned exactly.
+
+struct WindowSums {
+  std::uint64_t windows, detailed_cycles, warm_instructions, cycles,
+      instructions, dram_reads, dram_writes, dram_activates, bus_busy;
+};
+
+WindowSums sampled_bh(SchedulerKind sched, unsigned jobs) {
+  SimConfig cfg;
+  cfg.workload = profile_by_name("bh");
+  cfg.scheduler = sched;
+  cfg.max_cycles = 360'000;
+  cfg.warmup_cycles = 36'000;
+  cfg.seed = 1;
+  const ckpt::SampledResult r =
+      ckpt::run_sampled(cfg, ckpt::SamplingConfig{}, jobs);
+  WindowSums s{r.windows.size(), r.detailed_cycles, r.warm_instructions,
+               0, 0, 0, 0, 0, 0};
+  for (const ckpt::SampledWindow& w : r.windows) {
+    s.cycles += w.cycles;
+    s.instructions += w.instructions;
+    s.dram_reads += w.dram_reads;
+    s.dram_writes += w.dram_writes;
+    s.dram_activates += w.dram_activates;
+    s.bus_busy += w.data_bus_busy_cycles;
+  }
+  return s;
+}
+
+void expect_sums(const WindowSums& got, const WindowSums& want) {
+  EXPECT_EQ(got.windows, want.windows);
+  EXPECT_EQ(got.detailed_cycles, want.detailed_cycles);
+  EXPECT_EQ(got.warm_instructions, want.warm_instructions);
+  EXPECT_EQ(got.cycles, want.cycles);
+  EXPECT_EQ(got.instructions, want.instructions);
+  EXPECT_EQ(got.dram_reads, want.dram_reads);
+  EXPECT_EQ(got.dram_writes, want.dram_writes);
+  EXPECT_EQ(got.dram_activates, want.dram_activates);
+  EXPECT_EQ(got.bus_busy, want.bus_busy);
+}
+
+TEST(SamplingGolden, BhWgWWindowsMatchPinnedSums) {
+  expect_sums(sampled_bh(SchedulerKind::kWgW, 2),
+              {3, 36'000, 272'832, 24'000, 18'900, 16'767, 3'560, 13'851,
+               40'654});
+}
+
+TEST(SamplingGolden, BhGmcWindowsMatchPinnedSums) {
+  expect_sums(sampled_bh(SchedulerKind::kGmc, 2),
+              {3, 36'000, 260'400, 24'000, 18'157, 15'373, 3'241, 13'904,
+               37'228});
+}
+
+TEST(SamplingGolden, BhWgWSequentialWindowsMatchPinnedSums) {
+  expect_sums(sampled_bh(SchedulerKind::kWgW, 1),
+              {3, 36'000, 254'664, 24'000, 19'168, 16'614, 3'534, 13'812,
+               40'296});
+}
+
+TEST(SamplingGolden, BhGmcSequentialWindowsMatchPinnedSums) {
+  expect_sums(sampled_bh(SchedulerKind::kGmc, 1),
+              {3, 36'000, 244'296, 24'000, 18'442, 15'338, 3'195, 13'883,
+               37'066});
 }
 
 // ---------------------------------------------------------------------------

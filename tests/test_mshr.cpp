@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "cache/cache.hpp"
+
 namespace latdiv {
 namespace {
 
@@ -73,6 +79,86 @@ TEST(Mshr, StallCounter) {
   m.count_stall();
   m.count_stall();
   EXPECT_EQ(m.stats().stalls_full, 2u);
+}
+
+// The SM's MSHR-deficit wake (Sm::issue_memory) rests on one property of
+// an L1 plus its MSHR file: for a fixed line set, the classify deficit
+// (new fetches minus free entries) plus the number of releases never
+// decreases.  A release frees one entry and its fill may evict one of the
+// set's hits; other requesters' allocations and merges, LRU touches and
+// store invalidates never lower the deficit.  Random event streams over a
+// small, eviction-heavy cache check it for several line sets at once.
+TEST(MshrDeficit, DropsByAtMostOnePerRelease) {
+  constexpr Addr kLine = 128;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    std::uint64_t state = seed;
+    auto below = [&state](std::uint64_t n) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      return (state >> 33) % n;
+    };
+    Cache l1(CacheConfig{4 * 2 * kLine, kLine, 2});  // 4 sets x 2 ways
+    MshrFile mshr(MshrConfig{6, 3});
+    std::vector<Addr> pool;
+    for (Addr i = 0; i < 24; ++i) pool.push_back(i * kLine);
+
+    // Distinct lines, like a coalesced access.
+    std::vector<std::vector<Addr>> sets(4);
+    for (auto& set : sets) {
+      const std::uint64_t n = 1 + below(6);
+      while (set.size() < n) {
+        const Addr line = pool[below(24)];
+        if (std::find(set.begin(), set.end(), line) == set.end()) {
+          set.push_back(line);
+        }
+      }
+    }
+    auto deficit = [&](const std::vector<Addr>& set) {
+      std::int64_t fresh = 0;
+      for (const Addr line : set) {
+        if (!l1.probe(line) && !mshr.tracking(line)) ++fresh;
+      }
+      return fresh - static_cast<std::int64_t>(mshr.free_entries());
+    };
+
+    std::vector<Addr> tracked;
+    std::int64_t releases = 0;
+    std::vector<std::int64_t> floor(sets.size());
+    for (std::size_t i = 0; i < sets.size(); ++i) floor[i] = deficit(sets[i]);
+    for (int step = 0; step < 4000; ++step) {
+      const Addr line = pool[below(24)];
+      switch (below(5)) {
+        case 0:
+        case 1:  // another warp's load: allocate or merge on a miss
+          if (!l1.touch(line) && mshr.can_accept(line) &&
+              mshr.add(line, req_for(line))) {
+            tracked.push_back(line);
+          }
+          break;
+        case 2:  // LRU touch only
+          (void)l1.touch(line);
+          break;
+        case 3:  // a fill: install (maybe evicting), then release
+          if (!tracked.empty()) {
+            const std::size_t k = below(tracked.size());
+            const Addr done = tracked[k];
+            tracked.erase(tracked.begin() + static_cast<std::ptrdiff_t>(k));
+            (void)l1.fill(done);
+            (void)mshr.release(done);
+            ++releases;
+          }
+          break;
+        default:  // a store's write-evict
+          (void)l1.invalidate(line);
+          break;
+      }
+      for (std::size_t i = 0; i < sets.size(); ++i) {
+        const std::int64_t now = deficit(sets[i]) + releases;
+        ASSERT_GE(now, floor[i]) << "seed " << seed << " step " << step;
+        floor[i] = now;
+      }
+    }
+    EXPECT_GT(releases, 100) << "stream too quiet to exercise evictions";
+  }
 }
 
 TEST(MshrDeath, AddBeyondCapacityAborts) {

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "dram/params.hpp"
@@ -127,6 +128,46 @@ WgPolicy::Score ref_score(const MemoryController& mc, const WgConfig& cfg,
   return out;
 }
 
+/// Reference selection outcome: would a warp-group be selected from the
+/// read queue right now?  Mirrors the selection rules (WG-W unit tier,
+/// BASJF over complete groups that fit and respect the stream hysteresis,
+/// liveness fallback under pressure or age) straight from the queues.
+bool ref_selects(const MemoryController& mc, const WgConfig& cfg,
+                 const std::set<WarpInstrUid>& complete, Cycle now) {
+  const auto& rq = mc.read_queue();
+  const std::size_t depth = mc.config().bank_queue_depth;
+  const bool write_pressure =
+      cfg.write_aware && !mc.in_write_drain() &&
+      mc.write_queue().size() + cfg.wq_guard >= mc.config().wq_high_watermark;
+  bool any_fallback = false;
+  Cycle fallback_oldest = kNoCycle;
+  for (const WarpInstrUid instr : ref_candidate_order(mc)) {
+    const auto pending = ref_pending(mc, instr);
+    std::map<BankId, std::vector<const MemRequest*>> by_bank;
+    for (const MemRequest& r : pending) by_bank[r.loc.bank].push_back(&r);
+    bool room = true;
+    bool drained = true;
+    for (const auto& [bank, reqs] : by_bank) {
+      const std::size_t queued = mc.bank_queue_size(bank);
+      if (queued + std::min(reqs.size(), depth) > depth) room = false;
+      if (queued != 0 && mc.predicted_row(bank) != reqs.front()->loc.row) {
+        drained = false;
+      }
+    }
+    const bool done = complete.count(instr) != 0;
+    if (done && room && (drained || (write_pressure && pending.size() == 1))) {
+      return true;
+    }
+    if (room) {
+      any_fallback = true;
+      fallback_oldest = std::min(fallback_oldest, pending.front().arrived_at_mc);
+    }
+  }
+  // WgPolicy's read-queue pressure threshold: within 4 entries of full.
+  const bool pressure = rq.size() + 4 >= rq.capacity();
+  return any_fallback && (pressure || now - fallback_oldest >= cfg.fallback_age);
+}
+
 // ---- the differential harness -----------------------------------------
 
 struct DiffHarness {
@@ -210,13 +251,20 @@ struct DiffHarness {
 };
 
 /// Drive `cycles` of randomized traffic through the controller, checking
-/// the index and the scores after every cycle.
-void run_differential(WgConfig cfg, std::uint64_t seed, Cycle cycles) {
+/// the index and the scores after every cycle.  Every cycle that starts
+/// with no selected group also checks the selection outcome against
+/// ref_selects: a group is selected exactly when the reference selects
+/// one, so a selection the wake (or the epoch memo) sleeps through fails
+/// the test.  `writes` mixes in write traffic (WG-W pressure, drains).
+void run_differential(WgConfig cfg, std::uint64_t seed, Cycle cycles,
+                      bool writes = false) {
   DiffHarness h(cfg);
   Lcg rng{seed};
   WarpInstrUid next_uid = 1;
   // Open groups: uid -> remaining requests to emit before completion.
   std::map<WarpInstrUid, std::pair<WarpTag, std::uint32_t>> open;
+  std::set<WarpInstrUid> complete;
+  std::uint64_t armed_cycles = 0;
 
   for (Cycle now = 0; now < cycles; ++now) {
     // Maybe start a new group (up to 8 requests over up to 4 banks).
@@ -243,6 +291,7 @@ void run_differential(WgConfig cfg, std::uint64_t seed, Cycle cycles) {
         // All requests arrived: complete the group (sometimes late).
         if (rng.below(2) == 0) {
           h.mc.notify_group_complete(entry.first, now);
+          complete.insert(uid);
           it = open.erase(it);
           continue;
         }
@@ -259,11 +308,31 @@ void run_differential(WgConfig cfg, std::uint64_t seed, Cycle cycles) {
       h.mc.deliver_coordination(msg, now);
     }
 
+    if (writes && h.mc.can_accept_write() && rng.below(3) == 0) {
+      MemRequest w = make_read(static_cast<BankId>(rng.below(16)),
+                               1 + rng.below(3), rng.below(64), 0);
+      w.kind = ReqKind::kWrite;
+      h.mc.push(w, now);
+    }
+
+    // Compared only when the cycle stays in read mode: a drain flip
+    // during the tick changes what the selection sees.
+    const bool idle =
+        !h.wg->current().has_value() && !h.mc.in_write_drain();
+    const bool want = idle && ref_selects(h.mc, cfg, complete, now);
+    const bool was_armed = h.wg->wake_armed();
+    const std::uint64_t selected = h.wg->wg_stats()->groups_selected;
     h.mc.tick(now);
+    if (idle && !h.mc.in_write_drain()) {
+      const bool got = h.wg->wg_stats()->groups_selected != selected;
+      ASSERT_EQ(got, want) << "cycle " << now << (was_armed ? " (armed)" : "");
+      if (was_armed) ++armed_cycles;
+    }
     h.check_index();
     h.check_scores();
     if (::testing::Test::HasFatalFailure()) return;
   }
+  EXPECT_GT(armed_cycles, 0u) << "the stream never armed the wake";
 }
 
 TEST(WgIncremental, DifferentialWg) {
@@ -296,6 +365,15 @@ TEST(WgIncremental, DifferentialWgShared) {
   cfg.merb = true;
   cfg.shared_data_boost = true;
   run_differential(cfg, 0x2468, 1500);
+}
+
+TEST(WgIncremental, DifferentialWgWWithWrites) {
+  // Write traffic turns WG-W's write pressure on and off and starts
+  // drains, so the wake also sees pressure flips and drain-mode changes.
+  WgConfig cfg;
+  cfg.merb = true;
+  cfg.write_aware = true;
+  run_differential(cfg, 0x7531, 3000, /*writes=*/true);
 }
 
 TEST(WgIncremental, DifferentialShortFallbackAge) {
