@@ -58,11 +58,13 @@ void InvariantChecker::audit_controller(const MemoryController& mc,
   std::uint64_t bankq_total = 0;
   std::uint64_t bankq_reads = 0;
   std::uint64_t bankq_writes = 0;
+  std::uint64_t nonempty_banks = 0;
   for (BankId b = 0; b < static_cast<BankId>(t.banks); ++b) {
     const auto& q = mc.bank_queue(b);
     expect_le(q.size(), mc.config().bank_queue_depth, now, "bankq-bound",
               "bank queue depth within configured bound");
     bankq_total += q.size();
+    if (!q.empty()) ++nonempty_banks;
     for (const MemRequest& req : q) {
       if (req.kind == ReqKind::kRead) {
         ++bankq_reads;
@@ -73,6 +75,8 @@ void InvariantChecker::audit_controller(const MemoryController& mc,
   }
   expect_eq(mc.commands_pending(), bankq_total, now, "cmdq-count",
             "commands_pending() == sum of bank queue sizes");
+  expect_eq(mc.banks_with_work(), nonempty_banks, now, "mc-nonempty-banks",
+            "banks_with_work() == number of non-empty bank queues");
   expect_le(mc.read_queue().size(), mc.read_queue().capacity(), now,
             "readq-bound", "read queue within capacity");
   expect_le(mc.write_queue().size(), mc.write_queue().capacity(), now,

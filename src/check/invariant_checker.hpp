@@ -15,6 +15,7 @@
 //                channel WR commands == writes_served
 //                commands_pending() == sum of bank-queue depths, each
 //                within its configured bound (no silent overflow)
+//                banks_with_work() == number of non-empty bank queues
 //   partition:   L2 MSHR allocations == releases + outstanding (no leak)
 //                outstanding MSHR lines == controller reads outstanding
 //                                           + fills awaiting install

@@ -193,6 +193,8 @@ struct HeapAccess : PQ {
   }
 };
 
+/// A warp-group's primary fields; its per-bank slots are index state that
+/// WgPolicy::on_load rebuilds from the read queue.
 template <class Ar>
 void io_wg_meta(Ar& ar, WgGroupMeta& meta) {
   io_tag(ar, meta.tag);
@@ -201,15 +203,6 @@ void io_wg_meta(Ar& ar, WgGroupMeta& meta) {
   ar.u32(meta.pushed);
   ar.u32(meta.coord_bonus);
   ar.b(meta.complete);
-  io_seq(ar, meta.slots, [&ar](WgGroupMeta::BankSlot& slot) {
-    ar.u8(slot.bank);
-    io_seq(ar, slot.items, [&ar](WgGroupMeta::QueuedReq& qr) {
-      ar.u64(qr.seq);
-      ar.u64(qr.arrival);
-      ar.u32(qr.row);
-    });
-  });
-  ar.b(meta.in_active);
 }
 
 }  // namespace
@@ -464,9 +457,6 @@ void MemoryController::ckpt_io(Ar& ar) {
   }
   for (auto& row : bank_tail_row_) ar.u32(row);
   for (auto& streak : bank_tail_streak_) ar.u32(streak);
-  io_size(ar, cmdq_total_);
-  ar.u32(nonempty_banks_);
-  ar.u64(mutation_epoch_);
   ar.b(write_mode_);
   ar.b(opportunistic_mode_);
   ar.u32(rr_group_);
@@ -495,6 +485,29 @@ void MemoryController::ckpt_io(Ar& ar) {
     policy_->ckpt_save(ar);
   } else {
     policy_->ckpt_load(ar);
+    // Scheduling indexes requests by bank (and WG by 1u << bank); a
+    // corrupt snapshot must not index past them.
+    const auto check = [this](const MemRequest& req) {
+      if (req.loc.bank >= bank_q_.size()) {
+        throw ckpt::CkptError(
+            "snapshot corrupt: controller request for an unknown bank");
+      }
+      if (req.loc.channel != id_) {
+        throw ckpt::CkptError(
+            "snapshot corrupt: controller request for another channel");
+      }
+    };
+    for (const MemRequest& req : read_q_) check(req);
+    for (const MemRequest& req : write_q_) check(req);
+    for (const Inflight& f : heap) check(f.req);
+    cmdq_total_ = 0;
+    nonempty_banks_ = 0;
+    for (const auto& q : bank_q_) {
+      for (const MemRequest& req : q) check(req);
+      cmdq_total_ += q.size();
+      if (!q.empty()) ++nonempty_banks_;
+    }
+    policy_->on_load(*this);
     cmd_wake_ = 0;
     ++layout_epoch_;
   }
@@ -544,6 +557,9 @@ void ZldCoordinator::ckpt_io(Ar& ar) {
 
 template <class Ar>
 void WgPolicy::ckpt_io(Ar& ar) {
+  // Primary state only: the read-queue index (slots, active_,
+  // row_counts_, census_, next_seq_) is rebuilt by on_load, and the
+  // selection wake is derived.
   if constexpr (Ar::kIsWriter) {
     // Collect-then-sort (classic iterator loop over the unordered map;
     // the archive only sees the sorted walk).
@@ -582,87 +598,6 @@ void WgPolicy::ckpt_io(Ar& ar) {
       current_ = uid;
     } else {
       current_.reset();
-    }
-  }
-  // active_ travels as a uid list in vector order; the meta pointers are
-  // rebuilt against the freshly loaded group table.
-  if constexpr (Ar::kIsWriter) {
-    std::uint64_t n = active_.size();
-    ar.u64(n);
-    for (auto& entry : active_) ar.u64(entry.first);
-  } else {
-    active_.clear();
-    std::uint64_t n = 0;
-    ar.u64(n);
-    active_.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-      WarpInstrUid uid = 0;
-      ar.u64(uid);
-      auto it = groups_.find(uid);
-      if (it == groups_.end()) {
-        throw ckpt::CkptError(
-            "snapshot corrupt: active warp-group not in the group table");
-      }
-      active_.emplace_back(uid, &it->second);
-    }
-  }
-  ar.u64(next_seq_);
-  ar.u64(skip_epoch_);
-  ar.u64(skip_until_);
-  // row_counts_ / census_ (WG-Bw / shared-boost indexes): sorted-key walk
-  // like groups_ above.
-  if constexpr (Ar::kIsWriter) {
-    std::vector<std::uint64_t> keys;
-    keys.reserve(row_counts_.size());
-    for (auto it = row_counts_.begin(); it != row_counts_.end(); ++it) {
-      keys.push_back(it->first);
-    }
-    std::sort(keys.begin(), keys.end());
-    std::uint64_t n = keys.size();
-    ar.u64(n);
-    for (std::uint64_t key : keys) {
-      ar.u64(key);
-      ar.u32(row_counts_.at(key));
-    }
-  } else {
-    row_counts_.clear();
-    std::uint64_t n = 0;
-    ar.u64(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      std::uint64_t key = 0;
-      ar.u64(key);
-      ar.u32(row_counts_[key]);
-    }
-  }
-  if constexpr (Ar::kIsWriter) {
-    std::vector<std::uint32_t> keys;
-    keys.reserve(census_.size());
-    for (auto it = census_.begin(); it != census_.end(); ++it) {
-      keys.push_back(it->first);
-    }
-    std::sort(keys.begin(), keys.end());
-    std::uint64_t n = keys.size();
-    ar.u64(n);
-    for (std::uint32_t key : keys) {
-      ar.u32(key);
-      io_seq(ar, census_.at(key),
-             [&ar](std::pair<WarpInstrUid, std::uint32_t>& e) {
-               ar.u64(e.first);
-               ar.u32(e.second);
-             });
-    }
-  } else {
-    census_.clear();
-    std::uint64_t n = 0;
-    ar.u64(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      std::uint32_t key = 0;
-      ar.u32(key);
-      io_seq(ar, census_[key],
-             [&ar](std::pair<WarpInstrUid, std::uint32_t>& e) {
-               ar.u64(e.first);
-               ar.u32(e.second);
-             });
     }
   }
   io_seq(ar, recent_msgs_, [&ar](RecentMsg& m) {

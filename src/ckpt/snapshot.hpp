@@ -2,15 +2,15 @@
 //
 // A snapshot is a byte-portable image of everything that determines the
 // rest of a run: SM/warp/MSHR state, crossbar and coordination queues,
-// controller queues (including the warp-group policy's private index),
-// per-bank DRAM timing state, instruction-source cursors and RNG streams,
+// controller queues (and the warp-group policy's group table), per-bank
+// DRAM timing state, instruction-source cursors and RNG streams,
 // checker shadow state and observability buffers.  The determinism
 // contract, enforced by tests/test_ckpt.cpp and CI: constructing a fresh
 // Simulator from the same SimConfig, loading a snapshot taken at cycle C,
 // and running to the end produces a RunResult (and obs artifacts)
 // byte-identical to the run that never paused.
 //
-// File layout ("LDSN" format, version 2):
+// File layout ("LDSN" format, version 3):
 //
 //   header (24 bytes, all multi-byte fields little-endian):
 //     magic "LDSN", u32 version, u32 config fingerprint, u64 cycle,
@@ -50,7 +50,7 @@ struct SimConfig;
 
 namespace latdiv::ckpt {
 
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 inline constexpr std::size_t kSnapshotHeaderBytes = 24;
 
 /// CRC-32 over the curated configuration fields above.  Two configs with

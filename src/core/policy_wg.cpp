@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "ckpt/error.hpp"
 #include "common/log.hpp"
 
 namespace latdiv {
@@ -98,6 +99,41 @@ void WgPolicy::index_remove(WgGroupMeta& meta, const MemRequest& req) {
                   "index_remove: census count underflow");
     if (--uit->second == 0) users.erase(uit);
     if (users.empty()) census_.erase(kit);
+  }
+}
+
+void WgPolicy::on_load(MemoryController& mc) {
+  // ckpt_load left a fresh group table with empty slots.  Replaying the
+  // queue renumbers seq from 0: relative order survives, and nothing
+  // compares seq values across a load (the wake that holds one is due).
+  active_.clear();
+  row_counts_.clear();
+  census_.clear();
+  next_seq_ = 0;
+  if (current_ && groups_.count(*current_) == 0) {
+    throw ckpt::CkptError(
+        "snapshot corrupt: selected warp-group not in the group table");
+  }
+  for (const MemRequest& req : mc.read_queue()) {
+    const auto it = groups_.find(req.tag.instr);
+    if (it == groups_.end()) {
+      throw ckpt::CkptError(
+          "snapshot corrupt: queued read of a warp-group not in the group "
+          "table");
+    }
+    index_add(it->second, req);
+  }
+  // lint: unordered-iter-ok (any-of check; the error names no group)
+  for (const auto& [instr, meta] : groups_) {
+    std::size_t indexed = 0;
+    for (const WgGroupMeta::BankSlot& slot : meta.slots) {
+      indexed += slot.items.size();
+    }
+    if (indexed != meta.queued()) {
+      throw ckpt::CkptError(
+          "snapshot corrupt: warp-group request count disagrees with the "
+          "read queue");
+    }
   }
 }
 
@@ -303,23 +339,17 @@ WgPolicy::Cand WgPolicy::make_cand(const MemoryController& mc,
 }
 
 void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
-  auto& rq = mc.read_queue();
-  const std::uint64_t epoch = mc.mutation_epoch();
-  if (skip_epoch_ == epoch && now < skip_until_) return;
-  if (wake_.armed && now < skip_until_ && !wake_due(mc)) return;
+  if (wake_.armed && now < wake_.until && !wake_due(mc)) return;
   wake_.armed = false;
-  if (rq.empty()) {
-    skip_epoch_ = epoch;
-    skip_until_ = kNoCycle;  // only new state can change the answer
-    return;
-  }
 
   // Candidates come from the incremental per-group index (one entry per
   // group with queued requests), in no particular order: every selection
   // rule below ends on (oldest, head_seq), which reproduces the read
   // queue's first-occurrence order as the final tie-breaker.  Nothing
   // mutates the bank queues during a selection, so the candidates' fit
-  // masks stay valid throughout.
+  // masks stay valid throughout.  An empty read queue yields no
+  // candidates and arms the wake below; its first request then wakes it
+  // (see on_push).
   cands_.clear();
   for (std::size_t i = 0; i < active_.size();) {
     const WarpInstrUid instr = active_[i].first;
@@ -354,7 +384,6 @@ void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
     }
     if (best != nullptr) {
       current_ = best->instr;
-      skip_epoch_ = ~std::uint64_t{0};
       ++stats_.groups_selected;
       ++stats_.writeaware_selections;
       stats_.group_size.add(best->meta->seen);
@@ -414,6 +443,7 @@ void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
     // No fully-formed warp-group.  Liveness fallback: under queue pressure
     // or age limit, drain the group holding the oldest request so the
     // remaining members of other groups can reach the controller.
+    const auto& rq = mc.read_queue();
     const bool pressure = rq.size() + kRqPressureSlack >= rq.capacity();
     const Cand* oldest = nullptr;
     for (const Cand& c : cands_) {
@@ -421,21 +451,16 @@ void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
       if (oldest == nullptr || older(c, *oldest)) oldest = &c;
     }
     if (oldest == nullptr) {
-      // Every candidate waits on bank space; only a state change helps.
-      skip_epoch_ = epoch;
-      skip_until_ = kNoCycle;
+      // No candidate fits (or none is queued): only a state change helps.
       arm_wake(mc, nullptr, pressure);
       return;
     }
     if (!pressure && now - oldest->oldest < cfg_.fallback_age) {
       // Time alone can flip this outcome: wake when the age bound hits.
-      skip_epoch_ = epoch;
-      skip_until_ = oldest->oldest + cfg_.fallback_age;
       arm_wake(mc, oldest, pressure);
       return;
     }
     current_ = oldest->instr;
-    skip_epoch_ = ~std::uint64_t{0};
     ++stats_.groups_selected;
     ++stats_.fallback_selections;
     stats_.group_size.add(oldest->meta->seen);
@@ -443,7 +468,6 @@ void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
   }
 
   current_ = best->instr;
-  skip_epoch_ = ~std::uint64_t{0};
   ++stats_.groups_selected;
   stats_.group_size.add(best->meta->seen);
   if (cfg_.multi_channel) {
@@ -495,6 +519,7 @@ void WgPolicy::arm_wake(MemoryController& mc, const Cand* fallback,
   if (fallback != nullptr) {
     wake_.fb_oldest = fallback->oldest;
     wake_.fb_seq = fallback->head_seq;
+    wake_.until = fallback->oldest + cfg_.fallback_age;
   }
   (void)mc.take_popped_banks();  // this selection already saw them
   completed_.clear();

@@ -83,7 +83,8 @@ struct WgConfig {
 /// index: one entry per request of the group still waiting in the
 /// controller's read queue, grouped by bank and kept in arrival order.
 /// WgPolicy maintains it in on_push and at every read-queue erase, so
-/// selection and scoring never rescan the read queue.
+/// selection and scoring never rescan the read queue; a snapshot holds
+/// only the fields above the index, which on_load rebuilds.
 struct WgGroupMeta {
   WarpTag tag;
   Cycle first_arrival = kNoCycle;
@@ -190,12 +191,20 @@ class WgPolicy final : public TransactionScheduler {
   /// run since.
   [[nodiscard]] bool wake_armed() const { return wake_.armed; }
 
-  /// Snapshot serialization (src/ckpt): the warp sorter, the incremental
-  /// read-queue index, the select-skip memo and stats all round-trip;
-  /// merb_ is a pure function of the DRAM timing and is rebuilt at
-  /// construction.
+  /// Snapshot serialization (src/ckpt): only the warp sorter's primary
+  /// state — each group's tag, arrival, counters, WG-M bonus and
+  /// completion flag — plus the selected group, the WG-M message window
+  /// and stats.  The incremental read-queue index mirrors the
+  /// controller's read queue and is rebuilt from it by on_load; the
+  /// selection wake is derived and never saved; merb_ is a pure function
+  /// of the DRAM timing and is rebuilt at construction.
   void ckpt_save(ckpt::CkptWriter& ar) const override;
   void ckpt_load(ckpt::CkptReader& ar) override;
+  /// Rebuild the index by replaying mc.read_queue() through index_add;
+  /// throws ckpt::CkptError if a queued read's group is not in the table,
+  /// a group's queued count is not `seen - pushed`, or the selected group
+  /// is unknown.
+  void on_load(MemoryController& mc) override;
 
  private:
   /// Shared save/load body behind ckpt_save/ckpt_load (src/ckpt owns the
@@ -265,28 +274,21 @@ class WgPolicy final : public TransactionScheduler {
   /// can be reconstructed from the index alone.
   std::uint64_t next_seq_ = 0;
 
-  // Select-skip memo: when select_next_group fails, it records the
-  // controller mutation epoch (and, for age-gated fallback failures, the
-  // cycle the age bound is reached).  Until either changes, re-running
-  // the selection is provably futile and is skipped.
-  std::uint64_t skip_epoch_ = ~std::uint64_t{0};
-  Cycle skip_until_ = 0;
-
-  // Selection wake (derived, never saved).  The epoch memo above wakes on
-  // every controller mutation; most of them — pushes, and pops or
-  // completions of groups that still cannot fit — cannot change a failed
-  // answer.  Armed by a failed selection, the wake lets the next one run
-  // only when:
+  // Selection wake (derived, never saved).  Most controller mutations —
+  // pushes, and pops or completions of groups that still cannot fit —
+  // cannot change a failed answer.  Armed by a failed selection (an
+  // empty read queue included), the wake lets the next one run only
+  // when:
   //   * layout_epoch() moves (send, drain flip, teleport, load);
   //   * read-queue or WG-W write pressure turns on;
   //   * a CAS pops a bank that blocks a watched group, or a group
   //     completes, and that group now fits (see wakes());
   //   * with no fallback candidate, a request reaches a group that had
-  //     none queued (a new fallback candidate, and with it an age bound).
-  // The age bound itself stays with skip_until_.  A snapshot load or a
-  // teleport moves layout_epoch(), so the wake fires before any watch
-  // (whose meta pointer a load invalidates) is read, and the next failed
-  // selection re-arms it from scratch.
+  //     none queued (a new fallback candidate, and with it an age bound);
+  //   * the fallback candidate reaches the age bound (`until`).
+  // A snapshot load or a teleport moves layout_epoch(), so the wake fires
+  // before any watch (whose meta pointer a load invalidates) is read, and
+  // the next failed selection re-arms it from scratch.
   struct Watch {
     WarpInstrUid instr;
     const WgGroupMeta* meta;
@@ -302,6 +304,9 @@ class WgPolicy final : public TransactionScheduler {
     /// an older group that starts to fit can move the age bound.
     Cycle fb_oldest = kNoCycle;
     std::uint64_t fb_seq = ~std::uint64_t{0};
+    /// The fallback's age bound: from then on time alone can flip the
+    /// answer (kNoCycle = only an event can).
+    Cycle until = kNoCycle;
     std::uint32_t banks = 0;  ///< union of watches_[].banks
   };
   Wake wake_;

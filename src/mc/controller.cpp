@@ -84,7 +84,6 @@ void MemoryController::push(MemRequest req, Cycle now) {
 }
 
 void MemoryController::notify_group_complete(const WarpTag& tag, Cycle now) {
-  ++mutation_epoch_;
   policy_->on_group_complete(*this, tag, now);
 }
 

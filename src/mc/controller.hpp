@@ -151,15 +151,14 @@ class MemoryController {
     return nonempty_banks_;
   }
 
-  // --- change tracking (policy select-skip memo) ---
-  /// Bumped on every controller-state change that can turn a failed
-  /// warp-group selection into a successful one: request-queue pushes and
-  /// pulls, bank-queue pushes, CAS pops, drain-mode flips and
-  /// group-completion deliveries.  ACT/PRE/REF and coordination messages
-  /// do not bump it: they change only the open row and score bonuses,
-  /// which enter scoring but never the failed answer (DESIGN.md, "Hot
-  /// path & determinism contract").  A selection that failed at epoch E
-  /// cannot succeed at epoch E unless time alone changes the answer.
+  // --- change tracking (policy wakes and memos) ---
+  /// Bumped on every controller-state change that can change a GMC row
+  /// sorter scan that picked nothing: request-queue pushes and pulls,
+  /// bank-queue pushes, CAS pops and drain-mode flips.  ACT/PRE/REF,
+  /// group completions and coordination messages do not bump it
+  /// (DESIGN.md, "Hot path & determinism contract").  Derived state:
+  /// never saved; a load moves layout_epoch(), which the GMC memo also
+  /// keys on.
   [[nodiscard]] std::uint64_t mutation_epoch() const {
     return mutation_epoch_;
   }
@@ -191,7 +190,9 @@ class MemoryController {
 
   /// Snapshot serialization of queues, drain state, DRAM timing state and
   /// the policy's private state (src/ckpt); the callback and hub wiring
-  /// come from construction.
+  /// come from construction.  Load rejects requests outside this
+  /// channel's banks, recounts the bank-queue counters and lets the
+  /// policy rebuild its indexes (TransactionScheduler::on_load).
   template <class Ar>
   void ckpt_io(Ar& ar);
 
@@ -233,11 +234,11 @@ class MemoryController {
   // arrays, so splitting them keeps the scanned array dense in cache.
   std::vector<RowId> bank_tail_row_;
   std::vector<std::uint32_t> bank_tail_streak_;
+  // Counts over bank_q_ (derived: recounted on snapshot load).
   std::size_t cmdq_total_ = 0;
   std::uint32_t nonempty_banks_ = 0;
 
-  // Change counter for the policy-side select-skip memo (see
-  // mutation_epoch()).
+  // See mutation_epoch().
   std::uint64_t mutation_epoch_ = 0;
 
   // Command wake: after a scan of the bank heads issues nothing, the

@@ -85,12 +85,18 @@ class TransactionScheduler {
   /// src/ (latbench's traced policy) override it.
   [[nodiscard]] virtual bool quiescent() const { return true; }
 
-  /// Snapshot hooks (src/ckpt).  Policies with cross-cycle private state
-  /// override both sides (WgPolicy); stateless schedulers — everything
-  /// that decides purely from the controller's queues and bank state —
-  /// inherit the no-ops and round-trip through a snapshot for free.
+  /// Snapshot hooks (src/ckpt).  A snapshot holds only primary state:
+  /// what no other saved field determines.  Policies with such private
+  /// state override both sides (WgPolicy's warp-group table); stateless
+  /// schedulers — everything that decides purely from the controller's
+  /// queues and bank state — inherit the no-ops and round-trip through a
+  /// snapshot for free.
   virtual void ckpt_save(ckpt::CkptWriter&) const {}
   virtual void ckpt_load(ckpt::CkptReader&) {}
+  /// Called by the controller right after ckpt_load, once its own queues
+  /// are loaded: rebuild any index derived from them, and throw
+  /// ckpt::CkptError if the loaded private state contradicts them.
+  virtual void on_load(MemoryController&) {}
 };
 
 }  // namespace latdiv

@@ -12,15 +12,20 @@
 // refusals — every failure is a pinned message, never silent UB.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/snapshot.hpp"
 #include "common/crc32.hpp"
 #include "common/endian.hpp"
+#include "core/policy_wg.hpp"
 #include "exp/executor.hpp"
 #include "mc/policy_gmc.hpp"
 #include "scenario/scenario.hpp"
@@ -186,7 +191,9 @@ INSTANTIATE_TEST_SUITE_P(
 // Loading rewinds a simulator that already ran past the snapshot: the
 // wakes it armed since (the SM's MSHR-deficit records, the WG selection
 // wake, the GMC idle-scan memo) are derived state and must not survive
-// the load, or the replayed stretch skips work the first pass did.
+// the load, or the replayed stretch skips work the first pass did.  The
+// WG read-queue index is rebuilt on load; WG-Bw and WG-Sh are the only
+// users of its row counts and shared-row census.
 class CkptRewind
     : public ::testing::TestWithParam<std::tuple<SchedulerKind, std::string>> {
 };
@@ -209,7 +216,9 @@ TEST_P(CkptRewind, LoadIntoARunSimulatorMatchesStraightRun) {
 INSTANTIATE_TEST_SUITE_P(
     SchedXScen, CkptRewind,
     ::testing::Combine(::testing::Values(SchedulerKind::kGmc,
-                                         SchedulerKind::kWgW),
+                                         SchedulerKind::kWgW,
+                                         SchedulerKind::kWgBw,
+                                         SchedulerKind::kWgShared),
                        ::testing::Values(std::string("pointer-chase"),
                                          std::string("powerlaw-rows"),
                                          std::string("threshold-compact"))),
@@ -388,6 +397,42 @@ class CkptErrors : public ::testing::Test {
     put_le32(bytes.data() + 20, crc32(bytes.data(), 20));
   }
 
+  /// Payload offset and length of section `tag` (throws if absent).
+  static std::pair<std::size_t, std::size_t> section(
+      const std::vector<unsigned char>& bytes, const char* tag) {
+    std::size_t pos = ckpt::kSnapshotHeaderBytes;
+    while (pos + 8 <= bytes.size()) {
+      const std::size_t len = get_le32(bytes.data() + pos + 4);
+      if (std::memcmp(bytes.data() + pos, tag, 4) == 0) return {pos + 8, len};
+      pos += 8 + len + 4;
+    }
+    throw std::runtime_error(std::string("no section ") + tag);
+  }
+
+  /// Recompute section `tag`'s CRC after patching its payload.
+  static void fix_section_crc(std::vector<unsigned char>& bytes,
+                              const char* tag) {
+    const auto [at, len] = section(bytes, tag);
+    put_le32(bytes.data() + at + len, crc32(bytes.data() + at, len));
+  }
+
+  /// Step `sim` until some controller has a queued read; return it.
+  MemoryController& controller_with_reads(Simulator& sim) {
+    for (Cycle c = sim.now() + 1; c < cfg_.max_cycles; ++c) {
+      for (std::size_t p = 0; p < cfg_.icnt.partitions; ++p) {
+        MemoryController& mc = sim.partition(p).mc();
+        if (!mc.read_queue().empty()) return mc;
+      }
+      sim.run_to(c);
+    }
+    throw std::runtime_error("no controller ever queued a read");
+  }
+
+  /// Save `sim` and expect loading the bytes to fail with `message`.
+  void expect_resave_error(const Simulator& sim, const std::string& message) {
+    expect_load_error(ckpt::save_snapshot(sim), message);
+  }
+
   SimConfig cfg_;
   std::vector<unsigned char> snap_;
 };
@@ -410,9 +455,9 @@ TEST_F(CkptErrors, HeaderCrcMismatch) {
 
 TEST_F(CkptErrors, UnsupportedVersion) {
   std::vector<unsigned char> bad = snap_;
-  put_le32(bad.data() + 4, 1);  // the retired v1 layout
+  put_le32(bad.data() + 4, 2);  // the retired v2 layout
   fix_header_crc(bad);
-  expect_load_error(bad, "unsupported snapshot version 1 (expected 2)");
+  expect_load_error(bad, "unsupported snapshot version 2 (expected 3)");
 }
 
 TEST_F(CkptErrors, FingerprintMismatch) {
@@ -444,6 +489,83 @@ TEST_F(CkptErrors, CorruptedPayloadFailsSectionCrc) {
   expect_load_error(bad, "snapshot corrupt: CRC mismatch in section 'CORE'");
   EXPECT_THROW((void)ckpt::inspect_snapshot(bad.data(), bad.size()),
                ckpt::CkptError);
+}
+
+// Controller requests index per-bank arrays (and WG's 32-bit bank masks):
+// a request naming a bank past the device or another channel is refused
+// at load, not left to abort a later bank lookup.
+TEST_F(CkptErrors, ControllerRequestBankOutOfRange) {
+  Simulator sim(cfg_);
+  MemoryController& mc = controller_with_reads(sim);
+  mc.read_queue().front().loc.bank = static_cast<BankId>(cfg_.dram.banks);
+  expect_resave_error(
+      sim, "snapshot corrupt: controller request for an unknown bank");
+}
+
+TEST_F(CkptErrors, ControllerRequestOnAnotherChannel) {
+  Simulator sim(cfg_);
+  MemoryController& mc = controller_with_reads(sim);
+  mc.read_queue().front().loc.channel = static_cast<ChannelId>(mc.id() + 1);
+  expect_resave_error(
+      sim, "snapshot corrupt: controller request for another channel");
+}
+
+// The WG read-queue index is rebuilt from the read queue on load; a group
+// table that contradicts the queue is refused there.
+TEST_F(CkptErrors, QueuedReadOfUnknownWarpGroup) {
+  Simulator sim(cfg_);
+  MemoryController& mc = controller_with_reads(sim);
+  mc.read_queue().front().tag.instr = ~WarpInstrUid{0};
+  expect_resave_error(sim,
+                      "snapshot corrupt: queued read of a warp-group not in "
+                      "the group table");
+}
+
+TEST_F(CkptErrors, WarpGroupCountDisagreesWithReadQueue) {
+  Simulator sim(cfg_);
+  MemoryController& mc = controller_with_reads(sim);
+  ASSERT_FALSE(mc.read_queue().full());
+  mc.read_queue().push(mc.read_queue().front());  // a read seen only once
+  expect_resave_error(sim,
+                      "snapshot corrupt: warp-group request count disagrees "
+                      "with the read queue");
+}
+
+TEST_F(CkptErrors, SelectedWarpGroupNotInTable) {
+  // Step until some controller holds a selected, undrained group.
+  Simulator sim(cfg_);
+  const WgPolicy* wg = nullptr;
+  for (Cycle c = sim.now() + 1; wg == nullptr && c < cfg_.max_cycles; ++c) {
+    sim.run_to(c);
+    for (std::size_t p = 0; p < cfg_.icnt.partitions; ++p) {
+      const auto* w =
+          dynamic_cast<const WgPolicy*>(&sim.partition(p).mc().policy());
+      ASSERT_NE(w, nullptr);
+      if (w->current()) wg = w;
+    }
+  }
+  ASSERT_NE(wg, nullptr);
+  const WarpInstrUid uid = *wg->current();
+  const WarpTag tag = wg->groups().at(uid).tag;
+
+  // Its group-table entry is the key followed by the group's tag; renaming
+  // the key leaves current_ naming no group.
+  std::vector<unsigned char> key(20);
+  put_le64(key.data(), uid);
+  put_le16(key.data() + 8, tag.sm);
+  put_le16(key.data() + 10, tag.warp);
+  put_le64(key.data() + 12, tag.instr);
+  std::vector<unsigned char> bad = ckpt::save_snapshot(sim);
+  const auto [at, len] = section(bad, "MCTL");
+  const auto begin = bad.begin() + static_cast<std::ptrdiff_t>(at);
+  const auto end = begin + static_cast<std::ptrdiff_t>(len);
+  const auto hit = std::search(begin, end, key.begin(), key.end());
+  ASSERT_NE(hit, end);
+  ASSERT_EQ(std::search(hit + 1, end, key.begin(), key.end()), end);
+  put_le64(&*hit, ~WarpInstrUid{0});
+  fix_section_crc(bad, "MCTL");
+  expect_load_error(
+      bad, "snapshot corrupt: selected warp-group not in the group table");
 }
 
 TEST_F(CkptErrors, CustomPolicyRefusesToSnapshot) {
