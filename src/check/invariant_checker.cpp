@@ -147,6 +147,28 @@ void InvariantChecker::audit_hot_path(const Channel& channel, Cycle now) {
             "channel open-bank count == banks with an open row");
 }
 
+void InvariantChecker::audit_mshr(const MshrFile& mshr, Cycle now) {
+  ++audits_run_;
+  const auto used = static_cast<std::uint32_t>(mshr.outstanding());
+  std::uint64_t occupied = 0;
+  std::uint64_t duplicates = 0;
+  std::uint64_t overfull = 0;
+  for (std::uint32_t s = 0; s < used; ++s) {
+    const std::size_t waiters = mshr.waiters(s).size();
+    if (waiters > 0) ++occupied;
+    if (waiters > mshr.config().max_merged) ++overfull;
+    for (std::uint32_t t = 0; t < s; ++t) {
+      if (mshr.line(t) == mshr.line(s)) ++duplicates;
+    }
+  }
+  expect_eq(mshr.outstanding(), occupied, now, "mshr-slots",
+            "MSHR outstanding() == slots holding a waiter");
+  expect_eq(duplicates, 0, now, "mshr-slots",
+            "MSHR lines tracked by more than one slot == 0");
+  expect_eq(overfull, 0, now, "mshr-slots",
+            "MSHR waiter lists longer than max_merged == 0");
+}
+
 void InvariantChecker::audit_attribution(const obs::AttributionProfiler& prof,
                                          Cycle now) {
   ++audits_run_;

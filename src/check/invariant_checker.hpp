@@ -23,6 +23,9 @@
 //   hot path:    each SM's issue masks and the crossbar's head masks and
 //                queue counters equal a recomputation from the queues
 //                and warp table (derived state never drifts)
+//   MSHR slots:  every L1/L2 MSHR file's outstanding() == occupied slots
+//                (each holds a waiter), no line in two slots, and every
+//                waiter list within max_merged
 //
 // Violations carry the failing equation with both sides evaluated; with
 // abort_on_violation the first one aborts the run.
@@ -43,6 +46,7 @@ class AttributionProfiler;
 class Channel;
 class Crossbar;
 class MemoryController;
+class MshrFile;
 class Partition;
 class InstrTracker;
 class Sm;
@@ -76,6 +80,9 @@ class InvariantChecker {
   void audit_hot_path(const Sm& sm, Cycle now);
   void audit_hot_path(const Crossbar& xbar, Cycle now);
   void audit_hot_path(const Channel& channel, Cycle now);
+
+  /// Audit an MSHR file's flat slot table (L1 or L2).
+  void audit_mshr(const MshrFile& mshr, Cycle now);
 
   /// Audit the attribution profiler's sum-exactness contract: no load was
   /// ever excluded for a broken telescope or a failed request join, and

@@ -24,6 +24,7 @@
 #include "check/invariant_checker.hpp"
 #include "check/protocol_checker.hpp"
 #include "ckpt/archive.hpp"
+#include "common/bounded_queue.hpp"
 #include "common/crc32.hpp"
 #include "common/endian.hpp"
 #include "core/coordination.hpp"
@@ -158,28 +159,34 @@ void io_dram_cmd(Ar& ar, DramCommand& cmd) {
   ar.u32(cmd.row);
 }
 
-/// BoundedQueue<MemRequest, ...> through its public pop/push interface
-/// (capacities are construction-time geometry, so load only refills).
-template <class Ar, class Q>
-void io_request_queue(Ar& ar, Q& q, const char* what) {
+/// BoundedQueue: the io_seq layout (count, then one callback per
+/// element).  Capacities are construction-time geometry, so load refills
+/// the ring and refuses a count past its capacity before reading items.
+template <class Ar, class T, class Fn>
+void io_ring(Ar& ar, BoundedQueue<T>& q, const char* what, Fn&& fn) {
   if constexpr (Ar::kIsWriter) {
     std::uint64_t n = q.size();
     ar.u64(n);
-    for (auto& req : q) io_req(ar, req);
+    for (T& item : q) fn(item);
   } else {
-    while (!q.empty()) (void)q.pop();
+    q.clear();
     std::uint64_t n = 0;
     ar.u64(n);
     if (n > q.capacity()) {
       throw ckpt::CkptError(std::string("snapshot geometry mismatch: ") +
-                            what);
+                            what + " exceeds its capacity");
     }
     for (std::uint64_t i = 0; i < n; ++i) {
-      MemRequest req;
-      io_req(ar, req);
-      q.push(std::move(req));
+      T item{};
+      fn(item);
+      q.push(std::move(item));
     }
   }
+}
+
+template <class Ar>
+void io_request_ring(Ar& ar, BoundedQueue<MemRequest>& q, const char* what) {
+  io_ring(ar, q, what, [&ar](MemRequest& req) { io_req(ar, req); });
 }
 
 /// std::priority_queue exposes no container access; the standard-blessed
@@ -227,23 +234,45 @@ void Cache::ckpt_io(Ar& ar) {
 
 template <class Ar>
 void MshrFile::ckpt_io(Ar& ar) {
-  // entries_ is a std::map: iteration is address-ordered on both sides,
-  // so it round-trips without a sort step.
+  // Entries in line-address order: slot order is an accident of release
+  // history, so the writer sorts and the loader accepts any order.
   if constexpr (Ar::kIsWriter) {
-    std::uint64_t n = entries_.size();
+    std::vector<std::uint32_t> slots(used_);
+    for (std::uint32_t s = 0; s < used_; ++s) slots[s] = s;
+    std::sort(slots.begin(), slots.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                return lines_[a] < lines_[b];
+              });
+    std::uint64_t n = used_;
     ar.u64(n);
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      ar.u64(it->first);
-      io_seq(ar, it->second, [&ar](MemRequest& req) { io_req(ar, req); });
+    for (std::uint32_t s : slots) {
+      ar.u64(lines_[s]);
+      io_seq(ar, waiters_[s], [&ar](MemRequest& req) { io_req(ar, req); });
     }
   } else {
-    entries_.clear();
+    used_ = 0;
     std::uint64_t n = 0;
     ar.u64(n);
+    if (n > cfg_.entries) {
+      throw ckpt::CkptError(
+          "snapshot corrupt: MSHR holds more entries than its file");
+    }
     for (std::uint64_t i = 0; i < n; ++i) {
       Addr line = 0;
       ar.u64(line);
-      io_seq(ar, entries_[line], [&ar](MemRequest& req) { io_req(ar, req); });
+      if (tracking(line)) {
+        throw ckpt::CkptError("snapshot corrupt: MSHR line listed twice");
+      }
+      std::uint64_t count = 0;
+      ar.u64(count);
+      if (count == 0 || count > cfg_.max_merged) {
+        throw ckpt::CkptError(
+            "snapshot corrupt: MSHR entry waiter count out of range");
+      }
+      lines_[used_] = line;
+      waiters_[used_].resize(static_cast<std::size_t>(count));
+      for (MemRequest& req : waiters_[used_]) io_req(ar, req);
+      ++used_;
     }
   }
   ar.u64(stats_.allocations);
@@ -277,6 +306,17 @@ void Sm::ckpt_io(Ar& ar) {
     io_instr(ar, w.next);
     ar.u64(w.issue_fail_epoch);
     io_seq(ar, w.lines, [&ar](Addr& line) { ar.u64(line); });
+    if constexpr (!Ar::kIsWriter) {
+      // Issue looks up one MSHR slot per line: at most one distinct line
+      // per lane.
+      std::vector<Addr> sorted = w.lines;
+      std::sort(sorted.begin(), sorted.end());
+      if (sorted.size() > kWarpLanes ||
+          std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+        throw ckpt::CkptError(
+            "snapshot corrupt: warp line list is not a coalesced access");
+      }
+    }
   }
   ar.b(lsu_.active);
   ar.b(lsu_.is_store);
@@ -351,21 +391,20 @@ void InstrTracker::ckpt_io(Ar& ar) {
 template <class Ar>
 void Crossbar::ckpt_io(Ar& ar) {
   io_check_count(ar, sm_queues_.size(), "crossbar SM count");
-  for (auto& q : sm_queues_) {
-    io_seq(ar, q, [&ar](MemRequest& req) { io_req(ar, req); });
-  }
+  for (auto& q : sm_queues_) io_request_ring(ar, q, "crossbar SM queue");
   io_check_count(ar, part_in_.size(), "crossbar partition count");
   for (auto& q : part_in_) {
-    io_seq(ar, q, [&ar](Timed<MemRequest>& t) {
+    io_ring(ar, q, "crossbar partition input", [&ar](Timed<MemRequest>& t) {
       ar.u64(t.ready_at);
       io_req(ar, t.payload);
     });
   }
   for (auto& q : part_out_) {
-    io_seq(ar, q, [&ar](MemResponse& resp) { io_resp(ar, resp); });
+    io_ring(ar, q, "crossbar partition output",
+            [&ar](MemResponse& resp) { io_resp(ar, resp); });
   }
   for (auto& q : sm_in_) {
-    io_seq(ar, q, [&ar](Timed<MemResponse>& t) {
+    io_ring(ar, q, "crossbar SM input", [&ar](Timed<MemResponse>& t) {
       ar.u64(t.ready_at);
       io_resp(ar, t.payload);
     });
@@ -449,12 +488,10 @@ template <class Ar>
 void MemoryController::ckpt_io(Ar& ar) {
   io_size(ar, wq_at_drain_start_);
   ar.u64(writes_arrived_in_drain_);
-  io_request_queue(ar, read_q_, "read queue exceeds its capacity");
-  io_request_queue(ar, write_q_, "write queue exceeds its capacity");
+  io_request_ring(ar, read_q_, "read queue");
+  io_request_ring(ar, write_q_, "write queue");
   io_check_count(ar, bank_q_.size(), "controller bank count");
-  for (auto& q : bank_q_) {
-    io_seq(ar, q, [&ar](MemRequest& req) { io_req(ar, req); });
-  }
+  for (auto& q : bank_q_) io_request_ring(ar, q, "bank queue");
   for (auto& row : bank_tail_row_) ar.u32(row);
   for (auto& streak : bank_tail_streak_) ar.u32(streak);
   ar.b(write_mode_);
@@ -500,12 +537,24 @@ void MemoryController::ckpt_io(Ar& ar) {
     for (const MemRequest& req : read_q_) check(req);
     for (const MemRequest& req : write_q_) check(req);
     for (const Inflight& f : heap) check(f.req);
+    // complete_reads pops the earliest burst first; a heap saved out of
+    // order would deliver data out of order.
+    if (!std::is_heap(heap.begin(), heap.end())) {
+      throw ckpt::CkptError(
+          "snapshot corrupt: in-flight read heap out of order");
+    }
     cmdq_total_ = 0;
     nonempty_banks_ = 0;
-    for (const auto& q : bank_q_) {
-      for (const MemRequest& req : q) check(req);
-      cmdq_total_ += q.size();
-      if (!q.empty()) ++nonempty_banks_;
+    for (std::size_t b = 0; b < bank_q_.size(); ++b) {
+      for (const MemRequest& req : bank_q_[b]) {
+        check(req);
+        if (req.loc.bank != b) {
+          throw ckpt::CkptError(
+              "snapshot corrupt: bank-queue request for another bank");
+        }
+      }
+      cmdq_total_ += bank_q_[b].size();
+      if (!bank_q_[b].empty()) ++nonempty_banks_;
     }
     policy_->on_load(*this);
     cmd_wake_ = 0;
@@ -519,11 +568,11 @@ template <class Ar>
 void Partition::ckpt_io(Ar& ar) {
   l2_.ckpt_io(ar);
   mshr_.ckpt_io(ar);
-  io_seq(ar, pipeline_, [&ar](Delayed& d) {
+  io_ring(ar, pipeline_, "L2 pipeline", [&ar](Delayed& d) {
     ar.u64(d.ready_at);
     io_req(ar, d.req);
   });
-  io_seq(ar, fills_, [&ar](MemRequest& req) { io_req(ar, req); });
+  io_request_ring(ar, fills_, "L2 fill queue");
   io_seq(ar, responses_, [&ar](MemResponse& resp) { io_resp(ar, resp); });
   ar.u64(stats_.read_hits);
   ar.u64(stats_.read_misses);

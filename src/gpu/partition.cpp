@@ -15,12 +15,14 @@ Partition::Partition(ChannelId id, const PartitionConfig& cfg,
       mshr_(cfg.l2_mshr),
       amap_(amap),
       xbar_(xbar),
-      tracker_(tracker) {
+      tracker_(tracker),
+      pipeline_(2 * cfg.l2_latency),
+      fills_(cfg.l2_mshr.entries) {
   mc_ = std::make_unique<MemoryController>(
       id, mc_cfg, timing, std::move(policy),
       [this](const MemRequest& req, Cycle) {
         tracker_.on_dram_complete(req.tag.instr, req.completed);
-        fills_.push_back(req);
+        fills_.push(req);
       },
       obs);
 }
@@ -43,11 +45,11 @@ void Partition::process_fills(Cycle now) {
       mc_->push(wb, now);
       ++stats_.writebacks;
     }
-    for (MemRequest& waiter : mshr_.release(fill.addr)) {
+    for (const MemRequest& waiter : mshr_.release(fill.addr)) {
       responses_.push_back(MemResponse{waiter.addr, waiter.tag, now,
                                        waiter.reqs_in_instr});
     }
-    fills_.pop_front();
+    fills_.pop();
   }
 }
 
@@ -57,20 +59,22 @@ bool Partition::handle(const MemRequest& req, Cycle now) {
       ++stats_.read_hits;
       responses_.push_back(
           MemResponse{req.addr, req.tag, now, req.reqs_in_instr});
-    } else if (mshr_.tracking(req.addr)) {
-      if (!mshr_.can_accept(req.addr)) {
+    } else if (const std::uint32_t slot = mshr_.find(req.addr);
+               slot != MshrFile::kNoSlot) {
+      if (!mshr_.can_merge(slot)) {
         mshr_.count_stall();
         return false;
       }
-      mshr_.add(req.addr, req);  // merge into the outstanding fetch
+      mshr_.merge(slot, req);  // merge into the outstanding fetch
       ++stats_.mshr_merges;
       ++stats_.read_misses;
     } else {
-      if (!mshr_.can_accept(req.addr) || !mc_->can_accept_read()) {
-        if (!mshr_.can_accept(req.addr)) mshr_.count_stall();
+      if (mshr_.full()) {
+        mshr_.count_stall();
         return false;
       }
-      mshr_.add(req.addr, req);
+      if (!mc_->can_accept_read()) return false;
+      mshr_.allocate(req.addr, req);
       ++stats_.read_misses;
       tracker_.on_dram_request(req.tag.instr, req.loc);
       mc_->push(req, now);
@@ -105,10 +109,10 @@ bool Partition::handle(const MemRequest& req, Cycle now) {
 void Partition::process_requests(Cycle now) {
   // Accept new arrivals into the L2 pipeline.
   for (std::uint32_t n = 0; n < cfg_.lookups_per_cycle; ++n) {
-    if (pipeline_.size() >= 2 * cfg_.l2_latency) break;  // pipeline depth
+    if (pipeline_.full()) break;  // pipeline depth
     const MemRequest* head = xbar_.peek_request(id_, now);
     if (head == nullptr) break;
-    pipeline_.push_back(Delayed{now + cfg_.l2_latency, xbar_.pop_request(id_, now)});
+    pipeline_.push(Delayed{now + cfg_.l2_latency, xbar_.pop_request(id_, now)});
   }
   // Retire lookups whose latency elapsed.
   for (std::uint32_t n = 0; n < cfg_.lookups_per_cycle; ++n) {
@@ -117,7 +121,7 @@ void Partition::process_requests(Cycle now) {
       ++stats_.stall_cycles;
       break;  // head retries next cycle; order is preserved
     }
-    pipeline_.pop_front();
+    pipeline_.pop();
   }
 }
 

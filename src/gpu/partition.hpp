@@ -24,6 +24,7 @@
 
 #include "cache/cache.hpp"
 #include "cache/mshr.hpp"
+#include "common/bounded_queue.hpp"
 #include "common/types.hpp"
 #include "gpu/tracker.hpp"
 #include "icnt/crossbar.hpp"
@@ -101,8 +102,12 @@ class Partition {
   InstrTracker& tracker_;
   std::unique_ptr<MemoryController> mc_;
 
-  std::deque<Delayed> pipeline_;
-  std::deque<MemRequest> fills_;
+  BoundedQueue<Delayed> pipeline_;  ///< 2 x l2_latency lookups in flight
+  // A DRAM read exists only for a fresh L2 MSHR entry, which the fill
+  // releases: at most l2_mshr.entries fills wait.
+  BoundedQueue<MemRequest> fills_;
+  // Unbounded: L2 hits and fills may outrun the crossbar's output queue,
+  // and nothing local limits how many responses wait for it.
   std::deque<MemResponse> responses_;
   PartitionStats stats_;
 };

@@ -1,5 +1,7 @@
 #include "gpu/sm.hpp"
 
+#include <array>
+
 #include "common/log.hpp"
 
 namespace latdiv {
@@ -168,14 +170,22 @@ bool Sm::issue_memory(WarpId wid, Cycle now) {
 
   // Load: classify every line first so MSHR space for the whole access
   // can be reserved atomically (a half-issued vector load cannot replay).
+  // Each miss's MSHR slot is looked up once here and reused at commit
+  // (allocation appends, so earlier slots stay put).
   std::uint32_t new_fetches = 0;
   std::uint32_t merges = 0;
   std::uint32_t hits = 0;
-  for (Addr line : lines) {
+  std::array<std::uint32_t, kWarpLanes> slots{};
+  LATDIV_ASSERT(lines.size() <= slots.size(), "more lines than lanes");
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const Addr line = lines[i];
     if (l1_.probe(line)) {
       ++hits;
-    } else if (mshr_.tracking(line)) {
-      if (!mshr_.can_accept(line)) {
+      continue;
+    }
+    slots[i] = mshr_.find(line);
+    if (slots[i] != MshrFile::kNoSlot) {
+      if (!mshr_.can_merge(slots[i])) {
         w.issue_fail_epoch = mem_epoch_ + 1;
         ++stats_.issue_stall_mshr;
         return false;
@@ -199,7 +209,8 @@ bool Sm::issue_memory(WarpId wid, Cycle now) {
   lsu_.queue.clear();
   std::uint32_t sent_per_channel[256] = {};
   std::uint32_t seen_per_channel[256] = {};
-  for (Addr line : lines) {
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const Addr line = lines[i];
     if (l1_.touch(line)) {  // counts the hit or miss and updates LRU
       continue;
     }
@@ -209,8 +220,10 @@ bool Sm::issue_memory(WarpId wid, Cycle now) {
     req.tag = tag;
     req.loc = amap_.decode(line);
     req.reqs_in_instr = static_cast<std::uint16_t>(lines.size());
-    const bool fresh = mshr_.add(line, req);
-    if (fresh) {
+    if (slots[i] != MshrFile::kNoSlot) {
+      mshr_.merge(slots[i], req);
+    } else {
+      mshr_.allocate(line, req);
       lsu_.queue.push_back(req);
       ++sent_per_channel[req.loc.channel];
     }

@@ -4,10 +4,13 @@ namespace latdiv {
 
 Crossbar::Crossbar(const IcntConfig& cfg)
     : cfg_(cfg),
-      sm_queues_(cfg.sms),
-      part_in_(cfg.partitions),
-      part_out_(cfg.partitions),
-      sm_in_(cfg.sms),
+      sm_queues_(cfg.sms, BoundedQueue<MemRequest>(cfg.sm_queue_depth)),
+      part_in_(cfg.partitions,
+               BoundedQueue<Timed<MemRequest>>(cfg.partition_in_depth)),
+      part_out_(cfg.partitions,
+                BoundedQueue<MemResponse>(cfg.partition_out_depth)),
+      sm_in_(cfg.sms,
+             BoundedQueue<Timed<MemResponse>>(cfg.response_latency + 1)),
       part_rr_(cfg.partitions, 0),
       part_sticky_(cfg.partitions, cfg.sms),  // sms = "no sticky grant yet"
       sm_rr_(cfg.sms, 0),
@@ -46,8 +49,7 @@ bool Crossbar::heads_consistent() const {
 
 MemRequest Crossbar::pop_sm_queue(std::uint32_t sm) {
   auto& q = sm_queues_[sm];
-  MemRequest req = q.front();
-  q.pop_front();
+  MemRequest req = q.pop();
   --requests_queued_;
   req_heads_.reset(req.loc.channel, sm);
   if (!q.empty()) req_heads_.set(q.front().loc.channel, sm);
@@ -56,8 +58,7 @@ MemRequest Crossbar::pop_sm_queue(std::uint32_t sm) {
 
 MemResponse Crossbar::pop_part_out(std::uint32_t part) {
   auto& q = part_out_[part];
-  MemResponse resp = q.front();
-  q.pop_front();
+  MemResponse resp = q.pop();
   --responses_queued_;
   resp_heads_.reset(resp.tag.sm, part);
   if (!q.empty()) resp_heads_.set(q.front().tag.sm, part);
@@ -66,7 +67,7 @@ MemResponse Crossbar::pop_part_out(std::uint32_t part) {
 
 bool Crossbar::can_inject_request(SmId sm) const {
   LATDIV_ASSERT(sm < sm_queues_.size(), "sm out of range");
-  return sm_queues_[sm].size() < cfg_.sm_queue_depth;
+  return !sm_queues_[sm].full();
 }
 
 void Crossbar::inject_request(SmId sm, MemRequest req, Cycle now) {
@@ -74,7 +75,7 @@ void Crossbar::inject_request(SmId sm, MemRequest req, Cycle now) {
   LATDIV_ASSERT(req.loc.channel < cfg_.partitions, "partition out of range");
   (void)now;
   if (sm_queues_[sm].empty()) req_heads_.set(req.loc.channel, sm);
-  sm_queues_[sm].push_back(req);
+  sm_queues_[sm].push(req);
   ++requests_queued_;
 }
 
@@ -87,14 +88,12 @@ const MemRequest* Crossbar::peek_request(ChannelId part, Cycle now) const {
 
 MemRequest Crossbar::pop_request(ChannelId part, Cycle now) {
   LATDIV_ASSERT(peek_request(part, now) != nullptr, "pop without peek");
-  MemRequest req = part_in_[part].front().payload;
-  part_in_[part].pop_front();
-  return req;
+  return part_in_[part].pop().payload;
 }
 
 bool Crossbar::can_inject_response(ChannelId part) const {
   LATDIV_ASSERT(part < part_out_.size(), "partition out of range");
-  return part_out_[part].size() < cfg_.partition_out_depth;
+  return !part_out_[part].full();
 }
 
 void Crossbar::inject_response(ChannelId part, MemResponse resp, Cycle now) {
@@ -102,7 +101,7 @@ void Crossbar::inject_response(ChannelId part, MemResponse resp, Cycle now) {
   LATDIV_ASSERT(resp.tag.sm < cfg_.sms, "response for an unknown SM");
   (void)now;
   if (part_out_[part].empty()) resp_heads_.set(resp.tag.sm, part);
-  part_out_[part].push_back(resp);
+  part_out_[part].push(resp);
   ++responses_queued_;
 }
 
@@ -110,9 +109,7 @@ std::optional<MemResponse> Crossbar::pop_response(SmId sm, Cycle now) {
   LATDIV_ASSERT(sm < sm_in_.size(), "sm out of range");
   auto& q = sm_in_[sm];
   if (q.empty() || q.front().ready_at > now) return std::nullopt;
-  MemResponse resp = q.front().payload;
-  q.pop_front();
-  return resp;
+  return q.pop().payload;
 }
 
 void Crossbar::tick(Cycle now) {
@@ -121,7 +118,7 @@ void Crossbar::tick(Cycle now) {
   // may still win a later partition this same tick.
   for (std::uint32_t p = 0; requests_queued_ != 0 && p < cfg_.partitions;
        ++p) {
-    if (part_in_[p].size() >= cfg_.partition_in_depth) continue;
+    if (part_in_[p].full()) continue;
     std::uint32_t granted = cfg_.sms;  // sentinel: none
     if (cfg_.sticky_arbitration && part_sticky_[p] < cfg_.sms &&
         req_heads_.test(p, part_sticky_[p])) {
@@ -133,7 +130,7 @@ void Crossbar::tick(Cycle now) {
     }
     if (granted == cfg_.sms) continue;
     part_sticky_[p] = granted;
-    part_in_[p].push_back({now + cfg_.request_latency, pop_sm_queue(granted)});
+    part_in_[p].push({now + cfg_.request_latency, pop_sm_queue(granted)});
     ++stats_.requests_moved;
   }
 
@@ -142,7 +139,7 @@ void Crossbar::tick(Cycle now) {
     const auto p =
         static_cast<std::uint32_t>(resp_heads_.find_cyclic(sm, sm_rr_[sm]));
     if (p == cfg_.partitions) continue;
-    sm_in_[sm].push_back({now + cfg_.response_latency, pop_part_out(p)});
+    sm_in_[sm].push({now + cfg_.response_latency, pop_part_out(p)});
     sm_rr_[sm] = (p + 1) % cfg_.partitions;
     ++stats_.responses_moved;
   }

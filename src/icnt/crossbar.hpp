@@ -23,11 +23,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
 #include "common/bit_rows.hpp"
+#include "common/bounded_queue.hpp"
 #include "common/log.hpp"
 #include "common/types.hpp"
 #include "mem/request.hpp"
@@ -111,10 +111,13 @@ class Crossbar {
   void rebuild_heads();
 
   IcntConfig cfg_;
-  std::vector<std::deque<MemRequest>> sm_queues_;
-  std::vector<std::deque<Timed<MemRequest>>> part_in_;
-  std::vector<std::deque<MemResponse>> part_out_;
-  std::vector<std::deque<Timed<MemResponse>>> sm_in_;
+  // Rings of sm_queue_depth, partition_in_depth and partition_out_depth.
+  std::vector<BoundedQueue<MemRequest>> sm_queues_;
+  std::vector<BoundedQueue<Timed<MemRequest>>> part_in_;
+  std::vector<BoundedQueue<MemResponse>> part_out_;
+  // Rings of response_latency + 1: a tick pushes at most one response per
+  // SM, and the SM pops a due head every core cycle.
+  std::vector<BoundedQueue<Timed<MemResponse>>> sm_in_;
   std::vector<std::uint32_t> part_rr_;      ///< per-partition SM pointer
   std::vector<std::uint32_t> part_sticky_;  ///< last granted SM (sticky mode)
   std::vector<std::uint32_t> sm_rr_;        ///< per-SM partition pointer

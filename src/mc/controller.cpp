@@ -52,7 +52,7 @@ MemoryController::MemoryController(ChannelId id, const McConfig& cfg,
       obs_(obs),
       read_q_(cfg.read_queue_size),
       write_q_(cfg.write_queue_size),
-      bank_q_(timing.banks),
+      bank_q_(timing.banks, BoundedQueue<MemRequest>(cfg.bank_queue_depth)),
       bank_tail_row_(timing.banks, kNoRow),
       bank_tail_streak_(timing.banks, 0),
       rr_bank_in_group_(timing.banks / timing.banks_per_group, 0) {
@@ -91,21 +91,6 @@ void MemoryController::deliver_coordination(const CoordMsg& msg, Cycle now) {
   policy_->on_remote_selection(*this, msg, now);
 }
 
-bool MemoryController::bank_queue_has_space(BankId bank, std::size_t n) const {
-  LATDIV_ASSERT(bank < bank_q_.size(), "bank out of range");
-  return bank_q_[bank].size() + n <= cfg_.bank_queue_depth;
-}
-
-std::size_t MemoryController::bank_queue_size(BankId bank) const {
-  LATDIV_ASSERT(bank < bank_q_.size(), "bank out of range");
-  return bank_q_[bank].size();
-}
-
-const std::deque<MemRequest>& MemoryController::bank_queue(BankId bank) const {
-  LATDIV_ASSERT(bank < bank_q_.size(), "bank out of range");
-  return bank_q_[bank];
-}
-
 RowId MemoryController::predicted_row(BankId bank) const {
   LATDIV_ASSERT(bank < bank_q_.size(), "bank out of range");
   const RowId tail = bank_tail_row_[bank];
@@ -132,7 +117,7 @@ void MemoryController::send_to_bank(MemRequest req, Cycle now) {
     ++nonempty_banks_;
     cmd_wake_ = 0;  // a new bank head: the next scan may issue for it
   }
-  bank_q_[bank].push_back(req);
+  bank_q_[bank].push(req);
   ++cmdq_total_;
   ++mutation_epoch_;
   ++layout_epoch_;
@@ -292,8 +277,7 @@ void MemoryController::issue_one_command(Cycle now) {
       if (cmd.cmd == DramCmd::kRead || cmd.cmd == DramCmd::kWrite) {
         ++mutation_epoch_;  // the bank queue shrinks
         popped_banks_ |= 1u << bank;
-        MemRequest req = bank_q_[bank].front();
-        bank_q_[bank].pop_front();
+        MemRequest req = bank_q_[bank].pop();
         if (bank_q_[bank].empty()) --nonempty_banks_;
         LATDIV_DCHECK(req.loc.bank == bank && req.loc.row == cmd.row,
                       "CAS issued for a request other than the bank head");

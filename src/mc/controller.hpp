@@ -19,7 +19,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -106,9 +105,16 @@ class MemoryController {
     return write_q_;
   }
   [[nodiscard]] bool bank_queue_has_space(BankId bank,
-                                          std::size_t n = 1) const;
-  [[nodiscard]] std::size_t bank_queue_size(BankId bank) const;
-  [[nodiscard]] const std::deque<MemRequest>& bank_queue(BankId bank) const;
+                                          std::size_t n = 1) const {
+    return bank_queue(bank).free_slots() >= n;
+  }
+  [[nodiscard]] std::size_t bank_queue_size(BankId bank) const {
+    return bank_queue(bank).size();
+  }
+  [[nodiscard]] const BoundedQueue<MemRequest>& bank_queue(BankId bank) const {
+    LATDIV_ASSERT(bank < bank_q_.size(), "bank out of range");
+    return bank_q_[bank];
+  }
   /// Row a new transaction on `bank` would find "open": the row of the
   /// last transaction enqueued to that bank, falling back to the row open
   /// in the DRAM array (paper §IV-B1's hit/miss estimate).
@@ -228,7 +234,7 @@ class MemoryController {
 
   BoundedQueue<MemRequest> read_q_;
   BoundedQueue<MemRequest> write_q_;
-  std::vector<std::deque<MemRequest>> bank_q_;
+  std::vector<BoundedQueue<MemRequest>> bank_q_;  ///< bank_queue_depth each
   // Per-bank insertion metadata, SoA: predicted_row()/tail_streak() are
   // the policies' hottest probes and each touches exactly one of the two
   // arrays, so splitting them keeps the scanned array dense in cache.

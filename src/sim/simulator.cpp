@@ -224,11 +224,13 @@ void Simulator::audit_invariants() {
   for (const auto& part : partitions_) {
     invariant_checker_->audit_partition(*part, now_);
     invariant_checker_->audit_hot_path(part->mc().channel(), now_);
+    invariant_checker_->audit_mshr(part->l2_mshr(), now_);
   }
   std::size_t blocked = 0;
   for (const auto& sm : sms_) {
     blocked += sm->warps_blocked_on_loads();
     invariant_checker_->audit_hot_path(*sm, now_);
+    invariant_checker_->audit_mshr(sm->mshr(), now_);
   }
   invariant_checker_->audit_tracker(tracker_, blocked, now_);
   invariant_checker_->audit_hot_path(xbar_, now_);

@@ -428,6 +428,86 @@ class CkptErrors : public ::testing::Test {
     throw std::runtime_error("no controller ever queued a read");
   }
 
+  /// Step `sim` until `ready(sim)` holds.
+  template <class Pred>
+  void step_until(Simulator& sim, Pred ready) {
+    for (Cycle c = sim.now() + 1; !ready(sim); ++c) {
+      if (c >= cfg_.max_cycles) throw std::runtime_error("state never reached");
+      sim.run_to(c);
+    }
+  }
+
+  // Byte sizes of io_req / io_resp records (src/ckpt/snapshot.cpp): addr,
+  // kind, tag (sm, warp, instr), loc (channel, bank, group, row, col),
+  // reqs_in_instr, last_of_group, row_outcome and four timestamps.
+  static constexpr std::size_t kReqBytes = 8 + 1 + 12 + 11 + 2 + 1 + 1 + 32;
+  static constexpr std::size_t kRespBytes = 8 + 12 + 8 + 2;
+
+  /// Absolute offsets of partition 0's storage counts in a snapshot,
+  /// found by walking the MCTL payload in the field order of
+  /// Partition::ckpt_io and MemoryController::ckpt_io.  Counts are u64.
+  struct Partition0 {
+    std::size_t mshr_count = 0;
+    std::vector<std::size_t> mshr_line;  ///< each entry's line; its
+                                         ///< waiter count follows
+    std::size_t pipeline = 0;
+    std::size_t fills = 0;
+    std::vector<std::size_t> bank_q;
+    std::size_t heap = 0;
+  };
+  static Partition0 walk_partition0(const std::vector<unsigned char>& bytes,
+                                    Simulator& sim) {
+    const DramTiming& t = sim.partition(0).mc().channel().timing();
+    const std::size_t bank_groups = t.banks / t.banks_per_group;
+    std::size_t at = section(bytes, "MCTL").first + 8;  // partition count
+    const auto u64 = [&bytes](std::size_t pos) {
+      return static_cast<std::size_t>(get_le64(bytes.data() + pos));
+    };
+    const auto skip_seq = [&](std::size_t item_bytes) {
+      const std::size_t count_at = at;
+      at += 8 + u64(count_at) * item_bytes;
+      return count_at;
+    };
+    Partition0 p;
+    at += 8;                        // L2 use clock
+    (void)skip_seq(8 + 1 + 1 + 8);  // L2 lines: tag, valid, dirty, last use
+    at += 4 * 8;                    // L2 stats
+    p.mshr_count = at;
+    const std::size_t entries = u64(at);
+    at += 8;
+    for (std::size_t i = 0; i < entries; ++i) {
+      p.mshr_line.push_back(at);
+      at += 8;
+      (void)skip_seq(kReqBytes);
+    }
+    at += 4 * 8;  // MSHR stats
+    p.pipeline = skip_seq(8 + kReqBytes);
+    p.fills = skip_seq(kReqBytes);
+    (void)skip_seq(kRespBytes);  // responses
+    at += 7 * 8;                 // partition stats
+    at += 2 * 8;                 // drain-episode accounting
+    (void)skip_seq(kReqBytes);   // read queue
+    (void)skip_seq(kReqBytes);   // write queue
+    const std::size_t banks = u64(at);
+    at += 8;
+    for (std::size_t b = 0; b < banks; ++b) {
+      p.bank_q.push_back(skip_seq(kReqBytes));
+    }
+    at += banks * (4 + 4) + 1 + 1 + 4 + bank_groups * 4;  // tails, modes, RR
+    p.heap = at;
+    return p;
+  }
+
+  /// Save `sim`, overwrite the u64 at `pos` (from walk_partition0) in the
+  /// section `tag`, fix its CRC and expect `message` at load.
+  void expect_patched_error(std::vector<unsigned char> bytes, std::size_t pos,
+                            std::uint64_t value, const char* tag,
+                            const std::string& message) {
+    put_le64(bytes.data() + pos, value);
+    fix_section_crc(bytes, tag);
+    expect_load_error(bytes, message);
+  }
+
   /// Save `sim` and expect loading the bytes to fail with `message`.
   void expect_resave_error(const Simulator& sim, const std::string& message) {
     expect_load_error(ckpt::save_snapshot(sim), message);
@@ -566,6 +646,173 @@ TEST_F(CkptErrors, SelectedWarpGroupNotInTable) {
   fix_section_crc(bad, "MCTL");
   expect_load_error(
       bad, "snapshot corrupt: selected warp-group not in the group table");
+}
+
+// Storage sections are bounded by construction-time geometry: a count past
+// an MSHR file's entries, a merge list past max_merged, a line listed
+// twice or a ring longer than its capacity is refused at load, before
+// any element is read.
+TEST_F(CkptErrors, MshrMoreEntriesThanItsFile) {
+  Simulator sim(cfg_);
+  const Partition0 p = walk_partition0(snap_, sim);
+  expect_patched_error(snap_, p.mshr_count, cfg_.partition.l2_mshr.entries + 1,
+                       "MCTL",
+                       "snapshot corrupt: MSHR holds more entries than its "
+                       "file");
+}
+
+TEST_F(CkptErrors, MshrEntryWaiterCountOutOfRange) {
+  Simulator sim(cfg_);
+  step_until(sim, [](Simulator& s) {
+    return s.partition(0).l2_mshr().outstanding() > 0;
+  });
+  const std::vector<unsigned char> bytes = ckpt::save_snapshot(sim);
+  const Partition0 p = walk_partition0(bytes, sim);
+  ASSERT_FALSE(p.mshr_line.empty());
+  const std::size_t count_at = p.mshr_line[0] + 8;
+  const std::string message =
+      "snapshot corrupt: MSHR entry waiter count out of range";
+  expect_patched_error(bytes, count_at, 0, "MCTL", message);
+  expect_patched_error(bytes, count_at, cfg_.partition.l2_mshr.max_merged + 1,
+                       "MCTL", message);
+}
+
+TEST_F(CkptErrors, MshrLineListedTwice) {
+  Simulator sim(cfg_);
+  step_until(sim, [](Simulator& s) {
+    return s.partition(0).l2_mshr().outstanding() > 1;
+  });
+  const std::vector<unsigned char> bytes = ckpt::save_snapshot(sim);
+  const Partition0 p = walk_partition0(bytes, sim);
+  ASSERT_GE(p.mshr_line.size(), 2u);
+  expect_patched_error(bytes, p.mshr_line[1],
+                       get_le64(bytes.data() + p.mshr_line[0]), "MCTL",
+                       "snapshot corrupt: MSHR line listed twice");
+}
+
+TEST_F(CkptErrors, BankQueueOverCapacity) {
+  Simulator sim(cfg_);
+  const Partition0 p = walk_partition0(snap_, sim);
+  expect_patched_error(snap_, p.bank_q.at(0), cfg_.mc.bank_queue_depth + 1,
+                       "MCTL",
+                       "snapshot geometry mismatch: bank queue exceeds its "
+                       "capacity");
+}
+
+TEST_F(CkptErrors, CrossbarQueueOverCapacity) {
+  // ICNT opens with the crossbar's SM count, then SM 0's injection queue.
+  const std::size_t sm0_queue = section(snap_, "ICNT").first + 8;
+  expect_patched_error(snap_, sm0_queue, cfg_.icnt.sm_queue_depth + 1, "ICNT",
+                       "snapshot geometry mismatch: crossbar SM queue "
+                       "exceeds its capacity");
+}
+
+TEST_F(CkptErrors, L2PipelineOverCapacity) {
+  Simulator sim(cfg_);
+  const Partition0 p = walk_partition0(snap_, sim);
+  expect_patched_error(snap_, p.pipeline, 2 * cfg_.partition.l2_latency + 1,
+                       "MCTL",
+                       "snapshot geometry mismatch: L2 pipeline exceeds its "
+                       "capacity");
+}
+
+TEST_F(CkptErrors, L2FillQueueOverCapacity) {
+  Simulator sim(cfg_);
+  const Partition0 p = walk_partition0(snap_, sim);
+  expect_patched_error(snap_, p.fills, cfg_.partition.l2_mshr.entries + 1,
+                       "MCTL",
+                       "snapshot geometry mismatch: L2 fill queue exceeds its "
+                       "capacity");
+}
+
+// A bank command queue holds only its own bank's requests, and the
+// in-flight read heap must be a heap: both are refused at load otherwise.
+TEST_F(CkptErrors, BankQueueRequestForAnotherBank) {
+  Simulator sim(cfg_);
+  step_until(sim, [](Simulator& s) {
+    return s.partition(0).mc().commands_pending() > 0;
+  });
+  std::vector<unsigned char> bytes = ckpt::save_snapshot(sim);
+  const Partition0 p = walk_partition0(bytes, sim);
+  std::size_t b = 0;
+  while (get_le64(bytes.data() + p.bank_q.at(b)) == 0) ++b;
+  // The first request's loc.bank: after addr, kind, tag and loc.channel.
+  const std::size_t bank_at = p.bank_q[b] + 8 + 8 + 1 + 12 + 1;
+  ASSERT_EQ(bytes[bank_at], b);
+  bytes[bank_at] = static_cast<unsigned char>((b + 1) % p.bank_q.size());
+  fix_section_crc(bytes, "MCTL");
+  expect_load_error(bytes,
+                    "snapshot corrupt: bank-queue request for another bank");
+}
+
+TEST_F(CkptErrors, InflightReadHeapOutOfOrder) {
+  Simulator sim(cfg_);
+  step_until(sim, [](Simulator& s) {
+    return s.partition(0).mc().inflight_reads() > 1;
+  });
+  const std::vector<unsigned char> bytes = ckpt::save_snapshot(sim);
+  const Partition0 p = walk_partition0(bytes, sim);
+  ASSERT_GE(get_le64(bytes.data() + p.heap), 2u);
+  // Entries are (done, request); the root completes no later than its
+  // first child.  Make it complete after.
+  const std::size_t root_done = p.heap + 8;
+  const std::size_t child_done = root_done + 8 + kReqBytes;
+  ASSERT_LE(get_le64(bytes.data() + root_done),
+            get_le64(bytes.data() + child_done));
+  expect_patched_error(bytes, root_done,
+                       get_le64(bytes.data() + child_done) + 1, "MCTL",
+                       "snapshot corrupt: in-flight read heap out of order");
+}
+
+// Load issue looks up one MSHR slot per coalesced line, so a warp's line
+// list must hold distinct lines, at most one per lane.
+TEST_F(CkptErrors, WarpLineListNotCoalesced) {
+  Simulator sim(cfg_);
+  sim.run_to(1'000);  // the state snap_ holds
+  std::vector<unsigned char> bytes = ckpt::save_snapshot(sim);
+  // SM 0's L1 stats followed by its MSHR entry count are a unique run of
+  // bytes; walk on from there (Sm::ckpt_io order) to the warp table.
+  const CacheStats& l1 = sim.sm(0).l1().stats();
+  std::vector<unsigned char> key(5 * 8);
+  put_le64(key.data(), l1.hits);
+  put_le64(key.data() + 8, l1.misses);
+  put_le64(key.data() + 16, l1.evictions);
+  put_le64(key.data() + 24, l1.dirty_evictions);
+  put_le64(key.data() + 32, sim.sm(0).mshr().outstanding());
+  const auto [gpus, len] = section(bytes, "GPUS");
+  const auto begin = bytes.begin() + static_cast<std::ptrdiff_t>(gpus);
+  const auto end = begin + static_cast<std::ptrdiff_t>(len);
+  const auto hit = std::search(begin, end, key.begin(), key.end());
+  ASSERT_NE(hit, end);
+  ASSERT_EQ(std::search(hit + 1, end, key.begin(), key.end()), end);
+  const auto u64 = [&bytes](std::size_t pos) {
+    return static_cast<std::size_t>(get_le64(bytes.data() + pos));
+  };
+  std::size_t at = static_cast<std::size_t>(hit - bytes.begin()) + 32;
+  const std::size_t entries = u64(at);
+  at += 8;
+  for (std::size_t i = 0; i < entries; ++i) at += 16 + u64(at + 8) * kReqBytes;
+  at += 4 * 8 + 5 * 8;  // MSHR and coalescer stats
+  const std::size_t warps = u64(at);
+  at += 8;
+  for (std::size_t w = 0; w < warps; ++w) {
+    at += 8 + 4 + 1 + 1;  // ready_at, pending_lines, waiting_lsu, has_next
+    at += 1 + 4;          // instruction kind and latency
+    at += 1 + 8 * std::size_t{bytes[at]};  // active lanes, their addresses
+    at += 8;                               // issue_fail_epoch
+    const std::size_t lines = u64(at);
+    if (lines >= 2) {
+      // Repeat the first line in the second place.
+      std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(at + 8), 8,
+                  bytes.begin() + static_cast<std::ptrdiff_t>(at + 16));
+      fix_section_crc(bytes, "GPUS");
+      expect_load_error(
+          bytes, "snapshot corrupt: warp line list is not a coalesced access");
+      return;
+    }
+    at += 8 + 8 * lines;
+  }
+  FAIL() << "no warp of SM 0 holds a multi-line access";
 }
 
 TEST_F(CkptErrors, CustomPolicyRefusesToSnapshot) {

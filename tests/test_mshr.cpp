@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -158,6 +159,86 @@ TEST(MshrDeficit, DropsByAtMostOnePerRelease) {
       }
     }
     EXPECT_GT(releases, 100) << "stream too quiet to exercise evictions";
+  }
+}
+
+// Differential check of the flat slot table against a std::map reference
+// (the file's earlier representation): random add / fold-path merge and
+// allocate / release streams, comparing tracking, can_accept, add's
+// return value, the waiters and their order at release, free_entries and
+// the stats after every step.
+TEST(Mshr, MatchesMapReferenceOnRandomStreams) {
+  struct Ref {
+    std::map<Addr, std::vector<WarpInstrUid>> entries;
+    MshrStats stats;
+  };
+  for (const MshrConfig cfg : {MshrConfig{4, 2}, MshrConfig{32, 8},
+                               MshrConfig{64, 8}}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      std::uint64_t state = seed * 0x9e3779b97f4a7c15ULL + cfg.entries;
+      auto below = [&state](std::uint64_t n) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        return (state >> 33) % n;
+      };
+      MshrFile m(cfg);
+      Ref ref;
+      // A line pool a little larger than the file keeps it near full.
+      const std::uint64_t pool = cfg.entries + cfg.entries / 2 + 1;
+      WarpInstrUid uid = 0;
+      for (int step = 0; step < 20000; ++step) {
+        const Addr line = 0x1000 + 128 * below(pool);
+        const auto rit = ref.entries.find(line);
+        const bool ref_tracking = rit != ref.entries.end();
+        const bool ref_accept = ref_tracking
+                                    ? rit->second.size() < cfg.max_merged
+                                    : ref.entries.size() < cfg.entries;
+        ASSERT_EQ(m.tracking(line), ref_tracking);
+        ASSERT_EQ(m.can_accept(line), ref_accept);
+        const std::uint64_t op = below(10);
+        if (op < 6 && ref_accept) {
+          ++uid;
+          bool fresh = false;
+          if (op < 3) {
+            fresh = m.add(line, req_for(line, uid));
+          } else {  // the one-lookup path Partition::handle and Sm use
+            const std::uint32_t slot = m.find(line);
+            fresh = slot == MshrFile::kNoSlot;
+            if (fresh) {
+              m.allocate(line, req_for(line, uid));
+            } else {
+              ASSERT_TRUE(m.can_merge(slot));
+              m.merge(slot, req_for(line, uid));
+            }
+          }
+          ASSERT_EQ(fresh, !ref_tracking);
+          ref.entries[line].push_back(uid);
+          ++(fresh ? ref.stats.allocations : ref.stats.merges);
+        } else if (op < 9 && !ref.entries.empty()) {
+          auto victim = ref.entries.begin();
+          std::advance(victim, static_cast<std::ptrdiff_t>(
+                                   below(ref.entries.size())));
+          const auto waiters = m.release(victim->first);
+          ASSERT_EQ(waiters.size(), victim->second.size());
+          for (std::size_t i = 0; i < waiters.size(); ++i) {
+            EXPECT_EQ(waiters[i].addr, victim->first);
+            EXPECT_EQ(waiters[i].tag.instr, victim->second[i]);
+          }
+          ref.entries.erase(victim);
+          ++ref.stats.releases;
+        } else {
+          m.count_stall();
+          ++ref.stats.stalls_full;
+        }
+        ASSERT_EQ(m.outstanding(), ref.entries.size());
+        ASSERT_EQ(m.free_entries(), cfg.entries - ref.entries.size());
+        ASSERT_EQ(m.full(), ref.entries.size() == cfg.entries);
+        ASSERT_EQ(m.stats().allocations, ref.stats.allocations);
+        ASSERT_EQ(m.stats().merges, ref.stats.merges);
+        ASSERT_EQ(m.stats().releases, ref.stats.releases);
+        ASSERT_EQ(m.stats().stalls_full, ref.stats.stalls_full);
+      }
+      EXPECT_GT(m.stats().releases, 1000u);
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <iterator>
 
+#include "cache/mshr.hpp"
 #include "check/invariant_checker.hpp"
 #include "dram/channel.hpp"
 #include "mc/policy_fcfs.hpp"
@@ -255,6 +256,21 @@ TEST(InvariantChecker, CleanControllerPassesAudit) {
   ic.audit_controller(mc, 200);
   EXPECT_TRUE(ic.clean()) << ic.violations().front().detail;
   EXPECT_GT(ic.audits_run(), 0u);
+}
+
+TEST(InvariantChecker, CleanMshrPassesSlotAudit) {
+  InvariantChecker ic(/*abort_on_violation=*/false);
+  MshrFile mshr(MshrConfig{4, 2});
+  MemRequest req;
+  for (Addr line = 0; line < 4 * 128; line += 128) {
+    req.addr = line;
+    mshr.add(line, req);
+    mshr.add(line, req);
+  }
+  (void)mshr.release(128);  // moves the last slot into the freed one
+  ic.audit_mshr(mshr, 10);
+  EXPECT_TRUE(ic.clean()) << ic.violations().front().detail;
+  EXPECT_EQ(ic.audits_run(), 1u);
 }
 
 // ---- end-to-end: full simulator under both checkers, every policy -----
