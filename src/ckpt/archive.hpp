@@ -158,6 +158,10 @@ class CkptReader {
     s.assign(reinterpret_cast<const char*>(p), n);
   }
 
+  /// Bytes left in the current section.  Every serialized element reads
+  /// at least one byte, so this bounds any element count read from it.
+  [[nodiscard]] std::size_t remaining() const { return section_end_ - pos_; }
+
   /// All sections consumed?  Called by load_snapshot after the last read.
   void finish() {
     if (pos_ != section_end_) {

@@ -80,12 +80,19 @@ void io_check_count(Ar& ar, std::size_t expect, const char* what) {
 }
 
 /// Resizable sequence (vector / deque): count, then one callback per
-/// element.  Load resizes in place.
+/// element.  Load resizes in place, after refusing a count larger than
+/// the bytes left in the section (every element reads at least one).
 template <class Ar, class Seq, class Fn>
 void io_seq(Ar& ar, Seq& seq, Fn&& fn) {
   std::uint64_t n = seq.size();
   ar.u64(n);
-  if constexpr (!Ar::kIsWriter) seq.resize(static_cast<std::size_t>(n));
+  if constexpr (!Ar::kIsWriter) {
+    if (n > ar.remaining()) {
+      throw ckpt::CkptError(
+          "snapshot corrupt: sequence count exceeds its section");
+    }
+    seq.resize(static_cast<std::size_t>(n));
+  }
   for (auto& item : seq) fn(item);
 }
 
@@ -200,7 +207,7 @@ struct HeapAccess : PQ {
   }
 };
 
-/// A warp-group's primary fields; its per-bank slots are index state that
+/// A warp-group's primary fields; its request list is index state that
 /// WgPolicy::on_load rebuilds from the read queue.
 template <class Ar>
 void io_wg_meta(Ar& ar, WgGroupMeta& meta) {
@@ -606,9 +613,9 @@ void ZldCoordinator::ckpt_io(Ar& ar) {
 
 template <class Ar>
 void WgPolicy::ckpt_io(Ar& ar) {
-  // Primary state only: the read-queue index (slots, active_,
-  // row_counts_, census_, next_seq_) is rebuilt by on_load, and the
-  // selection wake is derived.
+  // Primary state only: the read-queue index (each group's items,
+  // active_, next_seq_) is rebuilt by on_load, and the selection wake is
+  // derived.
   if constexpr (Ar::kIsWriter) {
     // Collect-then-sort (classic iterator loop over the unordered map;
     // the archive only sees the sorted walk).

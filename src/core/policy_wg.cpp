@@ -1,6 +1,8 @@
 #include "core/policy_wg.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "ckpt/error.hpp"
 #include "common/log.hpp"
@@ -9,12 +11,7 @@ namespace latdiv {
 
 namespace {
 
-/// Exact (bank, row) key for the MERB orphan-control counts.
-inline std::uint64_t row_key(BankId bank, RowId row) {
-  return (static_cast<std::uint64_t>(bank) << 32) | row;
-}
-
-/// Truncated (bank, row) key for the shared-row census — must match the
+/// Truncated (bank, row) key for the shared-row search — must match the
 /// historical census exactly, including its 24-bit row truncation.
 inline std::uint32_t census_key(BankId bank, RowId row) {
   return (static_cast<std::uint32_t>(bank) << 24) | (row & 0xFFFFFF);
@@ -33,82 +30,46 @@ constexpr std::uint32_t kMaxPushesPerCycle = 8;
 // ---- incremental read-queue index -------------------------------------
 //
 // The index mirrors the read queue: every read request of a group is one
-// QueuedReq in that group's per-bank slot, in queue (arrival-sequence)
-// order.  The queue is a deque that only ever push_backs and erases, so
-// relative order is stable and `seq` reconstructs it exactly: a group's
-// position among the selection candidates is the minimum seq over its
-// slots' front items (the old code's first-occurrence-in-queue order).
+// QueuedReq in that group's list, in queue (arrival-sequence) order.  The
+// queue only ever push_backs and erases, so relative order is stable and
+// `seq` reconstructs it exactly: a group's position among the selection
+// candidates is its front item's seq (the old code's
+// first-occurrence-in-queue order).  The rare searches — MERB orphan
+// control, the shared-row count and the filler search — read the read
+// queue itself.
 
 void WgPolicy::index_add(WgGroupMeta& meta, const MemRequest& req) {
-  const std::uint64_t seq = next_seq_++;
-  auto it = std::find_if(
-      meta.slots.begin(), meta.slots.end(),
-      [&](const WgGroupMeta::BankSlot& s) { return s.bank == req.loc.bank; });
-  if (it == meta.slots.end()) {
-    meta.slots.push_back(WgGroupMeta::BankSlot{req.loc.bank, {}});
-    it = meta.slots.end() - 1;
-  }
-  it->items.push_back(
-      WgGroupMeta::QueuedReq{seq, req.arrived_at_mc, req.loc.row});
-  if (!meta.in_active) {
-    active_.emplace_back(req.tag.instr, &meta);
-    meta.in_active = true;
-  }
-  if (cfg_.merb) ++row_counts_[row_key(req.loc.bank, req.loc.row)];
-  if (cfg_.shared_data_boost) {
-    auto& users = census_[census_key(req.loc.bank, req.loc.row)];
-    auto uit = std::find_if(users.begin(), users.end(), [&](const auto& u) {
-      return u.first == req.tag.instr;
-    });
-    if (uit == users.end()) {
-      users.emplace_back(req.tag.instr, 1u);
-    } else {
-      ++uit->second;
-    }
-  }
+  meta.items.push_back(WgGroupMeta::QueuedReq{next_seq_++, req.arrived_at_mc,
+                                              req.loc.bank, req.loc.row});
+  if (meta.items.size() == 1) active_.emplace_back(req.tag.instr, &meta);
 }
 
 void WgPolicy::index_remove(WgGroupMeta& meta, const MemRequest& req) {
-  auto it = std::find_if(
-      meta.slots.begin(), meta.slots.end(),
-      [&](const WgGroupMeta::BankSlot& s) { return s.bank == req.loc.bank; });
-  LATDIV_ASSERT(it != meta.slots.end(), "index_remove: unknown bank slot");
   // The erased queue element is always the earliest remaining request of
-  // this (group, bank) matching its row, so the first (row, arrival)
-  // match in the seq-ordered slot is the right one.
-  auto rit = std::find_if(
-      it->items.begin(), it->items.end(), [&](const WgGroupMeta::QueuedReq& q) {
-        return q.row == req.loc.row && q.arrival == req.arrived_at_mc;
+  // this group matching its (bank, row), so the first (bank, row, arrival)
+  // match in the seq-ordered list is the right one.
+  const auto it = std::find_if(
+      meta.items.begin(), meta.items.end(),
+      [&](const WgGroupMeta::QueuedReq& q) {
+        return q.bank == req.loc.bank && q.row == req.loc.row &&
+               q.arrival == req.arrived_at_mc;
       });
-  LATDIV_ASSERT(rit != it->items.end(), "index_remove: request not indexed");
-  it->items.erase(rit);
-  if (cfg_.merb) {
-    auto cit = row_counts_.find(row_key(req.loc.bank, req.loc.row));
-    LATDIV_ASSERT(cit != row_counts_.end() && cit->second > 0,
-                  "index_remove: row count underflow");
-    if (--cit->second == 0) row_counts_.erase(cit);
-  }
-  if (cfg_.shared_data_boost) {
-    auto kit = census_.find(census_key(req.loc.bank, req.loc.row));
-    LATDIV_ASSERT(kit != census_.end(), "index_remove: census key missing");
-    auto& users = kit->second;
-    auto uit = std::find_if(users.begin(), users.end(), [&](const auto& u) {
-      return u.first == req.tag.instr;
-    });
-    LATDIV_ASSERT(uit != users.end() && uit->second > 0,
-                  "index_remove: census count underflow");
-    if (--uit->second == 0) users.erase(uit);
-    if (users.empty()) census_.erase(kit);
-  }
+  LATDIV_ASSERT(it != meta.items.end(), "index_remove: request not indexed");
+  meta.items.erase(it);
+  if (!meta.items.empty()) return;
+  const auto ait =
+      std::find_if(active_.begin(), active_.end(),
+                   [&](const auto& e) { return e.first == req.tag.instr; });
+  LATDIV_ASSERT(ait != active_.end(), "index_remove: drained group not listed");
+  *ait = active_.back();
+  active_.pop_back();
 }
 
 void WgPolicy::on_load(MemoryController& mc) {
-  // ckpt_load left a fresh group table with empty slots.  Replaying the
+  // ckpt_load left a fresh group table with empty lists.  Replaying the
   // queue renumbers seq from 0: relative order survives, and nothing
   // compares seq values across a load (the wake that holds one is due).
   active_.clear();
-  row_counts_.clear();
-  census_.clear();
   next_seq_ = 0;
   if (current_ && groups_.count(*current_) == 0) {
     throw ckpt::CkptError(
@@ -125,29 +86,12 @@ void WgPolicy::on_load(MemoryController& mc) {
   }
   // lint: unordered-iter-ok (any-of check; the error names no group)
   for (const auto& [instr, meta] : groups_) {
-    std::size_t indexed = 0;
-    for (const WgGroupMeta::BankSlot& slot : meta.slots) {
-      indexed += slot.items.size();
-    }
-    if (indexed != meta.queued()) {
+    if (meta.items.size() != meta.queued()) {
       throw ckpt::CkptError(
           "snapshot corrupt: warp-group request count disagrees with the "
           "read queue");
     }
   }
-}
-
-std::uint32_t WgPolicy::group_row_count(const WgGroupMeta& meta, BankId bank,
-                                        RowId row) const {
-  auto it = std::find_if(
-      meta.slots.begin(), meta.slots.end(),
-      [&](const WgGroupMeta::BankSlot& s) { return s.bank == bank; });
-  if (it == meta.slots.end()) return 0;
-  std::uint32_t n = 0;
-  for (const WgGroupMeta::QueuedReq& q : it->items) {
-    if (q.row == row) ++n;
-  }
-  return n;
 }
 
 // ---- notifications ----------------------------------------------------
@@ -269,20 +213,26 @@ WgPolicy::Score WgPolicy::score_group(const MemoryController& mc,
   if (git == groups_.end()) return {};
   const WgGroupMeta& meta = git->second;
 
-  // Walk the group's queued requests per touched bank, simulating the
-  // bank's planned row sequence starting from the controller's predictor.
+  // Walk the group's queued requests with a running row per touched bank,
+  // simulating each bank's planned row sequence from the controller's
+  // predictor.  Only the banks in `touched` are initialised.
   Score out;
-  for (const WgGroupMeta::BankSlot& slot : meta.slots) {
-    if (slot.items.empty()) continue;
-    RowId running = mc.predicted_row(slot.bank);
-    std::uint32_t score = bank_queue_score(mc, slot.bank);
-    for (const WgGroupMeta::QueuedReq& q : slot.items) {
-      const bool hit = q.row == running;
-      score += hit ? kScoreHit : cfg_.score_miss;
-      if (hit) ++out.row_hits;
-      running = q.row;
+  std::uint32_t touched = 0;
+  std::array<RowId, kMaxBanks> running;
+  std::array<std::uint32_t, kMaxBanks> score;
+  for (const WgGroupMeta::QueuedReq& q : meta.items) {
+    if ((touched & (1u << q.bank)) == 0) {
+      touched |= 1u << q.bank;
+      running[q.bank] = mc.predicted_row(q.bank);
+      score[q.bank] = bank_queue_score(mc, q.bank);
     }
-    out.completion = std::max(out.completion, score);
+    const bool hit = q.row == running[q.bank];
+    score[q.bank] += hit ? kScoreHit : cfg_.score_miss;
+    if (hit) ++out.row_hits;
+    running[q.bank] = q.row;
+  }
+  for (; touched != 0; touched &= touched - 1) {
+    out.completion = std::max(out.completion, score[std::countr_zero(touched)]);
   }
   return out;
 }
@@ -291,18 +241,9 @@ void WgPolicy::forget_if_done(WarpInstrUid instr) {
   auto it = groups_.find(instr);
   if (it == groups_.end()) return;
   const WgGroupMeta& meta = it->second;
+  // A drained group has already left active_ (index_remove).
   if (meta.complete && meta.pushed >= meta.seen &&
       (!current_ || *current_ != instr)) {
-    if (meta.in_active) {
-      // The lazy sweep may not have run since the group drained; its
-      // active_ entry points into the node being erased.
-      const auto ait = std::find_if(
-          active_.begin(), active_.end(),
-          [&](const auto& e) { return e.first == instr; });
-      LATDIV_ASSERT(ait != active_.end(), "in_active group not listed");
-      *ait = active_.back();
-      active_.pop_back();
-    }
     groups_.erase(it);
   }
 }
@@ -317,22 +258,34 @@ WgPolicy::Cand WgPolicy::make_cand(const MemoryController& mc,
   // hysteresis the GMC row sorter applies: a hit for the still-open row
   // may be one arrival away, and closing early forfeits it.  The
   // liveness fallback ignores (b).
+  LATDIV_DCHECK(!meta.items.empty(), "candidate without queued requests");
   const auto depth_cap = mc.config().bank_queue_depth;
-  Cand c{instr, &meta, ~std::uint64_t{0}, 0, kNoCycle, 0, 0};
-  for (const WgGroupMeta::BankSlot& slot : meta.slots) {
-    if (slot.items.empty()) continue;
-    const WgGroupMeta::QueuedReq& front = slot.items.front();
-    c.head_seq = std::min(c.head_seq, front.seq);
-    c.oldest = std::min(c.oldest, front.arrival);
-    c.count += static_cast<std::uint32_t>(slot.items.size());
-    const std::size_t queued = mc.bank_queue_size(slot.bank);
+  Cand c{instr, &meta, meta.items.front().seq,
+         static_cast<std::uint32_t>(meta.items.size()), kNoCycle, 0, 0};
+  // Fold the list into per-bank request counts and front rows; only the
+  // banks in `touched` are initialised.
+  std::uint32_t touched = 0;
+  std::array<std::uint32_t, kMaxBanks> count;
+  std::array<RowId, kMaxBanks> front_row;
+  for (const WgGroupMeta::QueuedReq& q : meta.items) {
+    if ((touched & (1u << q.bank)) == 0) {
+      touched |= 1u << q.bank;
+      count[q.bank] = 0;
+      front_row[q.bank] = q.row;
+      c.oldest = std::min(c.oldest, q.arrival);
+    }
+    ++count[q.bank];
+  }
+  for (; touched != 0; touched &= touched - 1) {
+    const auto bank = static_cast<BankId>(std::countr_zero(touched));
+    const std::size_t queued = mc.bank_queue_size(bank);
     // Groups larger than a bank's command queue can never fit whole;
     // they become selectable once the full queue depth is free and then
     // drain incrementally (drain_current keeps them current).
-    const auto need = std::min<std::size_t>(slot.items.size(), depth_cap);
-    if (queued + need > depth_cap) c.room_block |= 1u << slot.bank;
-    if (queued != 0 && mc.predicted_row(slot.bank) != front.row) {
-      c.drain_block |= 1u << slot.bank;
+    const auto need = std::min<std::size_t>(count[bank], depth_cap);
+    if (queued + need > depth_cap) c.room_block |= 1u << bank;
+    if (queued != 0 && mc.predicted_row(bank) != front_row[bank]) {
+      c.drain_block |= 1u << bank;
     }
   }
   return c;
@@ -351,17 +304,8 @@ void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
   // candidates and arms the wake below; its first request then wakes it
   // (see on_push).
   cands_.clear();
-  for (std::size_t i = 0; i < active_.size();) {
-    const WarpInstrUid instr = active_[i].first;
-    WgGroupMeta& meta = *active_[i].second;
-    if (meta.queued() == 0) {  // drained since listing: sweep out
-      meta.in_active = false;
-      active_[i] = active_.back();
-      active_.pop_back();
-      continue;
-    }
-    ++i;
-    cands_.push_back(make_cand(mc, instr, meta));
+  for (const auto& [instr, meta] : active_) {
+    cands_.push_back(make_cand(mc, instr, *meta));
   }
   auto older = [](const Cand& a, const Cand& b) {
     return a.oldest < b.oldest ||
@@ -395,16 +339,19 @@ void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
   }
 
   // Shared-data extension: how many of the group's queued requests touch
-  // a (bank, row) that at least one other pending group also needs.  The
-  // census is maintained incrementally by index_add/index_remove.
+  // a (bank, row) that at least one other pending group also needs, read
+  // straight off the read queue.
   auto shared_requests = [&](const Cand& c) -> std::uint32_t {
-    if (!cfg_.shared_data_boost) return 0;
+    const auto& rq = mc.read_queue();
     std::uint32_t n = 0;
-    for (const WgGroupMeta::BankSlot& slot : c.meta->slots) {
-      for (const WgGroupMeta::QueuedReq& q : slot.items) {
-        const auto kit = census_.find(census_key(slot.bank, q.row));
-        if (kit != census_.end() && kit->second.size() >= 2) ++n;
-      }
+    for (const WgGroupMeta::QueuedReq& q : c.meta->items) {
+      const std::uint32_t key = census_key(q.bank, q.row);
+      const bool shared =
+          std::any_of(rq.begin(), rq.end(), [&](const MemRequest& r) {
+            return r.tag.instr != c.instr &&
+                   census_key(r.loc.bank, r.loc.row) == key;
+          });
+      if (shared) ++n;
     }
     return n;
   };
@@ -581,66 +528,28 @@ bool WgPolicy::push_filler(MemoryController& mc, BankId bank, Cycle now) {
 
   // Prefer the filler whose warp-group is closest to completion at this
   // controller (paper: overlap the miss with hits from nearly-complete
-  // warps); among ties, the group whose matching request is oldest in
-  // the queue.  The winner minimises (remaining, earliest matching seq),
-  // which is exactly what the old oldest-first queue scan selected.
-  const WgGroupMeta* best_meta = nullptr;
-  WarpInstrUid best_instr = 0;
+  // warps); among ties, the request oldest in the queue.  Scanning in
+  // queue order and taking a later match only with strictly fewer queued
+  // requests minimises (remaining, seq).
+  auto best = rq.end();
   std::uint32_t best_remaining = 0;
-  std::uint64_t best_seq = 0;
-  // Winner minimises a unique (remaining, seq) key, so active_ order is
-  // irrelevant here too.
-  for (std::size_t i = 0; i < active_.size();) {
-    const WarpInstrUid instr = active_[i].first;
-    WgGroupMeta& ameta = *active_[i].second;
-    if (ameta.queued() == 0) {  // drained since listing: sweep out
-      ameta.in_active = false;
-      active_[i] = active_.back();
-      active_.pop_back();
-      continue;
-    }
-    ++i;
-    const WgGroupMeta& meta = ameta;
-    if (current_ && instr == *current_) continue;  // not a filler
-    const auto sit = std::find_if(
-        meta.slots.begin(), meta.slots.end(),
-        [&](const WgGroupMeta::BankSlot& s) { return s.bank == bank; });
-    if (sit == meta.slots.end()) continue;
-    std::uint64_t seq = ~std::uint64_t{0};
-    for (const WgGroupMeta::QueuedReq& q : sit->items) {
-      if (q.row == target_row) {
-        seq = q.seq;
-        break;
-      }
-    }
-    if (seq == ~std::uint64_t{0}) continue;
-    const std::uint32_t rem = meta.queued();
-    if (best_meta == nullptr || rem < best_remaining ||
-        (rem == best_remaining && seq < best_seq)) {
-      best_meta = &meta;
-      best_instr = instr;
+  for (auto it = rq.begin(); it != rq.end(); ++it) {
+    if (it->loc.bank != bank || it->loc.row != target_row) continue;
+    if (current_ && it->tag.instr == *current_) continue;  // not a filler
+    const std::uint32_t rem = groups_.at(it->tag.instr).queued();
+    if (best == rq.end() || rem < best_remaining) {
+      best = it;
       best_remaining = rem;
-      best_seq = seq;
     }
   }
-  if (best_meta == nullptr) return false;
+  if (best == rq.end()) return false;
 
-  // One targeted scan to erase the chosen request from the real queue
-  // (the index has no iterators into it); the first match is the
-  // earliest, which is the indexed winner.
-  auto it = rq.begin();
-  for (; it != rq.end(); ++it) {
-    if (it->tag.instr == best_instr && it->loc.bank == bank &&
-        it->loc.row == target_row) {
-      break;
-    }
-  }
-  LATDIV_ASSERT(it != rq.end(), "push_filler: indexed request not in queue");
-  MemRequest req = *it;
-  rq.erase(it);
-  index_remove(groups_.at(best_instr), req);
+  MemRequest req = *best;
+  rq.erase(best);
+  WgGroupMeta& meta = groups_.at(req.tag.instr);
+  index_remove(meta, req);
   mc.send_to_bank(req, now);
-  ++groups_.at(best_instr).pushed;
+  ++meta.pushed;
   return true;
 }
 
@@ -684,13 +593,11 @@ std::uint32_t WgPolicy::drain_current(MemoryController& mc, Cycle now) {
         // Threshold met — orphan control: if only 1..orphan_limit hits to
         // the outgoing row remain, service them before closing it.
         const RowId target = mc.predicted_row(bank);
-        const auto cit = row_counts_.find(row_key(bank, target));
-        const std::uint32_t total =
-            cit != row_counts_.end() ? cit->second : 0;
-        const std::uint32_t own =
-            group_row_count(groups_.at(*current_), bank, target);
-        LATDIV_ASSERT(total >= own, "orphan count underflow");
-        const std::uint32_t fillers = total - own;
+        const auto fillers = static_cast<std::uint32_t>(
+            std::count_if(rq.begin(), rq.end(), [&](const MemRequest& r) {
+              return r.loc.bank == bank && r.loc.row == target &&
+                     r.tag.instr != *current_;
+            }));
         if (fillers >= 1 && fillers <= cfg_.orphan_limit) {
           bool pushed_any = false;
           while (pushes < kMaxPushesPerCycle &&

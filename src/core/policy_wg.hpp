@@ -80,11 +80,11 @@ struct WgConfig {
 /// Per-warp-group bookkeeping (the warp sorter / bank table entry).
 ///
 /// Besides the paper's counters this carries the incremental read-queue
-/// index: one entry per request of the group still waiting in the
-/// controller's read queue, grouped by bank and kept in arrival order.
-/// WgPolicy maintains it in on_push and at every read-queue erase, so
-/// selection and scoring never rescan the read queue; a snapshot holds
-/// only the fields above the index, which on_load rebuilds.
+/// index: the group's requests still waiting in the controller's read
+/// queue, in queue order.  WgPolicy maintains it in on_push and at every
+/// read-queue erase, so selection and scoring never rescan the read
+/// queue; a snapshot holds only the fields above the index, which
+/// on_load rebuilds.
 struct WgGroupMeta {
   WarpTag tag;
   Cycle first_arrival = kNoCycle;
@@ -96,18 +96,11 @@ struct WgGroupMeta {
   struct QueuedReq {
     std::uint64_t seq;  ///< controller-wide arrival sequence number
     Cycle arrival;      ///< == arrived_at_mc (non-decreasing in seq)
+    BankId bank;
     RowId row;
   };
-  struct BankSlot {
-    BankId bank;
-    std::vector<QueuedReq> items;  ///< this group's queued requests, in
-                                   ///< read-queue (= seq) order
-  };
-  /// Per-bank slots in first-touch order; a slot may drain empty.
-  std::vector<BankSlot> slots;
-  /// Listed in WgPolicy::active_ (groups with queued requests); cleared
-  /// lazily when a sweep finds the group drained.
-  bool in_active = false;
+  /// This group's queued requests, in read-queue (= seq) order.
+  std::vector<QueuedReq> items;
 
   /// Requests of this group currently in the read queue (== the old
   /// O(read-queue) pending_in_queue scan).
@@ -130,9 +123,10 @@ class WgPolicy final : public TransactionScheduler {
  public:
   WgPolicy(const WgConfig& cfg, const DramTiming& timing)
       : cfg_(cfg), merb_(timing) {
-    // The per-group bank footprint uses 32-bit bank masks (and the WG
-    // paper's GDDR5 devices have 16 banks); wider devices need a wider
-    // opens_row_mask before this policy can run on them.
+    // The per-group bank footprint uses 32-bit bank masks and per-bank
+    // scratch arrays of kMaxBanks (the WG paper's GDDR5 devices have 16
+    // banks); wider devices need both widened before this policy can run
+    // on them.
     LATDIV_ASSERT(timing.banks <= kMaxBanks,
                   "WgPolicy bank masks support at most 32 banks");
   }
@@ -250,28 +244,24 @@ class WgPolicy final : public TransactionScheduler {
   /// Record a read request leaving the read queue (called at every
   /// policy-side erase, immediately before send_to_bank).
   void index_remove(WgGroupMeta& meta, const MemRequest& req);
-  /// Queued requests of `instr` matching (bank, row) — MERB orphan count.
-  [[nodiscard]] std::uint32_t group_row_count(const WgGroupMeta& meta,
-                                              BankId bank, RowId row) const;
 
-  /// Width of the per-group bank masks.
+  /// Width of the per-group bank masks and the per-bank scratch arrays.
   static constexpr std::uint32_t kMaxBanks = 32;
 
   WgConfig cfg_;
   MerbTable merb_;
   std::unordered_map<WarpInstrUid, WgGroupMeta> groups_;
   std::optional<WarpInstrUid> current_;
-  /// Groups that (may) have queued requests — the candidate universe for
-  /// selection and filler searches, so neither walks the groups_ hash
-  /// table.  Entries are appended by index_add when a drained group gains
-  /// a request, swept out lazily when found empty, and removed eagerly in
-  /// forget_if_done (the meta pointer must not dangle).  Order is
-  /// irrelevant: every consumer totally orders candidates itself.
+  /// Exactly the groups with queued requests — the candidate universe for
+  /// selection, so it never walks the groups_ hash table.  index_add
+  /// appends a group whose list goes from 0 to 1 entries and index_remove
+  /// swap-pops it when the list empties.  Order is irrelevant: every
+  /// selection rule totally orders candidates itself.
   std::vector<std::pair<WarpInstrUid, WgGroupMeta*>> active_;
 
-  /// Controller-wide arrival sequence for read requests; slot items carry
-  /// it so the read queue's relative order (a deque: push-back + erase)
-  /// can be reconstructed from the index alone.
+  /// Controller-wide arrival sequence for read requests; index items
+  /// carry it so the read queue's relative order (push-back + erase) can
+  /// be reconstructed from the index alone.
   std::uint64_t next_seq_ = 0;
 
   // Selection wake (derived, never saved).  Most controller mutations —
@@ -314,17 +304,6 @@ class WgPolicy final : public TransactionScheduler {
   /// Groups completed since the wake was armed.
   std::vector<WarpInstrUid> completed_;
 
-  /// WG-Bw orphan control: total queued read requests per exact
-  /// (bank, row), across all groups.  Maintained only when cfg_.merb.
-  std::unordered_map<std::uint64_t, std::uint32_t> row_counts_;
-  /// Shared-row census for the shared-data extension: per truncated
-  /// (bank, row24) key, the distinct groups with queued requests on it
-  /// (and their counts).  Maintained only when cfg_.shared_data_boost;
-  /// a key is "shared" when two or more groups appear.
-  std::unordered_map<std::uint32_t,
-                     std::vector<std::pair<WarpInstrUid, std::uint32_t>>>
-      census_;
-
   /// Scratch candidate list reused across select_next_group calls.
   struct Cand {
     WarpInstrUid instr;
@@ -332,7 +311,7 @@ class WgPolicy final : public TransactionScheduler {
     std::uint64_t head_seq;  ///< seq of the group's earliest queued request
     std::uint32_t count;
     Cycle oldest;
-    /// Banks whose command queue lacks room for this group's slot.
+    /// Banks whose command queue lacks room for this group's requests.
     std::uint32_t room_block;
     /// Non-empty banks whose row this group would close (the stream
     /// hysteresis; only selections that require drained banks check it).

@@ -1,5 +1,5 @@
 // Observability event model — the unit flowing from instrumented
-// components to a TraceSink.
+// components to the ChromeTraceSink.
 //
 // The taxonomy mirrors Chrome's trace_event format (the only backend we
 // ship renders to it directly), because that format is the lingua franca

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 
 #include "common/log.hpp"
 
@@ -28,10 +29,16 @@ void append_u64(std::string& out, std::uint64_t v) {
   out.append(buf, static_cast<std::size_t>(n));
 }
 
+/// Write an artifact; one that cannot be written fails the run.
+void write_artifact(const std::string& path, const std::string& text) {
+  std::ofstream f(path, std::ios::binary);
+  if (f) f << text << std::flush;
+  if (!f) throw std::runtime_error("obs: cannot write " + path);
+}
+
 }  // namespace
 
 ObsHub::ObsHub(const ObsConfig& cfg) : cfg_(cfg) {
-  if (cfg_.trace) sink_ = &chrome_;
   if (!cfg_.attrib_path.empty()) cfg_.attrib = true;
   h_gap_ = &registry_.histogram("warp.divergence_gap");
   h_first_ = &registry_.histogram("warp.first_latency");
@@ -44,10 +51,6 @@ ObsHub::ObsHub(const ObsConfig& cfg) : cfg_(cfg) {
   if (cfg_.attrib) attrib_ = std::make_unique<AttributionProfiler>(registry_);
 }
 
-void ObsHub::override_sink(TraceSink* sink) {
-  sink_ = sink != nullptr ? sink : (cfg_.trace ? &chrome_ : nullptr);
-}
-
 bool ObsHub::first_use(std::uint32_t pid, std::uint32_t tid) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(pid) << 32) | tid;
@@ -56,14 +59,14 @@ bool ObsHub::first_use(std::uint32_t pid, std::uint32_t tid) {
 
 void ObsHub::name_warp_track(SmId sm, WarpId warp) {
   if (named_pids_.insert(kPidWarps).second) {
-    sink_->process_name(kPidWarps, "warps");
+    chrome_.process_name(kPidWarps, "warps");
   }
   const std::uint32_t tid = warp_tid(sm, warp);
   if (!first_use(kPidWarps, tid)) return;
   char buf[32];
   std::snprintf(buf, sizeof buf, "sm%u.w%u", static_cast<unsigned>(sm),
                 static_cast<unsigned>(warp));
-  sink_->thread_name(kPidWarps, tid, buf);
+  chrome_.thread_name(kPidWarps, tid, buf);
 }
 
 void ObsHub::name_bank_track(ChannelId ch, std::uint32_t tid) {
@@ -71,21 +74,21 @@ void ObsHub::name_bank_track(ChannelId ch, std::uint32_t tid) {
   if (named_pids_.insert(pid).second) {
     char buf[16];
     std::snprintf(buf, sizeof buf, "mc%u", static_cast<unsigned>(ch));
-    sink_->process_name(pid, buf);
+    chrome_.process_name(pid, buf);
   }
   if (!first_use(pid, tid)) return;
   if (tid == kTidCtrl) {
-    sink_->thread_name(pid, tid, "ctrl");
+    chrome_.thread_name(pid, tid, "ctrl");
   } else {
     char buf[16];
     std::snprintf(buf, sizeof buf, "bank%u", tid);
-    sink_->thread_name(pid, tid, buf);
+    chrome_.thread_name(pid, tid, buf);
   }
 }
 
 void ObsHub::req_enqueued(const MemRequest& req, Cycle now) {
   if (attrib_ != nullptr) attrib_->req_enqueued(req, now);
-  if (sink_ == nullptr) return;
+  if (!cfg_.trace) return;
   const std::uint32_t tid = req.loc.bank;
   name_bank_track(req.loc.channel, tid);
   const std::array<TraceArg, 4> args{{
@@ -95,8 +98,8 @@ void ObsHub::req_enqueued(const MemRequest& req, Cycle now) {
        req.issued_by_sm == kNoCycle ? 0 : now - req.issued_by_sm},
       {"write", req.kind == ReqKind::kWrite ? 1u : 0u},
   }};
-  sink_->emit({TraceEvent::Phase::kInstant, "enq", "req",
-               mc_pid(req.loc.channel), tid, now, 0, args});
+  chrome_.emit({TraceEvent::Phase::kInstant, "enq", "req",
+                mc_pid(req.loc.channel), tid, now, 0, args});
 }
 
 void ObsHub::req_to_bank(const MemRequest& req, Cycle now) {
@@ -106,7 +109,7 @@ void ObsHub::req_to_bank(const MemRequest& req, Cycle now) {
 
 void ObsHub::req_cas(const MemRequest& req, Cycle now) {
   if (attrib_ != nullptr) attrib_->req_cas(req, now);
-  if (sink_ == nullptr) return;
+  if (!cfg_.trace) return;
   const std::uint32_t tid = req.loc.bank;
   name_bank_track(req.loc.channel, tid);
   const Cycle queue_wait =
@@ -117,8 +120,8 @@ void ObsHub::req_cas(const MemRequest& req, Cycle now) {
       {"queue", queue_wait},
       {"row", req.loc.row},
   }};
-  sink_->emit({TraceEvent::Phase::kInstant, "cas", "req",
-               mc_pid(req.loc.channel), tid, now, 0, args});
+  chrome_.emit({TraceEvent::Phase::kInstant, "cas", "req",
+                mc_pid(req.loc.channel), tid, now, 0, args});
 }
 
 void ObsHub::req_data(const MemRequest& req, Cycle done) {
@@ -126,7 +129,7 @@ void ObsHub::req_data(const MemRequest& req, Cycle done) {
   const Cycle service =
       req.arrived_at_mc == kNoCycle ? 0 : done - req.arrived_at_mc;
   h_service_->add(service);
-  if (sink_ == nullptr) return;
+  if (!cfg_.trace) return;
   const std::uint32_t tid = req.loc.bank;
   name_bank_track(req.loc.channel, tid);
   const std::array<TraceArg, 3> args{{
@@ -134,39 +137,39 @@ void ObsHub::req_data(const MemRequest& req, Cycle done) {
       {"service", service},
       {"sm", req.tag.sm},
   }};
-  sink_->emit({TraceEvent::Phase::kInstant, "data", "req",
-               mc_pid(req.loc.channel), tid, done, 0, args});
+  chrome_.emit({TraceEvent::Phase::kInstant, "data", "req",
+                mc_pid(req.loc.channel), tid, done, 0, args});
 }
 
 void ObsHub::req_write_retired(const MemRequest& req, Cycle done) {
-  if (sink_ == nullptr) return;
+  if (!cfg_.trace) return;
   const std::uint32_t tid = req.loc.bank;
   name_bank_track(req.loc.channel, tid);
   const std::array<TraceArg, 1> args{{{"addr", req.addr}}};
-  sink_->emit({TraceEvent::Phase::kInstant, "wr", "req",
-               mc_pid(req.loc.channel), tid, done, 0, args});
+  chrome_.emit({TraceEvent::Phase::kInstant, "wr", "req",
+                mc_pid(req.loc.channel), tid, done, 0, args});
 }
 
 void ObsHub::dram_command(ChannelId ch, const DramCommand& cmd, Cycle now) {
-  if (sink_ == nullptr) return;
+  if (!cfg_.trace) return;
   switch (cmd.cmd) {
     case DramCmd::kActivate: {
       name_bank_track(ch, cmd.bank);
       const std::array<TraceArg, 1> args{{{"row", cmd.row}}};
-      sink_->emit({TraceEvent::Phase::kInstant, "ACT", "dram", mc_pid(ch),
-                   cmd.bank, now, 0, args});
+      chrome_.emit({TraceEvent::Phase::kInstant, "ACT", "dram", mc_pid(ch),
+                    cmd.bank, now, 0, args});
       break;
     }
     case DramCmd::kPrecharge: {
       name_bank_track(ch, cmd.bank);
-      sink_->emit({TraceEvent::Phase::kInstant, "PRE", "dram", mc_pid(ch),
-                   cmd.bank, now, 0, {}});
+      chrome_.emit({TraceEvent::Phase::kInstant, "PRE", "dram", mc_pid(ch),
+                    cmd.bank, now, 0, {}});
       break;
     }
     case DramCmd::kRefresh:
       name_bank_track(ch, kTidCtrl);
-      sink_->emit({TraceEvent::Phase::kInstant, "REF", "dram", mc_pid(ch),
-                   kTidCtrl, now, 0, {}});
+      chrome_.emit({TraceEvent::Phase::kInstant, "REF", "dram", mc_pid(ch),
+                    kTidCtrl, now, 0, {}});
       break;
     case DramCmd::kRead:
     case DramCmd::kWrite:
@@ -186,11 +189,11 @@ void ObsHub::drain_end(ChannelId ch, Cycle now, std::uint64_t writes) {
   if (drain_start_.size() <= ch || drain_start_[ch] == kNoCycle) return;
   const Cycle start = drain_start_[ch];
   drain_start_[ch] = kNoCycle;
-  if (sink_ == nullptr) return;
+  if (!cfg_.trace) return;
   name_bank_track(ch, kTidCtrl);
   const std::array<TraceArg, 1> args{{{"writes", writes}}};
-  sink_->emit({TraceEvent::Phase::kComplete, "drain", "mc", mc_pid(ch),
-               kTidCtrl, start, now - start, args});
+  chrome_.emit({TraceEvent::Phase::kComplete, "drain", "mc", mc_pid(ch),
+                kTidCtrl, start, now - start, args});
 }
 
 void ObsHub::warp_load(SmId sm, WarpId warp, WarpInstrUid uid, Cycle issued,
@@ -208,7 +211,7 @@ void ObsHub::warp_load(SmId sm, WarpId warp, WarpInstrUid uid, Cycle issued,
   h_gap_->add(gap);
   h_first_->add(first_lat);
   h_last_->add(last_lat);
-  if (sink_ == nullptr) return;
+  if (!cfg_.trace) return;
   name_warp_track(sm, warp);
   const std::array<TraceArg, 4> args{{
       {"reqs", reqs},
@@ -217,8 +220,8 @@ void ObsHub::warp_load(SmId sm, WarpId warp, WarpInstrUid uid, Cycle issued,
       {"gap", gap},
   }};
   const Cycle end = woke == kNoCycle ? last_done : woke;
-  sink_->emit({TraceEvent::Phase::kComplete, "load", "warp", kPidWarps,
-               warp_tid(sm, warp), issued, end - issued, args});
+  chrome_.emit({TraceEvent::Phase::kComplete, "load", "warp", kPidWarps,
+                warp_tid(sm, warp), issued, end - issued, args});
 }
 
 void ObsHub::set_series_columns(std::vector<std::string> names) {
@@ -241,14 +244,14 @@ void ObsHub::sample(Cycle now, std::span<const std::uint64_t> values) {
     append_u64(series_, v);
   }
   series_.push_back('\n');
-  if (sink_ == nullptr) return;
+  if (!cfg_.trace) return;
   if (named_pids_.insert(kPidCounters).second) {
-    sink_->process_name(kPidCounters, "counters");
+    chrome_.process_name(kPidCounters, "counters");
   }
   for (std::size_t i = 0; i < columns_.size(); ++i) {
     const std::array<TraceArg, 1> args{{{"value", values[i]}}};
-    sink_->emit({TraceEvent::Phase::kCounter, columns_[i].c_str(), "ts",
-                 kPidCounters, 0, now, 0, args});
+    chrome_.emit({TraceEvent::Phase::kCounter, columns_[i].c_str(), "ts",
+                  kPidCounters, 0, now, 0, args});
   }
 }
 
@@ -259,22 +262,18 @@ void ObsHub::finalize(Cycle end) {
     drain_end(ch, end, 0);
   }
   if (!cfg_.trace_path.empty() && cfg_.trace) {
-    std::ofstream f(cfg_.trace_path, std::ios::binary);
-    if (f) f << chrome_.finish();
+    write_artifact(cfg_.trace_path, chrome_.finish());
   }
   if (!cfg_.timeseries_path.empty() && cfg_.timeseries) {
-    std::ofstream f(cfg_.timeseries_path, std::ios::binary);
-    if (f) f << series_;
+    write_artifact(cfg_.timeseries_path, series_);
   }
   if (!cfg_.metrics_path.empty()) {
-    std::ofstream f(cfg_.metrics_path, std::ios::binary);
-    if (f) f << registry_.to_json();
+    write_artifact(cfg_.metrics_path, registry_.to_json());
   }
   if (attrib_ != nullptr) {
     attrib_->finalize(end);
     if (!cfg_.attrib_path.empty()) {
-      std::ofstream f(cfg_.attrib_path, std::ios::binary);
-      if (f) f << attrib_->to_json();
+      write_artifact(cfg_.attrib_path, attrib_->to_json());
     }
   }
 }

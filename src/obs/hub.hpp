@@ -2,8 +2,8 @@
 //
 // One hub per simulation.  Instrumented components (memory controllers,
 // the instruction tracker, the simulator's sampler) hold a nullable
-// `obs::ObsHub*` and narrate what happens to it; the hub fans events out
-// to a TraceSink and folds distributions into a MetricRegistry.  A null
+// `obs::ObsHub*` and narrate what happens to it; the hub renders events
+// into a ChromeTraceSink and folds distributions into a MetricRegistry.  A null
 // hub pointer is the disabled path — one branch per would-be event, no
 // allocation, no virtual call — which is what keeps observability free
 // when off (bench/bench_throughput.cpp prices this).
@@ -54,12 +54,7 @@ class ObsHub {
   ObsHub(const ObsHub&) = delete;
   ObsHub& operator=(const ObsHub&) = delete;
 
-  /// Replace the trace sink with a caller-owned one (benchmarks price the
-  /// emission path with a CountingTraceSink).  Pass nullptr to restore
-  /// the configured sink.
-  void override_sink(TraceSink* sink);
-
-  [[nodiscard]] bool tracing() const noexcept { return sink_ != nullptr; }
+  [[nodiscard]] bool tracing() const noexcept { return cfg_.trace; }
   [[nodiscard]] bool sampling() const noexcept { return cfg_.timeseries; }
   [[nodiscard]] Cycle sample_interval() const noexcept {
     return cfg_.sample_interval;
@@ -107,12 +102,13 @@ class ObsHub {
     return registry_;
   }
 
-  /// Close open episodes at `end` and write all configured output files.
+  /// Close open episodes at `end` and write all configured output files;
+  /// throws std::runtime_error naming the path of a file it cannot write.
   void finalize(Cycle end);
 
   // --- artifact access (tests and tools read these in-memory) ---
-  /// Finished Chrome JSON (empty string when not tracing to the built-in
-  /// sink).  Finishes the sink on first call.
+  /// Finished Chrome JSON (an empty event list when not tracing).
+  /// Finishes the sink on first call.
   [[nodiscard]] const std::string& trace_json();
   [[nodiscard]] const std::string& timeseries_csv() const { return series_; }
   [[nodiscard]] std::string metrics_json() const {
@@ -135,8 +131,8 @@ class ObsHub {
 
   /// Snapshot serialization (src/ckpt): registry, trace buffer, series CSV
   /// and episode state all round-trip so an obs-enabled resume produces
-  /// byte-identical artifacts; the sink override and hot-path handles are
-  /// re-established at construction.
+  /// byte-identical artifacts; the hot-path handles are re-established at
+  /// construction.
   template <class Ar>
   void ckpt_io(Ar& ar);
 
@@ -146,9 +142,7 @@ class ObsHub {
   [[nodiscard]] bool first_use(std::uint32_t pid, std::uint32_t tid);
 
   ObsConfig cfg_;
-  ChromeTraceSink chrome_;   ///< built-in backend (used when cfg_.trace)
-  /// Active sink; null when not tracing.
-  TraceSink* sink_ = nullptr;
+  ChromeTraceSink chrome_;  ///< trace backend (used when cfg_.trace)
 
   MetricRegistry registry_;
   /// Latency-attribution layer; null when off (cfg_.attrib gates it).

@@ -452,6 +452,7 @@ class CkptErrors : public ::testing::Test {
                                          ///< waiter count follows
     std::size_t pipeline = 0;
     std::size_t fills = 0;
+    std::size_t responses = 0;
     std::vector<std::size_t> bank_q;
     std::size_t heap = 0;
   };
@@ -483,7 +484,7 @@ class CkptErrors : public ::testing::Test {
     at += 4 * 8;  // MSHR stats
     p.pipeline = skip_seq(8 + kReqBytes);
     p.fills = skip_seq(kReqBytes);
-    (void)skip_seq(kRespBytes);  // responses
+    p.responses = skip_seq(kRespBytes);
     at += 7 * 8;                 // partition stats
     at += 2 * 8;                 // drain-episode accounting
     (void)skip_seq(kReqBytes);   // read queue
@@ -688,6 +689,15 @@ TEST_F(CkptErrors, MshrLineListedTwice) {
   expect_patched_error(bytes, p.mshr_line[1],
                        get_le64(bytes.data() + p.mshr_line[0]), "MCTL",
                        "snapshot corrupt: MSHR line listed twice");
+}
+
+TEST_F(CkptErrors, SequenceCountExceedsSection) {
+  // A hostile count must fail before the load resizes the sequence to it
+  // (2^62 responses would be an allocation failure, not a CkptError).
+  Simulator sim(cfg_);
+  const Partition0 p = walk_partition0(snap_, sim);
+  expect_patched_error(snap_, p.responses, std::uint64_t{1} << 62, "MCTL",
+                       "snapshot corrupt: sequence count exceeds its section");
 }
 
 TEST_F(CkptErrors, BankQueueOverCapacity) {

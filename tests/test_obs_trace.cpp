@@ -277,5 +277,55 @@ TEST(ObsTrace, ExecutorSurfacesObsPercentileMetrics) {
   }
 }
 
+TEST(ObsTrace, UnwritableArtifactFailsThePoint) {
+  // Each artifact path is an existing directory, so the file cannot be
+  // opened: the point must fail with an error naming the path instead of
+  // succeeding without the artifact.
+  namespace fs = std::filesystem;
+  const fs::path root =
+      fs::path(::testing::TempDir()) / "latdiv_obs_unwritable";
+  fs::remove_all(root);
+  using Setter = void (*)(obs::ObsConfig&, const std::string&);
+  const std::pair<const char*, Setter> kinds[] = {
+      {"trace",
+       [](obs::ObsConfig& o, const std::string& path) {
+         o.trace = true;
+         o.trace_path = path;
+       }},
+      {"timeseries",
+       [](obs::ObsConfig& o, const std::string& path) {
+         o.timeseries = true;
+         o.timeseries_path = path;
+       }},
+      {"metrics",
+       [](obs::ObsConfig& o, const std::string& path) {
+         o.metrics_path = path;
+       }},
+      {"attrib",
+       [](obs::ObsConfig& o, const std::string& path) {
+         o.attrib_path = path;
+       }},
+  };
+  for (const auto& [kind, set] : kinds) {
+    const std::string path = (root / kind).string();
+    fs::create_directories(path);
+    exp::ExpPoint p;
+    p.id = "bfs";
+    p.workload = profile_by_name("bfs");
+    p.cycles = 2'000;
+    p.hook = [path, set = set](SimConfig& cfg) {
+      cfg.shrink_for_tests();
+      cfg.max_cycles = 2'000;
+      cfg.warmup_cycles = 0;
+      set(cfg.obs, path);
+    };
+    const exp::PointResult res = exp::execute_point(p);
+    EXPECT_FALSE(res.ok) << kind;
+    EXPECT_NE(res.error.find(path), std::string::npos)
+        << kind << ": " << res.error;
+  }
+  fs::remove_all(root);
+}
+
 }  // namespace
 }  // namespace latdiv

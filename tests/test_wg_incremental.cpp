@@ -1,15 +1,17 @@
 // Randomized differential test for WgPolicy's incremental read-queue
 // index (the warp sorter's per-group bookkeeping).
 //
-// The policy no longer scans the controller's read queue to enumerate
-// candidates, order them, or score them — it maintains per-group per-bank
-// slots incrementally.  This test reimplements the original O(read-queue)
-// reference scans directly against MemoryController::read_queue() and,
-// after every cycle of a randomized event stream (pushes, completions,
-// coordination messages, ticks that drain and fill banks), asserts that
-// the index, the candidate ordering, and every group score are identical
-// to the reference.  Thousands of events per configuration exercise the
-// add/remove/erase paths of all WG variants.
+// The policy does not scan the controller's read queue to enumerate
+// candidates, order them, or score them — it keeps each group's queued
+// requests in a list, maintained incrementally.  This test reimplements
+// the original O(read-queue) reference scans directly against
+// MemoryController::read_queue() and, after every cycle of a randomized
+// event stream (pushes, completions, coordination messages, ticks that
+// drain and fill banks), asserts that every list equals its group's
+// read-queue subsequence, and that the candidate ordering, every group
+// score and every selection outcome are identical to the reference.
+// Thousands of events per configuration exercise the add/remove/erase
+// paths of all WG variants.
 #include "core/policy_wg.hpp"
 
 #include <gtest/gtest.h>
@@ -184,7 +186,6 @@ struct DiffHarness {
 
   /// Assert the incremental index mirrors the read queue exactly.
   void check_index() const {
-    // Per-group totals and per-bank (seq-ordered) item lists.
     const auto order = ref_candidate_order(mc);
     for (const WarpInstrUid instr : order) {
       const auto git = wg->groups().find(instr);
@@ -193,36 +194,23 @@ struct DiffHarness {
       const auto pending = ref_pending(mc, instr);
       ASSERT_EQ(meta.queued(), pending.size()) << "instr " << instr;
 
-      // Each bank slot must hold exactly the queue's (row, arrival)
-      // subsequence for that bank, in order.
-      std::map<BankId, std::vector<const MemRequest*>> by_bank;
-      for (const MemRequest& r : pending) by_bank[r.loc.bank].push_back(&r);
-      std::size_t nonempty = 0;
-      for (const WgGroupMeta::BankSlot& slot : meta.slots) {
-        if (slot.items.empty()) continue;
-        ++nonempty;
-        const auto bit = by_bank.find(slot.bank);
-        ASSERT_NE(bit, by_bank.end()) << "stale slot bank " << int{slot.bank};
-        ASSERT_EQ(slot.items.size(), bit->second.size());
-        for (std::size_t i = 0; i < slot.items.size(); ++i) {
-          EXPECT_EQ(slot.items[i].row, bit->second[i]->loc.row);
-          EXPECT_EQ(slot.items[i].arrival, bit->second[i]->arrived_at_mc);
-        }
+      // The group's list must be exactly its read-queue subsequence
+      // (bank, row, arrival), in order.
+      ASSERT_EQ(meta.items.size(), pending.size()) << "instr " << instr;
+      for (std::size_t i = 0; i < pending.size(); ++i) {
+        EXPECT_EQ(meta.items[i].bank, pending[i].loc.bank);
+        EXPECT_EQ(meta.items[i].row, pending[i].loc.row);
+        EXPECT_EQ(meta.items[i].arrival, pending[i].arrived_at_mc);
       }
-      ASSERT_EQ(nonempty, by_bank.size());
     }
 
-    // Candidate order: groups sorted by min slot-front seq must equal the
-    // queue's first-occurrence order.
+    // Candidate order: groups sorted by their front item's seq must equal
+    // the queue's first-occurrence order.
     std::vector<std::pair<std::uint64_t, WarpInstrUid>> by_seq;
     for (const auto& [instr, meta] : wg->groups()) {
-      std::uint64_t head = ~std::uint64_t{0};
-      for (const WgGroupMeta::BankSlot& slot : meta.slots) {
-        if (!slot.items.empty()) {
-          head = std::min(head, slot.items.front().seq);
-        }
+      if (!meta.items.empty()) {
+        by_seq.emplace_back(meta.items.front().seq, instr);
       }
-      if (head != ~std::uint64_t{0}) by_seq.emplace_back(head, instr);
     }
     std::sort(by_seq.begin(), by_seq.end());
     ASSERT_EQ(by_seq.size(), order.size());
@@ -238,7 +226,7 @@ struct DiffHarness {
       const WgPolicy::Score ref = ref_score(mc, cfg_, instr);
       EXPECT_EQ(inc.completion, ref.completion) << "instr " << instr;
       EXPECT_EQ(inc.row_hits, ref.row_hits) << "instr " << instr;
-      // Scored twice: the cache path must return the same answer.
+      // Scored twice: scoring only reads the index and the queues.
       const WgPolicy::Score again = wg->score_group(mc, instr);
       EXPECT_EQ(again.completion, ref.completion);
       EXPECT_EQ(again.row_hits, ref.row_hits);
@@ -254,8 +242,8 @@ struct DiffHarness {
 /// the index and the scores after every cycle.  Every cycle that starts
 /// with no selected group also checks the selection outcome against
 /// ref_selects: a group is selected exactly when the reference selects
-/// one, so a selection the wake (or the epoch memo) sleeps through fails
-/// the test.  `writes` mixes in write traffic (WG-W pressure, drains).
+/// one, so a selection the wake sleeps through fails the test.  `writes`
+/// mixes in write traffic (WG-W pressure, drains).
 void run_differential(WgConfig cfg, std::uint64_t seed, Cycle cycles,
                       bool writes = false) {
   DiffHarness h(cfg);
