@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace latdiv::exp {
@@ -19,15 +18,6 @@ bool write_file(const std::string& path, const std::string& contents) {
   out.write(contents.data(),
             static_cast<std::streamsize>(contents.size()));
   return static_cast<bool>(out);
-}
-
-bool read_file(const std::string& path, std::string& contents) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  contents = buf.str();
-  return true;
 }
 
 /// Peak resident set size in MiB (0.0 if unavailable).  Linux reports
@@ -250,28 +240,7 @@ int run_manifest(const std::string& name, const SweepRunArgs& args) {
                  report_s, peak_rss_mib());
   }
   if (write_failed) return 2;
-
-  int rc = failed_points(artifact) > 0 ? 1 : 0;
-  if (!args.check.empty()) {
-    std::string golden_text;
-    if (!read_file(args.check, golden_text)) {
-      std::fprintf(stderr, "latdiv-sweep: cannot read baseline '%s'\n",
-                   args.check.c_str());
-      return 2;
-    }
-    Artifact golden;
-    try {
-      golden = artifact_from_json(golden_text);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "latdiv-sweep: bad baseline '%s': %s\n",
-                   args.check.c_str(), e.what());
-      return 2;
-    }
-    const GoldenReport report =
-        check_golden(artifact, golden, args.golden);
-    if (!print_golden_report(report, stdout)) rc = 1;
-  }
-  return rc;
+  return failed_points(artifact) > 0 ? 1 : 0;
 }
 
 }  // namespace latdiv::exp

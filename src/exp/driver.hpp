@@ -1,14 +1,13 @@
 // End-to-end sweep driver: manifest -> executor -> artifacts -> console.
 //
 // This is the single code path behind the `latdiv-sweep` CLI; it owns
-// progress reporting, artifact writing and the golden-regression hook.
+// progress reporting and artifact writing.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "ckpt/sampler.hpp"
-#include "exp/golden.hpp"
 #include "exp/manifest.hpp"
 
 namespace latdiv::exp {
@@ -17,8 +16,6 @@ struct SweepRunArgs {
   SweepOptions opts;
   std::string out_json;  ///< write the JSON artifact here ("" = skip)
   std::string out_csv;   ///< write the CSV artifact here ("" = skip)
-  std::string check;     ///< golden baseline to compare against ("" = skip)
-  GoldenOptions golden;  ///< tolerances for --check
   bool timings = false;  ///< include wall_ms in the JSON (non-deterministic)
   bool progress = true;  ///< per-point progress lines on stderr
   /// Print a per-phase wall-clock and simulation-throughput breakdown
@@ -56,9 +53,9 @@ struct SweepRunArgs {
 };
 
 /// Run the named manifest and print its figure table.  Returns the
-/// process exit code: 0 on success, 1 when any point failed or the
-/// golden check found regressions, 2 on setup errors (zero seeds,
-/// unknown manifest, empty filtered grid, unwritable output).
+/// process exit code: 0 on success, 1 when any point failed, 2 on setup
+/// errors (zero seeds, unknown manifest, empty filtered grid, unwritable
+/// output).
 int run_manifest(const std::string& name, const SweepRunArgs& args);
 
 }  // namespace latdiv::exp

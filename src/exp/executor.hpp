@@ -52,7 +52,7 @@ using ProgressFn =
 
 /// Flatten a simulation result into the artifact metric namespace.  This
 /// is the single place that defines which RunResult fields reporters
-/// emit — examples/run_json and every sweep artifact share it.
+/// emit — every sweep artifact and `latdiv-tracegen replay` share it.
 [[nodiscard]] MetricMap metrics_from(const RunResult& r);
 
 /// Execute one point in isolation (exposed for tests).

@@ -1,8 +1,8 @@
 // Minimal JSON document model for the experiment subsystem's artifacts.
 //
 // The sweep engine both *writes* result artifacts and *reads* them back
-// (golden-regression baselines, `latdiv-sweep check`), so it needs a
-// parser as well as a serialiser.  The repo deliberately has no external
+// (`artifact_from_json`, and `latdiv-report`'s comparator in
+// exp/compare.hpp), so it needs a parser as well as a serialiser.  The repo deliberately has no external
 // dependencies beyond the toolchain; this is a small, strict JSON
 // implementation sized to the artifact schema rather than a general
 // library.

@@ -4,8 +4,8 @@
 // every per-point result in grid order, per-cell aggregates (mean/stddev
 // over seeds, speedup vs. the manifest's baseline column — the paper's
 // normalized presentation), and a per-column geomean summary.  One schema
-// ("latdiv-sweep/1") serves every figure, the `latdiv-sweep` CLI, the
-// golden-regression checker and examples/run_json.
+// ("latdiv-sweep/1") serves every figure and the `latdiv-sweep` CLI; the
+// goldens under bench/golden/ are artifacts of this schema.
 //
 // Serialisation is byte-deterministic (see exp/json.hpp): identical
 // simulation results produce identical artifact files regardless of

@@ -10,16 +10,12 @@
 //   --abs-tol A       absolute tolerance floor (default 1e-9)
 //   --ignore SUBSTR   skip metrics whose path contains SUBSTR (repeatable;
 //                     use for wall-clock fields)
-//   --gate            exit 1 when any compared metric regressed
+//   --gate            exit 1 when any leaf failed
 //
-// Both documents are flattened into path -> number tables (objects join
-// with '.', array elements key on their "id"/"workload" member when
-// present so point reordering never misaligns a comparison).  A metric
-// passes when |current − baseline| <= max(abs_tol, rel_tol · |baseline|);
-// metrics present on only one side are listed but never gate.  Without
+// The comparison rules (array keying, number tolerance, string equality,
+// baseline-only leaves failing) live in src/exp/compare.hpp.  Without
 // --gate the tool always exits 0 (report-only, for upload-style CI
-// steps); I/O or parse problems exit 2.
-#include <algorithm>
+// steps); usage, I/O or parse problems exit 2.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -27,13 +23,15 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "exp/json.hpp"
+#include "cli.hpp"
+#include "exp/compare.hpp"
 
 using latdiv::exp::JsonValue;
 
 namespace {
+
+constexpr const char* kTool = "latdiv-report";
 
 void usage(std::FILE* out) {
   std::fprintf(out,
@@ -47,7 +45,19 @@ void usage(std::FILE* out) {
                "(default 1e-9)\n"
                "  --ignore SUBSTR   skip metric paths containing SUBSTR "
                "(repeatable)\n"
-               "  --gate            exit 1 when any metric regressed\n");
+               "  --gate            exit 1 when any leaf failed\n");
+}
+
+/// A tolerance: finite and >= 0, or exit 2.
+double parse_tolerance(const char* flag, const char* text) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || v < 0.0) {
+    std::fprintf(stderr, "%s: %s wants a finite tolerance >= 0, got '%s'\n",
+                 kTool, flag, text);
+    std::exit(2);
+  }
+  return v;
 }
 
 bool read_file(const char* path, std::string& out) {
@@ -59,167 +69,6 @@ bool read_file(const char* path, std::string& out) {
   return true;
 }
 
-struct Metric {
-  std::string path;
-  double value = 0.0;
-};
-
-/// Stable key for an array element: its "id" (sweep points) or
-/// "workload"[/"scheduler"] (bench rows) member when present, else the
-/// positional index — so reordered artifacts still line up.
-std::string element_key(const JsonValue& v, std::size_t index) {
-  if (v.is_object()) {
-    if (const JsonValue* id = v.find("id")) {
-      if (id->kind() == JsonValue::Kind::kString) return id->as_string();
-    }
-    if (const JsonValue* w = v.find("workload")) {
-      if (w->kind() == JsonValue::Kind::kString) {
-        std::string key = w->as_string();
-        if (const JsonValue* s = v.find("scheduler")) {
-          if (s->kind() == JsonValue::Kind::kString) {
-            key += "/" + s->as_string();
-          }
-        }
-        return key;
-      }
-    }
-  }
-  return std::to_string(index);
-}
-
-void flatten(const JsonValue& v, const std::string& path,
-             std::vector<Metric>& out) {
-  switch (v.kind()) {
-    case JsonValue::Kind::kNumber:
-      out.push_back({path, v.as_number()});
-      return;
-    case JsonValue::Kind::kBool:
-      out.push_back({path, v.as_bool() ? 1.0 : 0.0});
-      return;
-    case JsonValue::Kind::kObject:
-      for (const auto& [key, member] : v.as_object()) {
-        flatten(member, path.empty() ? key : path + "." + key, out);
-      }
-      return;
-    case JsonValue::Kind::kArray: {
-      const JsonValue::Array& arr = v.as_array();
-      for (std::size_t i = 0; i < arr.size(); ++i) {
-        flatten(arr[i], path + "[" + element_key(arr[i], i) + "]", out);
-      }
-      return;
-    }
-    case JsonValue::Kind::kNull:
-    case JsonValue::Kind::kString:
-      return;  // strings/nulls carry no comparable value
-  }
-}
-
-const Metric* find_metric(const std::vector<Metric>& list,
-                          const std::string& path) {
-  for (const Metric& m : list) {
-    if (m.path == path) return &m;
-  }
-  return nullptr;
-}
-
-struct Row {
-  std::string path;
-  double current = 0.0;
-  double baseline = 0.0;
-  double delta = 0.0;
-  double rel = 0.0;  ///< delta / |baseline| (0 when baseline is 0)
-  bool pass = true;
-};
-
-struct Report {
-  std::vector<Row> rows;
-  std::vector<std::string> only_current;
-  std::vector<std::string> only_baseline;
-  std::size_t ignored = 0;
-  std::size_t failed = 0;
-};
-
-std::string fmt_num(double v) {
-  // Integers print exactly; everything else with 6 significant digits.
-  if (std::fabs(v) < 1e15 && v == std::floor(v)) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    return buf;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
-
-std::string to_markdown(const Report& r, const char* cur_path,
-                        const char* base_path, double rel_tol,
-                        double abs_tol) {
-  std::string out;
-  out += "# latdiv regression report\n\n";
-  out += "- current: `" + std::string(cur_path) + "`\n";
-  out += "- baseline: `" + std::string(base_path) + "`\n";
-  char tol[96];
-  std::snprintf(tol, sizeof tol,
-                "- tolerance: rel %.4g, abs %.4g\n- compared: %zu, "
-                "failed: %zu, ignored: %zu\n\n",
-                rel_tol, abs_tol, r.rows.size(), r.failed, r.ignored);
-  out += tol;
-
-  out += "| metric | current | baseline | delta | rel | verdict |\n";
-  out += "|---|---:|---:|---:|---:|---|\n";
-  for (const Row& row : r.rows) {
-    char rel[32];
-    std::snprintf(rel, sizeof rel, "%+.2f%%", row.rel * 100.0);
-    out += "| `" + row.path + "` | " + fmt_num(row.current) + " | " +
-           fmt_num(row.baseline) + " | " + fmt_num(row.delta) + " | " +
-           rel + " | " + (row.pass ? "pass" : "**FAIL**") + " |\n";
-  }
-  if (r.rows.empty()) out += "| (none) | | | | | |\n";
-
-  const auto list_section = [&out](const char* title,
-                                   const std::vector<std::string>& paths) {
-    if (paths.empty()) return;
-    out += "\n";
-    out += title;
-    out += "\n\n";
-    for (const std::string& p : paths) out += "- `" + p + "`\n";
-  };
-  list_section("## only in current", r.only_current);
-  list_section("## only in baseline", r.only_baseline);
-  return out;
-}
-
-std::string to_json(const Report& r, const char* cur_path,
-                    const char* base_path, double rel_tol, double abs_tol) {
-  JsonValue doc{JsonValue::Object{}};
-  doc.set("current", cur_path);
-  doc.set("baseline", base_path);
-  doc.set("rel_tol", rel_tol);
-  doc.set("abs_tol", abs_tol);
-  doc.set("compared", static_cast<double>(r.rows.size()));
-  doc.set("failed", static_cast<double>(r.failed));
-  doc.set("ignored", static_cast<double>(r.ignored));
-  JsonValue rows{JsonValue::Array{}};
-  for (const Row& row : r.rows) {
-    JsonValue o{JsonValue::Object{}};
-    o.set("metric", row.path);
-    o.set("current", row.current);
-    o.set("baseline", row.baseline);
-    o.set("delta", row.delta);
-    o.set("rel", row.rel);
-    o.set("pass", row.pass);
-    rows.push_back(std::move(o));
-  }
-  doc.set("rows", std::move(rows));
-  JsonValue only_cur{JsonValue::Array{}};
-  for (const std::string& p : r.only_current) only_cur.push_back(p);
-  doc.set("only_current", std::move(only_cur));
-  JsonValue only_base{JsonValue::Array{}};
-  for (const std::string& p : r.only_baseline) only_base.push_back(p);
-  doc.set("only_baseline", std::move(only_base));
-  return doc.dump();
-}
-
 bool write_file(const char* path, const std::string& contents) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return false;
@@ -227,44 +76,53 @@ bool write_file(const char* path, const std::string& contents) {
   return static_cast<bool>(out);
 }
 
+/// Parse `path` as JSON; false (message printed) when unreadable or bad.
+bool load_json(const char* path, JsonValue& doc) {
+  std::string text;
+  if (!read_file(path, text)) {
+    std::fprintf(stderr, "%s: cannot read '%s'\n", kTool, path);
+    return false;
+  }
+  try {
+    doc = JsonValue::parse(text);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: bad JSON '%s': %s\n", kTool, path, e.what());
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  using namespace latdiv;
   const char* cur_path = nullptr;
   const char* base_path = nullptr;
   const char* out_md = nullptr;
   const char* out_json = nullptr;
-  double rel_tol = 0.02;
-  double abs_tol = 1e-9;
+  exp::CompareOptions opts;
   bool gate = false;
-  std::vector<std::string> ignores;
 
   for (int i = 1; i < argc; ++i) {
     const char* flag = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "latdiv-report: %s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+    const auto value = [&] { return cli::next_arg(kTool, argc, argv, i); };
     if (std::strcmp(flag, "--out-md") == 0) {
       out_md = value();
     } else if (std::strcmp(flag, "--out-json") == 0) {
       out_json = value();
     } else if (std::strcmp(flag, "--default-tol") == 0) {
-      rel_tol = std::strtod(value(), nullptr);
+      opts.rel_tol = parse_tolerance(flag, value());
     } else if (std::strcmp(flag, "--abs-tol") == 0) {
-      abs_tol = std::strtod(value(), nullptr);
+      opts.abs_tol = parse_tolerance(flag, value());
     } else if (std::strcmp(flag, "--ignore") == 0) {
-      ignores.emplace_back(value());
+      opts.ignore.emplace_back(value());
     } else if (std::strcmp(flag, "--gate") == 0) {
       gate = true;
     } else if (std::strcmp(flag, "--help") == 0) {
       usage(stdout);
       return 0;
     } else if (flag[0] == '-') {
-      std::fprintf(stderr, "latdiv-report: unknown option '%s'\n", flag);
+      std::fprintf(stderr, "%s: unknown option '%s'\n", kTool, flag);
       usage(stderr);
       return 2;
     } else if (cur_path == nullptr) {
@@ -281,66 +139,17 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<Metric> current, baseline;
-  for (const auto& [path, list] :
-       {std::pair{cur_path, &current}, std::pair{base_path, &baseline}}) {
-    std::string text;
-    if (!read_file(path, text)) {
-      std::fprintf(stderr, "latdiv-report: cannot read '%s'\n", path);
-      return 2;
-    }
-    JsonValue doc;
-    try {
-      doc = JsonValue::parse(text);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "latdiv-report: bad JSON '%s': %s\n", path,
-                   e.what());
-      return 2;
-    }
-    flatten(doc, "", *list);
+  JsonValue current, baseline;
+  if (!load_json(cur_path, current) || !load_json(base_path, baseline)) {
+    return 2;
   }
-
-  const auto ignored = [&ignores](const std::string& path) {
-    for (const std::string& s : ignores) {
-      if (path.find(s) != std::string::npos) return true;
-    }
-    return false;
-  };
-
-  Report report;
-  for (const Metric& cur : current) {
-    if (ignored(cur.path)) {
-      ++report.ignored;
-      continue;
-    }
-    const Metric* base = find_metric(baseline, cur.path);
-    if (base == nullptr) {
-      report.only_current.push_back(cur.path);
-      continue;
-    }
-    Row row;
-    row.path = cur.path;
-    row.current = cur.value;
-    row.baseline = base->value;
-    row.delta = cur.value - base->value;
-    row.rel = base->value != 0.0 ? row.delta / std::fabs(base->value) : 0.0;
-    row.pass = std::fabs(row.delta) <=
-               std::max(abs_tol, rel_tol * std::fabs(base->value));
-    if (!row.pass) ++report.failed;
-    report.rows.push_back(std::move(row));
-  }
-  for (const Metric& base : baseline) {
-    if (ignored(base.path)) continue;
-    if (find_metric(current, base.path) == nullptr) {
-      report.only_baseline.push_back(base.path);
-    }
-  }
+  const exp::CompareReport report = exp::compare(current, baseline, opts);
 
   const std::string md =
-      to_markdown(report, cur_path, base_path, rel_tol, abs_tol);
+      exp::report_markdown(report, opts, cur_path, base_path);
   if (out_md != nullptr) {
     if (!write_file(out_md, md)) {
-      std::fprintf(stderr, "latdiv-report: cannot write '%s'\n", out_md);
+      std::fprintf(stderr, "%s: cannot write '%s'\n", kTool, out_md);
       return 2;
     }
   } else {
@@ -348,12 +157,14 @@ int main(int argc, char** argv) {
   }
   if (out_json != nullptr &&
       !write_file(out_json,
-                  to_json(report, cur_path, base_path, rel_tol, abs_tol))) {
-    std::fprintf(stderr, "latdiv-report: cannot write '%s'\n", out_json);
+                  exp::report_json(report, opts, cur_path, base_path))) {
+    std::fprintf(stderr, "%s: cannot write '%s'\n", kTool, out_json);
     return 2;
   }
-  std::fprintf(stderr, "latdiv-report: %zu compared, %zu failed, %zu "
+  std::fprintf(stderr,
+               "%s: %zu compared, %zu failed, %zu only in baseline, %zu "
                "ignored\n",
-               report.rows.size(), report.failed, report.ignored);
-  return gate && report.failed > 0 ? 1 : 0;
+               kTool, report.rows.size(), report.failed_rows,
+               report.only_baseline.size(), report.ignored);
+  return gate && !report.ok() ? 1 : 0;
 }

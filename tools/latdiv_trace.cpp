@@ -18,18 +18,20 @@
 //
 // Exit codes: 0 ok, 1 schema violation, 2 usage or I/O errors.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "cli.hpp"
 #include "exp/json.hpp"
 #include "exp/trace_report.hpp"
 
 using latdiv::exp::JsonValue;
 
 namespace {
+
+constexpr const char* kTool = "latdiv-trace";
 
 void usage(std::FILE* out) {
   std::fprintf(out,
@@ -205,10 +207,11 @@ int main(int argc, char** argv) {
     const char* path = argv[2];
     const char* attrib_path = nullptr;
     for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
-        top_n = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-      } else if (std::strcmp(argv[i], "--attrib") == 0 && i + 1 < argc) {
-        attrib_path = argv[++i];
+      const char* flag = argv[i];
+      if (std::strcmp(flag, "--top") == 0) {
+        latdiv::cli::next_uint(kTool, argc, argv, i, top_n);
+      } else if (std::strcmp(flag, "--attrib") == 0) {
+        attrib_path = latdiv::cli::next_arg(kTool, argc, argv, i);
       } else {
         usage(stderr);
         return 2;

@@ -22,6 +22,7 @@
 #include <cstring>
 #include <string>
 
+#include "cli.hpp"
 #include "exp/executor.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
@@ -30,6 +31,8 @@
 using namespace latdiv;
 
 namespace {
+
+constexpr const char* kTool = "latdiv-tracegen";
 
 void usage(std::FILE* out) {
   std::fprintf(
@@ -51,25 +54,6 @@ void usage(std::FILE* out) {
       "  validate  full decode: header/index/chunk CRCs, every record\n"
       "  stats     access-pattern breakdown (kind mix, lanes, lines)\n"
       "  replay    drive a full simulation from the trace\n");
-}
-
-std::uint64_t parse_u64(const char* flag, const char* text) {
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "latdiv-tracegen: %s wants a number, got '%s'\n",
-                 flag, text);
-    std::exit(2);
-  }
-  return v;
-}
-
-const char* next_arg(int argc, char** argv, int& i) {
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "latdiv-tracegen: %s needs a value\n", argv[i]);
-    std::exit(2);
-  }
-  return argv[++i];
 }
 
 int cmd_list() {
@@ -94,21 +78,19 @@ int cmd_generate(int argc, char** argv) {
   std::uint32_t chunk = kTraceChunkRecords;
   for (int i = 3; i < argc; ++i) {
     const char* flag = argv[i];
+    const auto value = [&] { return cli::next_arg(kTool, argc, argv, i); };
     if (std::strcmp(flag, "--out") == 0) {
-      out = next_arg(argc, argv, i);
+      out = value();
     } else if (std::strcmp(flag, "--sms") == 0) {
-      sms = static_cast<std::uint32_t>(
-          parse_u64(flag, next_arg(argc, argv, i)));
+      cli::next_uint(kTool, argc, argv, i, sms);
     } else if (std::strcmp(flag, "--warps") == 0) {
-      warps = static_cast<std::uint32_t>(
-          parse_u64(flag, next_arg(argc, argv, i)));
+      cli::next_uint(kTool, argc, argv, i, warps);
     } else if (std::strcmp(flag, "--records") == 0) {
-      records = parse_u64(flag, next_arg(argc, argv, i));
+      cli::next_uint(kTool, argc, argv, i, records);
     } else if (std::strcmp(flag, "--seed") == 0) {
-      seed = parse_u64(flag, next_arg(argc, argv, i));
+      cli::next_uint(kTool, argc, argv, i, seed);
     } else if (std::strcmp(flag, "--chunk") == 0) {
-      chunk = static_cast<std::uint32_t>(
-          parse_u64(flag, next_arg(argc, argv, i)));
+      cli::next_uint(kTool, argc, argv, i, chunk);
     } else {
       std::fprintf(stderr, "latdiv-tracegen: unknown option '%s'\n", flag);
       return 2;
@@ -122,8 +104,10 @@ int cmd_generate(int argc, char** argv) {
   }
   try {
     const scenario::ScenarioSpec& spec = scenario::scenario_by_name(name);
-    const auto source = scenario::make_scenario(spec, sms, warps, seed);
+    // The writer bounds the geometry before the scenario allocates its
+    // per-warp state.
     TraceWriter writer(out, sms, warps, chunk);
+    const auto source = scenario::make_scenario(spec, sms, warps, seed);
     while (writer.records_written() < records) {
       for (std::uint32_t sm = 0; sm < sms; ++sm) {
         for (std::uint32_t w = 0; w < warps; ++w) {
@@ -227,14 +211,15 @@ int cmd_replay(int argc, char** argv) {
   bool in_memory = false;
   for (int i = 3; i < argc; ++i) {
     const char* flag = argv[i];
+    const auto value = [&] { return cli::next_arg(kTool, argc, argv, i); };
     if (std::strcmp(flag, "--policy") == 0) {
-      policy = parse_policy(next_arg(argc, argv, i));
+      policy = parse_policy(value());
     } else if (std::strcmp(flag, "--cycles") == 0) {
-      cycles = parse_u64(flag, next_arg(argc, argv, i));
+      cli::next_uint(kTool, argc, argv, i, cycles);
     } else if (std::strcmp(flag, "--warmup") == 0) {
-      warmup = parse_u64(flag, next_arg(argc, argv, i));
+      cli::next_uint(kTool, argc, argv, i, warmup);
     } else if (std::strcmp(flag, "--seed") == 0) {
-      seed = parse_u64(flag, next_arg(argc, argv, i));
+      cli::next_uint(kTool, argc, argv, i, seed);
     } else if (std::strcmp(flag, "--in-memory") == 0) {
       in_memory = true;  // documented escape hatch; streaming is default
     } else {
