@@ -99,7 +99,7 @@ struct Measured {
 enum class ObsMode {
   kOff,      ///< no hub at all — the shipping disabled path
   kMetrics,  ///< hub present, histograms only (no sink, no sampling)
-  kTrace,    ///< full request-lifecycle tracing into the in-memory sink
+  kTrace,    ///< full request-lifecycle tracing into the memory-held sink
   kAttrib,   ///< latency-attribution profiler (no artifact written)
 };
 
@@ -305,14 +305,14 @@ double peak_rss_mib() {
 }
 
 /// Bounded-memory streaming replay: a >=10M-record v2 trace must replay
-/// through TraceReplayer's streaming mode without materialising the
-/// decoded stream (which would be total_records * sizeof(WarpInstr),
-/// multiple GiB).  Records a scenario microkernel to a temp file, drains
-/// every record once via the streaming replayer, and gates on the
-/// peak-RSS delta across the replay.  This is the enforcement point for
-/// the O(chunk)-memory contract in DESIGN.md ("Workload frontends");
-/// tests/test_trace_v2.cpp proves streaming == in-memory equivalence on
-/// small traces, this proves the big one never loads.
+/// through TraceReplayer without materialising the decoded stream
+/// (which would be total_records * sizeof(WarpInstr), multiple GiB).
+/// Records a scenario microkernel to a temp file, drains every record
+/// once via the replayer, and gates on the peak-RSS delta across the
+/// replay.  This is the enforcement point for the O(chunk)-memory
+/// contract in DESIGN.md ("Workload frontends");
+/// tests/test_trace_v2.cpp proves replay reproduces the recorded stream
+/// on small traces, this proves the big one never loads.
 int trace_streaming_section() {
   constexpr std::uint32_t kSms = 8;
   constexpr std::uint32_t kWarps = 16;
@@ -354,14 +354,7 @@ int trace_streaming_section() {
   std::uint64_t drained = 0;
   double file_mib = 0.0;
   {
-    TraceReplayer replayer(path, ReplayMode::kStreaming);
-    if (!replayer.streaming()) {
-      std::fprintf(stderr,
-                   "bench_throughput: replayer did not open in streaming "
-                   "mode\n");
-      std::remove(path);
-      return 1;
-    }
+    TraceReplayer replayer(path);
     file_mib = static_cast<double>(scan_trace(path).file_bytes) / 1048576.0;
     // Generation was round-robin, so every warp holds exactly
     // total / (sms*warps) records; one round-robin pass of that depth
@@ -380,8 +373,8 @@ int trace_streaming_section() {
     }
   }
   const double replay_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    replay_start)  // lint: wall-clock-ok
+      std::chrono::duration<double>(
+          std::chrono::steady_clock::now() - replay_start)  // lint: wall-clock-ok
           .count();
   const double rss_delta = peak_rss_mib() - rss_before;
   const double decoded_mib = static_cast<double>(kRecords) *

@@ -18,7 +18,8 @@
 // reader verifies tag, length, and CRC per section and every primitive
 // is bounds-checked against its section, so a truncated or corrupted
 // snapshot raises ckpt::CkptError (error.hpp) instead of reading
-// garbage.  tools/latdiv-ckpt walks the same framing generically.
+// garbage.  next_section() walks the same framing whatever the tags
+// (inspect_snapshot, tools/latdiv-ckpt).
 #pragma once
 
 #include <cstdint>
@@ -127,18 +128,22 @@ class CkptReader {
       throw CkptError("snapshot corrupt: expected section '" +
                       std::string(tag, 4) + "', found '" + found + "'");
     }
-    const std::uint32_t len = get_le32(data_ + pos_ + 4);
-    pos_ += kSectionHeaderBytes;
-    if (pos_ + len + kSectionTrailerBytes > size_) {
-      throw CkptError("snapshot truncated: section '" + found +
-                      "' overruns the file");
+    enter(found);
+  }
+
+  /// Skip the rest of the current section and enter the next one
+  /// whatever its tag, with the same bounds and CRC checks as section();
+  /// remaining() is then its payload length.  Returns false at the end
+  /// of the stream.  For walking the framing without decoding payloads.
+  [[nodiscard]] bool next_section(std::string& tag) {
+    if (section_end_ != 0) pos_ = section_end_ + kSectionTrailerBytes;
+    if (pos_ == size_) return false;
+    if (pos_ + kSectionHeaderBytes > size_) {
+      throw CkptError("snapshot truncated: partial section header");
     }
-    if (crc32(data_ + pos_, len) != get_le32(data_ + pos_ + len)) {
-      throw CkptError("snapshot corrupt: CRC mismatch in section '" + found +
-                      "'");
-    }
-    current_tag_ = found;
-    section_end_ = pos_ + len;
+    tag.assign(reinterpret_cast<const char*>(data_ + pos_), 4);
+    enter(tag);
+    return true;
   }
 
   void u8(std::uint8_t& v) { v = take(1)[0]; }
@@ -175,6 +180,23 @@ class CkptReader {
   }
 
  private:
+  /// Frame the section whose header starts at pos_: length bounds and
+  /// payload CRC.
+  void enter(const std::string& tag) {
+    const std::uint32_t len = get_le32(data_ + pos_ + 4);
+    pos_ += kSectionHeaderBytes;
+    if (pos_ + len + kSectionTrailerBytes > size_) {
+      throw CkptError("snapshot truncated: section '" + tag +
+                      "' overruns the file");
+    }
+    if (crc32(data_ + pos_, len) != get_le32(data_ + pos_ + len)) {
+      throw CkptError("snapshot corrupt: CRC mismatch in section '" + tag +
+                      "'");
+    }
+    current_tag_ = tag;
+    section_end_ = pos_ + len;
+  }
+
   const unsigned char* take(std::size_t n) {
     if (pos_ + n > section_end_) {
       throw CkptError("snapshot truncated: read past end of section '" +

@@ -12,6 +12,10 @@ namespace latdiv::ckpt {
 
 namespace {
 
+/// Upper bound on functional-warming draws per SM per skip, so a
+/// mis-estimated rate cannot turn a skip into a slow replay.
+constexpr std::uint64_t kMaxWarmInstrPerSm = 50'000;
+
 struct DramDeltas {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
@@ -146,29 +150,26 @@ SampledWindow SampledRunner::measure_window(Cycle warm, Cycle detail) {
 void SampledRunner::skip_to(Cycle target) {
   const SimConfig& sc = sim_.config();
   const Cycle span = target - sim_.now();
-  if (cfg_.functional_warming) {
-    InstrSource& src = sim_.instr_source();
-    for (std::uint32_t s = 0; s < sc.num_sms; ++s) {
-      const std::uint64_t want = std::min(rate_pm_[s] * span / 1'000,
-                                          cfg_.max_warm_instr_per_sm);
-      for (std::uint64_t i = 0; i < want; ++i) {
-        const WarpId warp =
-            static_cast<WarpId>(warm_rr_[s]++ % sc.sm.warps);
-        const WarpInstr instr = src.next(static_cast<SmId>(s), warp);
-        ++warm_instructions_;
-        if (instr.kind == WarpInstr::Kind::kCompute) continue;
-        for (std::uint8_t lane = 0; lane < instr.active_lanes; ++lane) {
-          const Addr line = amap_.line_base(instr.lane_addr[lane]);
-          if (instr.kind == WarpInstr::Kind::kLoad) {
-            // L1 allocates on loads only (write-through no-allocate).
-            sim_.sm(s).warm_line(line);
-          }
-          const DramLoc loc = amap_.decode(line);
-          sim_.partition(loc.channel)
-              .mc()
-              .channel_mut()
-              .warm_row(loc.bank, loc.row);
+  InstrSource& src = sim_.instr_source();
+  for (std::uint32_t s = 0; s < sc.num_sms; ++s) {
+    const std::uint64_t want =
+        std::min(rate_pm_[s] * span / 1'000, kMaxWarmInstrPerSm);
+    for (std::uint64_t i = 0; i < want; ++i) {
+      const WarpId warp = static_cast<WarpId>(warm_rr_[s]++ % sc.sm.warps);
+      const WarpInstr instr = src.next(static_cast<SmId>(s), warp);
+      ++warm_instructions_;
+      if (instr.kind == WarpInstr::Kind::kCompute) continue;
+      for (std::uint8_t lane = 0; lane < instr.active_lanes; ++lane) {
+        const Addr line = amap_.line_base(instr.lane_addr[lane]);
+        if (instr.kind == WarpInstr::Kind::kLoad) {
+          // L1 allocates on loads only (write-through no-allocate).
+          sim_.sm(s).warm_line(line);
         }
+        const DramLoc loc = amap_.decode(line);
+        sim_.partition(loc.channel)
+            .mc()
+            .channel_mut()
+            .warm_row(loc.bank, loc.row);
       }
     }
   }

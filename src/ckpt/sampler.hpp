@@ -49,12 +49,6 @@ struct SamplingConfig {
   /// Spacing between window starts; the tail beyond warm-up + window is
   /// skipped.  period == warm + detail degenerates to full detail.
   Cycle period_cycles = 120'000;
-  /// Drain the instruction source at the estimated issue rate while
-  /// skipping (off = plain teleport; cursors then lag simulated time).
-  bool functional_warming = true;
-  /// Upper bound on functional-warming draws per SM per skip, so a
-  /// mis-estimated rate cannot turn a skip into a slow replay.
-  std::uint64_t max_warm_instr_per_sm = 50'000;
 };
 
 /// One measured window's raw deltas (cycle spans in global cycles).

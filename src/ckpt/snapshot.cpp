@@ -1140,24 +1140,10 @@ SnapshotInfo inspect_snapshot(const unsigned char* data, std::size_t size) {
   info.fingerprint = h.fingerprint;
   info.cycle = h.cycle;
   info.file_bytes = size;
-  std::size_t pos = kSnapshotHeaderBytes;
-  while (pos < size) {
-    if (pos + kSectionHeaderBytes > size) {
-      throw CkptError("snapshot truncated: partial section header");
-    }
-    const std::string tag(reinterpret_cast<const char*>(data + pos), 4);
-    const std::uint32_t len = get_le32(data + pos + 4);
-    pos += kSectionHeaderBytes;
-    if (pos + len + kSectionTrailerBytes > size) {
-      throw CkptError("snapshot truncated: section '" + tag +
-                      "' overruns the file");
-    }
-    if (crc32(data + pos, len) != get_le32(data + pos + len)) {
-      throw CkptError("snapshot corrupt: CRC mismatch in section '" + tag +
-                      "'");
-    }
-    info.sections.push_back(SnapshotSectionInfo{tag, len});
-    pos += len + kSectionTrailerBytes;
+  CkptReader reader(data + kSnapshotHeaderBytes, size - kSnapshotHeaderBytes);
+  std::string tag;
+  while (reader.next_section(tag)) {
+    info.sections.push_back(SnapshotSectionInfo{tag, reader.remaining()});
   }
   return info;
 }

@@ -106,7 +106,7 @@ class ObsHub {
   /// throws std::runtime_error naming the path of a file it cannot write.
   void finalize(Cycle end);
 
-  // --- artifact access (tests and tools read these in-memory) ---
+  // --- artifact access (tests and tools read these in memory) ---
   /// Finished Chrome JSON (an empty event list when not tracing).
   /// Finishes the sink on first call.
   [[nodiscard]] const std::string& trace_json();

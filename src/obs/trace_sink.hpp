@@ -5,8 +5,8 @@
 // Perfetto / chrome://tracing load directly.
 //
 // ChromeTraceSink buffers the whole rendering in memory: runs are tens of
-// thousands of cycles (a few MB of events at worst) and an in-memory
-// byte-exact artifact is what the determinism tests and golden checks
+// thousands of cycles (a few MB of events at worst) and a byte-exact
+// artifact held in memory is what the determinism tests and golden checks
 // diff.  write_to() persists the buffer at end of run.
 #pragma once
 

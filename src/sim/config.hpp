@@ -47,8 +47,6 @@ struct CheckConfig {
   /// Abort (with a full report) on the first violation.  Tests that probe
   /// the checkers themselves set this false and inspect violations().
   bool abort_on_violation = true;
-  /// Global cycles between invariant audits (audits are O(queued work)).
-  Cycle audit_interval = 64;
 };
 
 struct SimConfig {

@@ -1,6 +1,7 @@
 #include "workload/trace.hpp"
 
 #include <cstring>
+#include <memory>
 #include <set>
 
 #include "ckpt/archive.hpp"
@@ -15,7 +16,6 @@ namespace {
 constexpr char kMagic[4] = {'L', 'D', 'T', 'R'};
 constexpr char kChunkMagic[4] = {'L', 'D', 'C', 'K'};
 constexpr char kIndexMagic[4] = {'L', 'D', 'I', 'X'};
-constexpr std::uint32_t kVersion2 = 2;
 constexpr std::size_t kHeaderBytes = 40;
 constexpr std::size_t kChunkHeaderBytes = 16;
 /// kind + lanes + latency + up to 32 addresses.
@@ -65,18 +65,11 @@ std::uint64_t file_size(std::FILE* f, const std::string& path) {
   return static_cast<std::uint64_t>(at);
 }
 
-/// Closes the file on scope exit unless release()d into a member.
-struct FileGuard {
-  std::FILE* f = nullptr;
-  ~FileGuard() {
-    if (f != nullptr) std::fclose(f);
-  }
-  std::FILE* release() {
-    std::FILE* r = f;
-    f = nullptr;
-    return r;
-  }
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
 };
+/// Closes the file on scope exit unless release()d into a member.
+using FileGuard = std::unique_ptr<std::FILE, FileCloser>;
 
 /// Decode one record at `pos` (advanced past it).  Validates kind, lane
 /// count, and that the encoded bytes actually fit in the payload.
@@ -111,7 +104,7 @@ void encode_header_prefix(unsigned char* hdr, std::uint32_t sms,
                           std::uint32_t chunk_records, std::uint64_t total,
                           std::uint64_t index_offset) {
   std::memcpy(hdr, kMagic, 4);
-  put_le32(hdr + 4, kVersion2);
+  put_le32(hdr + 4, kTraceVersion);
   put_le32(hdr + 8, sms);
   put_le32(hdr + 12, warps_per_sm);
   put_le32(hdr + 16, chunk_records);
@@ -144,6 +137,9 @@ std::vector<IndexEntry> parse_index(std::FILE* f, std::uint64_t index_offset,
   if (crc32(raw.data() + 4, n - 8) != get_le32(raw.data() + n - 4)) {
     fail("index CRC mismatch", path);
   }
+  // Each entry takes at least 12 bytes: bound the geometry by the index
+  // size before allocating an entry per warp.
+  if ((n - 8) / 12 < warp_count) fail("index truncated", path);
 
   std::vector<IndexEntry> entries(warp_count);
   std::size_t pos = 4;
@@ -154,8 +150,9 @@ std::vector<IndexEntry> parse_index(std::FILE* f, std::uint64_t index_offset,
     e.records = get_le64(raw.data() + pos);
     const std::uint32_t chunks = get_le32(raw.data() + pos + 8);
     pos += 12;
+    // Not (records + c - 1) / c: that wraps for records near 2^64.
     const std::uint64_t expect =
-        (e.records + chunk_records - 1) / chunk_records;
+        e.records / chunk_records + (e.records % chunk_records != 0);
     if (chunks != expect) fail("index chunk count mismatch", path);
     if ((end - pos) / 8 < chunks) fail("index truncated", path);
     e.chunk_offsets.resize(chunks);
@@ -215,6 +212,51 @@ std::uint32_t chunk_record_count(std::uint64_t records,
              ? chunk_records
              : static_cast<std::uint32_t>(records -
                                           chunk * chunk_records);
+}
+
+/// A v2 trace checked from its magic through its index.
+struct OpenTrace {
+  FileGuard file;
+  std::uint32_t sms = 0;
+  std::uint32_t warps_per_sm = 0;
+  std::uint32_t chunk_records = 0;
+  std::uint64_t total = 0;
+  std::uint64_t file_bytes = 0;
+  std::vector<IndexEntry> index;  ///< one entry per warp, SM-major
+};
+
+/// The one open path of TraceReplayer and scan_trace: magic, version,
+/// header CRC, geometry, chunk size, then the index.  Chunks are left to
+/// the caller (read_chunk + decode_record).
+OpenTrace open_trace(const std::string& path) {
+  OpenTrace t;
+  t.file.reset(std::fopen(path.c_str(), "rb"));
+  if (!t.file) fail("cannot open trace file for reading", path);
+  std::FILE* f = t.file.get();
+  unsigned char hdr[kHeaderBytes];
+  read_exact(f, hdr, 8, path);
+  if (std::memcmp(hdr, kMagic, 4) != 0) fail("not a latdiv trace file", path);
+  if (get_le32(hdr + 4) != kTraceVersion) {
+    fail("unsupported trace version", path);
+  }
+  read_exact(f, hdr + 8, kHeaderBytes - 8, path);
+  if (crc32(hdr, 36) != get_le32(hdr + 36)) fail("header CRC mismatch", path);
+  t.sms = get_le32(hdr + 8);
+  t.warps_per_sm = get_le32(hdr + 12);
+  t.chunk_records = get_le32(hdr + 16);
+  t.total = get_le64(hdr + 20);
+  const std::uint64_t index_offset = get_le64(hdr + 28);
+  if (!valid_geometry(t.sms, t.warps_per_sm)) {
+    fail("invalid trace geometry", path);
+  }
+  if (t.chunk_records == 0 || t.chunk_records > kMaxChunkRecords) {
+    fail("invalid chunk size", path);
+  }
+  t.file_bytes = file_size(f, path);
+  t.index = parse_index(f, index_offset, t.file_bytes,
+                        static_cast<std::size_t>(t.sms) * t.warps_per_sm,
+                        t.chunk_records, t.total, path);
+  return t;
 }
 
 }  // namespace
@@ -346,81 +388,21 @@ void TraceWriter::close() {
 // ---------------------------------------------------------------------------
 // TraceReplayer
 
-TraceReplayer::TraceReplayer(const std::string& path, ReplayMode mode)
-    : path_(path) {
-  FileGuard guard{std::fopen(path.c_str(), "rb")};
-  if (guard.f == nullptr) fail("cannot open trace file for reading", path);
-  unsigned char head[8];
-  read_exact(guard.f, head, sizeof head, path_);
-  if (std::memcmp(head, kMagic, 4) != 0) {
-    fail("not a latdiv trace file", path_);
+TraceReplayer::TraceReplayer(const std::string& path) : path_(path) {
+  OpenTrace t = open_trace(path);
+  sms_ = t.sms;
+  warps_per_sm_ = t.warps_per_sm;
+  chunk_records_ = t.chunk_records;
+  total_ = t.total;
+  cursors_.resize(t.index.size());
+  for (std::size_t wi = 0; wi < t.index.size(); ++wi) {
+    cursors_[wi].records = t.index[wi].records;
+    cursors_[wi].chunk_offsets = std::move(t.index[wi].chunk_offsets);
   }
-  if (get_le32(head + 4) != kVersion2) {
-    fail("unsupported trace version", path_);
-  }
-  version_ = kVersion2;
-  load_v2(guard.f, mode);
-  if (mode == ReplayMode::kStreaming) file_ = guard.release();
+  file_ = t.file.release();
 }
 
-TraceReplayer::~TraceReplayer() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-void TraceReplayer::load_v2(std::FILE* f, ReplayMode mode) {
-  unsigned char hdr[kHeaderBytes];
-  std::memcpy(hdr, kMagic, 4);
-  put_le32(hdr + 4, kVersion2);
-  read_exact(f, hdr + 8, kHeaderBytes - 8, path_);
-  if (crc32(hdr, 36) != get_le32(hdr + 36)) {
-    fail("header CRC mismatch", path_);
-  }
-  sms_ = get_le32(hdr + 8);
-  warps_per_sm_ = get_le32(hdr + 12);
-  chunk_records_ = get_le32(hdr + 16);
-  total_ = get_le64(hdr + 20);
-  const std::uint64_t index_offset = get_le64(hdr + 28);
-  if (!valid_geometry(sms_, warps_per_sm_)) {
-    fail("invalid trace geometry", path_);
-  }
-  if (chunk_records_ == 0 || chunk_records_ > kMaxChunkRecords) {
-    fail("invalid chunk size", path_);
-  }
-  const std::uint64_t bytes = file_size(f, path_);
-  const std::size_t warp_count =
-      static_cast<std::size_t>(sms_) * warps_per_sm_;
-  std::vector<IndexEntry> entries = parse_index(
-      f, index_offset, bytes, warp_count, chunk_records_, total_, path_);
-
-  if (mode == ReplayMode::kInMemory) {
-    streams_.resize(warp_count);
-    for (std::size_t wi = 0; wi < warp_count; ++wi) {
-      const IndexEntry& e = entries[wi];
-      streams_[wi].instrs.reserve(e.records);
-      for (std::uint64_t c = 0; c < e.chunk_offsets.size(); ++c) {
-        const std::uint32_t count = chunk_record_count(
-            e.records, chunk_records_, c, e.chunk_offsets.size());
-        const std::vector<unsigned char> payload = read_chunk(
-            f, e.chunk_offsets[c], wi, warps_per_sm_, count, path_);
-        std::size_t pos = 0;
-        for (std::uint32_t r = 0; r < count; ++r) {
-          streams_[wi].instrs.push_back(
-              decode_record(payload.data(), payload.size(), pos, path_));
-        }
-        if (pos != payload.size()) {
-          fail("chunk payload has trailing bytes", path_);
-        }
-      }
-    }
-    return;
-  }
-
-  cursors_.resize(warp_count);
-  for (std::size_t wi = 0; wi < warp_count; ++wi) {
-    cursors_[wi].records = entries[wi].records;
-    cursors_[wi].chunk_offsets = std::move(entries[wi].chunk_offsets);
-  }
-}
+TraceReplayer::~TraceReplayer() { std::fclose(file_); }
 
 void TraceReplayer::load_chunk(std::size_t warp_idx, std::uint64_t chunk) {
   WarpCursor& c = cursors_[warp_idx];
@@ -443,24 +425,9 @@ WarpInstr TraceReplayer::next(SmId sm, WarpId warp) {
   LATDIV_ASSERT(sm < sms_ && warp < warps_per_sm_,
                 "replay outside trace geometry");
   const std::size_t wi = warp_index(sm, warp);
-
-  if (file_ == nullptr) {
-    // In-memory replay (ReplayMode::kInMemory).
-    WarpStream& ws = streams_[wi];
-    if (ws.instrs.empty()) {
-      // A warp with no recorded activity idles on compute.
-      WarpInstr idle;
-      idle.kind = WarpInstr::Kind::kCompute;
-      idle.latency = 16;
-      return idle;
-    }
-    const WarpInstr& instr = ws.instrs[ws.pos];
-    ws.pos = (ws.pos + 1) % ws.instrs.size();
-    return instr;
-  }
-
   WarpCursor& c = cursors_[wi];
   if (c.records == 0) {
+    // A warp with no recorded activity idles on compute.
     WarpInstr idle;
     idle.kind = WarpInstr::Kind::kCompute;
     idle.latency = 16;
@@ -486,20 +453,17 @@ WarpInstr TraceReplayer::next(SmId sm, WarpId warp) {
   }
   const WarpInstr instr =
       decode_record(c.payload.data(), c.payload.size(), c.byte_pos, path_);
-  ++c.chunk_pos;
+  if (++c.chunk_pos == c.chunk_count && c.byte_pos != c.payload.size()) {
+    fail("chunk payload has trailing bytes", path_);
+  }
   c.pos = (c.pos + 1) % c.records;
   return instr;
 }
 
 std::vector<std::uint64_t> TraceReplayer::cursor() const {
   std::vector<std::uint64_t> out;
-  if (file_ == nullptr) {
-    out.reserve(streams_.size());
-    for (const WarpStream& ws : streams_) out.push_back(ws.pos);
-  } else {
-    out.reserve(cursors_.size());
-    for (const WarpCursor& c : cursors_) out.push_back(c.pos);
-  }
+  out.reserve(cursors_.size());
+  for (const WarpCursor& c : cursors_) out.push_back(c.pos);
   return out;
 }
 
@@ -531,21 +495,14 @@ void TraceReplayer::restore(const std::vector<std::uint64_t>& cursor) {
     fail("cursor does not match trace geometry", path_);
   }
   for (std::size_t wi = 0; wi < warp_count; ++wi) {
-    const std::uint64_t limit = file_ == nullptr
-                                    ? streams_[wi].instrs.size()
-                                    : cursors_[wi].records;
-    if (cursor[wi] != 0 && cursor[wi] >= limit) {
+    if (cursor[wi] != 0 && cursor[wi] >= cursors_[wi].records) {
       fail("cursor position beyond end of warp stream", path_);
     }
   }
   for (std::size_t wi = 0; wi < warp_count; ++wi) {
-    if (file_ == nullptr) {
-      streams_[wi].pos = cursor[wi];
-    } else {
-      cursors_[wi].pos = cursor[wi];
-      cursors_[wi].loaded = false;
-      cursors_[wi].payload.clear();
-    }
+    cursors_[wi].pos = cursor[wi];
+    cursors_[wi].loaded = false;
+    cursors_[wi].payload.clear();
   }
 }
 
@@ -606,54 +563,22 @@ struct ScanAccum {
 }  // namespace
 
 TraceStats scan_trace(const std::string& path) {
-  FileGuard guard{std::fopen(path.c_str(), "rb")};
-  if (guard.f == nullptr) fail("cannot open trace file for reading", path);
-  std::FILE* f = guard.f;
+  const OpenTrace t = open_trace(path);
   ScanAccum acc;
-  acc.stats.file_bytes = file_size(f, path);
-  seek_to(f, 0, path);
-
-  unsigned char head[8];
-  read_exact(f, head, sizeof head, path);
-  if (std::memcmp(head, kMagic, 4) != 0) {
-    fail("not a latdiv trace file", path);
-  }
-  if (get_le32(head + 4) != kVersion2) {
-    fail("unsupported trace version", path);
-  }
-  acc.stats.version = kVersion2;
-  unsigned char hdr[kHeaderBytes];
-  std::memcpy(hdr, head, 8);
-  read_exact(f, hdr + 8, kHeaderBytes - 8, path);
-  if (crc32(hdr, 36) != get_le32(hdr + 36)) {
-    fail("header CRC mismatch", path);
-  }
-  acc.stats.sms = get_le32(hdr + 8);
-  acc.stats.warps_per_sm = get_le32(hdr + 12);
-  acc.stats.chunk_records = get_le32(hdr + 16);
-  acc.stats.total_records = get_le64(hdr + 20);
-  const std::uint64_t index_offset = get_le64(hdr + 28);
-  if (!valid_geometry(acc.stats.sms, acc.stats.warps_per_sm)) {
-    fail("invalid trace geometry", path);
-  }
-  if (acc.stats.chunk_records == 0 ||
-      acc.stats.chunk_records > kMaxChunkRecords) {
-    fail("invalid chunk size", path);
-  }
-  const std::size_t warp_count =
-      static_cast<std::size_t>(acc.stats.sms) * acc.stats.warps_per_sm;
-  const std::vector<IndexEntry> entries =
-      parse_index(f, index_offset, acc.stats.file_bytes, warp_count,
-                  acc.stats.chunk_records, acc.stats.total_records, path);
-  for (std::size_t wi = 0; wi < warp_count; ++wi) {
-    const IndexEntry& e = entries[wi];
+  acc.stats.version = kTraceVersion;
+  acc.stats.sms = t.sms;
+  acc.stats.warps_per_sm = t.warps_per_sm;
+  acc.stats.chunk_records = t.chunk_records;
+  acc.stats.total_records = t.total;
+  acc.stats.file_bytes = t.file_bytes;
+  for (std::size_t wi = 0; wi < t.index.size(); ++wi) {
+    const IndexEntry& e = t.index[wi];
     acc.stats.chunks += e.chunk_offsets.size();
     for (std::uint64_t c = 0; c < e.chunk_offsets.size(); ++c) {
-      const std::uint32_t count =
-          chunk_record_count(e.records, acc.stats.chunk_records, c,
-                             e.chunk_offsets.size());
+      const std::uint32_t count = chunk_record_count(
+          e.records, t.chunk_records, c, e.chunk_offsets.size());
       const std::vector<unsigned char> payload =
-          read_chunk(f, e.chunk_offsets[c], wi, acc.stats.warps_per_sm,
+          read_chunk(t.file.get(), e.chunk_offsets[c], wi, t.warps_per_sm,
                      count, path);
       std::size_t pos = 0;
       for (std::uint32_t r = 0; r < count; ++r) {

@@ -66,6 +66,8 @@ class TraceError : public std::runtime_error {
 /// bound the replayer's per-warp memory; 64 records is ~17 KB worst case
 /// (all 32-lane memory records) per active warp.
 inline constexpr std::uint32_t kTraceChunkRecords = 64;
+/// The only format version written and read.
+inline constexpr std::uint32_t kTraceVersion = 2;
 
 /// Streams instruction records to a v2 trace file as they are recorded.
 /// Throws TraceError ("invalid trace geometry") unless sms and
@@ -127,34 +129,24 @@ class RecordingSource final : public InstrSource {
   TraceWriter& writer_;
 };
 
-/// How TraceReplayer holds a trace.
-enum class ReplayMode : std::uint8_t {
-  /// Stream chunks from disk on demand: O(active warps x chunk bytes)
-  /// memory regardless of trace length.  The default.
-  kStreaming,
-  /// Decode the whole trace up front (cross-check for the streaming path
-  /// and for tests; memory is O(total records)).
-  kInMemory,
-};
-
 /// Replays each warp's recorded stream in order, wrapping at the end of
 /// that warp's subsequence.  Reads format v2.
 class TraceReplayer final : public InstrSource {
  public:
-  explicit TraceReplayer(const std::string& path,
-                         ReplayMode mode = ReplayMode::kStreaming);
+  /// Opens and checks the header and index; chunks are read and
+  /// verified on demand, so chunk corruption surfaces on the first
+  /// next() that reaches it.
+  explicit TraceReplayer(const std::string& path);
   ~TraceReplayer();
   TraceReplayer(const TraceReplayer&) = delete;
   TraceReplayer& operator=(const TraceReplayer&) = delete;
 
   [[nodiscard]] WarpInstr next(SmId sm, WarpId warp) override;
 
-  [[nodiscard]] std::uint32_t version() const { return version_; }
+  [[nodiscard]] std::uint32_t version() const { return kTraceVersion; }
   [[nodiscard]] std::uint32_t sms() const { return sms_; }
   [[nodiscard]] std::uint32_t warps_per_sm() const { return warps_per_sm_; }
   [[nodiscard]] std::uint64_t total_records() const { return total_; }
-  /// True when this instance streams chunks from disk on demand.
-  [[nodiscard]] bool streaming() const { return file_ != nullptr; }
 
   /// Checkpointable replay cursor: the current record position of every
   /// warp stream (SM-major order), already wrapped into [0, records).
@@ -170,12 +162,7 @@ class TraceReplayer final : public InstrSource {
   void ckpt_load(ckpt::CkptReader& ar) override;
 
  private:
-  /// In-memory stream (ReplayMode::kInMemory).
-  struct WarpStream {
-    std::vector<WarpInstr> instrs;
-    std::uint64_t pos = 0;
-  };
-  /// Streaming v2 state: the index entry plus one open chunk.
+  /// Per-warp replay state: the index entry plus one open chunk.
   struct WarpCursor {
     std::uint64_t records = 0;               ///< stream length (from index)
     std::vector<std::uint64_t> chunk_offsets;
@@ -188,20 +175,16 @@ class TraceReplayer final : public InstrSource {
     std::vector<unsigned char> payload;
   };
 
-  void load_v2(std::FILE* f, ReplayMode mode);
-  void read_index(std::FILE* f, std::uint64_t index_offset);
   void load_chunk(std::size_t warp_idx, std::uint64_t chunk);
   [[nodiscard]] std::size_t warp_index(SmId sm, WarpId warp) const;
 
   std::string path_;
-  std::FILE* file_ = nullptr;  ///< open while streaming, null otherwise
-  std::uint32_t version_ = 0;
+  std::FILE* file_ = nullptr;
   std::uint32_t sms_ = 0;
   std::uint32_t warps_per_sm_ = 0;
   std::uint32_t chunk_records_ = 0;
   std::uint64_t total_ = 0;
-  std::vector<WarpStream> streams_;  ///< in-memory replay state
-  std::vector<WarpCursor> cursors_;  ///< streaming replay state
+  std::vector<WarpCursor> cursors_;
 };
 
 /// Full-file scan results (the `latdiv-tracegen inspect/validate/stats`
@@ -243,7 +226,8 @@ struct TraceStats {
 };
 
 /// Decode and verify `path` end to end; throws TraceError on the first
-/// problem.
+/// problem.  Opens the file through the same header and index checks as
+/// TraceReplayer, then reads and decodes every chunk.
 [[nodiscard]] TraceStats scan_trace(const std::string& path);
 
 }  // namespace latdiv

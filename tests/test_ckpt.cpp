@@ -1,7 +1,8 @@
 // Checkpoint determinism contract (src/ckpt): loading a snapshot taken
 // at cycle C into a fresh simulator and running to the end must be
 // byte-identical to the run that never paused — across schedulers,
-// workload frontends, the number of cuts, and file vs in-memory snapshots.
+// workload frontends, the number of cuts, and file vs memory-buffer
+// snapshots.
 // DESIGN.md "Checkpoint, sampling & determinism contract" states the
 // guarantee; this suite is its enforcement.
 //
@@ -83,7 +84,7 @@ void expect_same_result(const RunResult& a, const RunResult& b) {
 // `shardsN` cuts the run at N evenly spaced cycles (every cut saves, loads
 // into a fresh simulator and continues from there), and `ff`/`noff` says
 // whether each cut goes through a snapshot file (save_snapshot_file /
-// load_snapshot_file) or stays an in-memory buffer.
+// load_snapshot_file) or stays a memory buffer.
 
 /// Snapshot path unique to the running test.
 std::string test_snapshot_path() {

@@ -102,23 +102,15 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, SamplingAccuracy,
                          });
 
 // Functional warming is what keeps the estimates honest across skips:
-// with it disabled, source cursors freeze during each skip and the
-// measured windows see a stream that lags simulated time.
+// each skip drains the source at the estimated issue rate, so cursors
+// keep pace with simulated time.
 TEST(SamplingWarming, WarmingDrawsInstructionsAndStaysDeterministic) {
   const SimConfig cfg = sampling_cfg("powerlaw-rows", 240'000);
-  ckpt::SamplingConfig sched = test_schedule();
-
   Simulator warm_sim(cfg);
-  ckpt::SampledRunner warm_runner(warm_sim, sched);
+  ckpt::SampledRunner warm_runner(warm_sim, test_schedule());
   const ckpt::SampledResult with_warm = warm_runner.run();
   EXPECT_GT(with_warm.warm_instructions, 0u);
-
-  sched.functional_warming = false;
-  Simulator cold_sim(cfg);
-  ckpt::SampledRunner cold_runner(cold_sim, sched);
-  const ckpt::SampledResult no_warm = cold_runner.run();
-  EXPECT_EQ(no_warm.warm_instructions, 0u);
-  EXPECT_GT(no_warm.ipc, 0.0);
+  EXPECT_GT(with_warm.ipc, 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@
 //   latdiv-tracegen inspect FILE                  header + geometry
 //   latdiv-tracegen validate FILE                 full decode + CRC check
 //   latdiv-tracegen stats FILE                    access-pattern breakdown
-//   latdiv-tracegen replay FILE [--policy P] [--cycles N] [--in-memory]
+//   latdiv-tracegen replay FILE [--policy P] [--cycles N]
 //                                                 run the simulator on it
 //
 // generate pulls warps round-robin, but since scenario streams are
@@ -46,7 +46,7 @@ void usage(std::FILE* out) {
       "       latdiv-tracegen stats FILE\n"
       "       latdiv-tracegen replay FILE [--policy P] [--cycles N] "
       "[--warmup N]\n"
-      "                       [--seed N] [--in-memory]\n"
+      "                       [--seed N]\n"
       "\n"
       "  list      print the scenario catalogue\n"
       "  generate  capture a scenario microkernel to a v2 trace\n"
@@ -208,7 +208,6 @@ int cmd_replay(int argc, char** argv) {
   Cycle cycles = 50'000;
   Cycle warmup = 5'000;
   std::uint64_t seed = 1;
-  bool in_memory = false;
   for (int i = 3; i < argc; ++i) {
     const char* flag = argv[i];
     const auto value = [&] { return cli::next_arg(kTool, argc, argv, i); };
@@ -220,8 +219,6 @@ int cmd_replay(int argc, char** argv) {
       cli::next_uint(kTool, argc, argv, i, warmup);
     } else if (std::strcmp(flag, "--seed") == 0) {
       cli::next_uint(kTool, argc, argv, i, seed);
-    } else if (std::strcmp(flag, "--in-memory") == 0) {
-      in_memory = true;  // documented escape hatch; streaming is default
     } else {
       std::fprintf(stderr, "latdiv-tracegen: unknown option '%s'\n", flag);
       return 2;
@@ -229,18 +226,13 @@ int cmd_replay(int argc, char** argv) {
   }
   try {
     // Probe the header/index for the geometry; the simulator then opens
-    // its own streaming replayer.
+    // its own replayer.
     std::uint32_t sms = 0;
     std::uint32_t warps = 0;
     {
-      TraceReplayer probe(path, ReplayMode::kStreaming);
+      const TraceReplayer probe(path);
       sms = probe.sms();
       warps = probe.warps_per_sm();
-      if (in_memory) {
-        // Exercise the in-memory decode path up front so corruption is
-        // reported here rather than mid-simulation.
-        TraceReplayer full(path, ReplayMode::kInMemory);
-      }
     }
     SimConfig cfg;
     cfg.num_sms = sms;
