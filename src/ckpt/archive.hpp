@@ -4,9 +4,12 @@
 // primitive takes a reference, writing it on save and overwriting it on
 // load — so one `template <class Ar> void ckpt_io(Ar&)` function per
 // component serves both directions and the two can never drift apart.
-// `Ar::kIsWriter` lets the rare asymmetric step (sorting an unordered
-// container on save, rebuilding a pointer on load) branch at compile
-// time.
+// A component's ckpt_io is one field list.  It branches on
+// `Ar::kIsWriter` only for a load-side validation or rebuild step
+// (refusing a corrupt value, recounting a derived index); the container
+// helpers in ckpt/snapshot.cpp (io_seq, io_map, io_set, io_optional,
+// io_ring, ...) own every other asymmetry — sorting an unordered
+// container on save, bounding a count or refusing a repeated key on load.
 //
 // Encoding is explicit little-endian via common/endian.hpp, so a
 // snapshot taken on one machine resumes bit-identically on any other.

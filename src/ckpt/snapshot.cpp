@@ -14,8 +14,10 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
-#include <queue>
+#include <numeric>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -49,8 +51,11 @@ namespace {
 
 // --- field helpers ---------------------------------------------------
 // All take mutating references like the archive primitives, so one call
-// site serves both directions; `if constexpr (Ar::kIsWriter)` branches
-// the rare asymmetric step.
+// site serves both directions.  Every save/load asymmetry — sorting an
+// unordered container on save, refusing a hostile count or key on load,
+// finding an instrument by name — lives in one of these helpers; a
+// component's ckpt_io branches on direction only for a load-side
+// validation or rebuild step.
 
 template <class Ar, class E>
 void io_enum8(Ar& ar, E& e) {
@@ -66,34 +71,163 @@ void io_size(Ar& ar, std::size_t& v) {
   if constexpr (!Ar::kIsWriter) v = static_cast<std::size_t>(wide);
 }
 
-/// Serialize a count that load may not change: geometry fixed at
-/// construction (bank arrays, warp arrays, cache lines).  A mismatch
-/// means the snapshot disagrees with the constructed simulator in a way
-/// the config fingerprint failed to capture.
-template <class Ar>
-void io_check_count(Ar& ar, std::size_t expect, const char* what) {
-  std::uint64_t n = expect;
-  ar.u64(n);
-  if (n != expect) {
-    throw ckpt::CkptError(std::string("snapshot geometry mismatch: ") + what);
+/// Serialize a value the constructed simulator already determines (its
+/// configuration or geometry): save writes `expect`, load refuses any
+/// other value with `message`.
+template <class Ar, class T>
+void io_expect(Ar& ar, T expect, const std::string& message) {
+  T v = expect;
+  if constexpr (std::is_same_v<T, bool>) {
+    ar.b(v);
+  } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+    ar.u8(v);
+  } else {
+    static_assert(std::is_same_v<T, std::uint64_t>);
+    ar.u64(v);
   }
+  if (v != expect) throw ckpt::CkptError(message);
 }
 
-/// Resizable sequence (vector / deque): count, then one callback per
-/// element.  Load resizes in place, after refusing a count larger than
-/// the bytes left in the section (every element reads at least one).
-template <class Ar, class Seq, class Fn>
-void io_seq(Ar& ar, Seq& seq, Fn&& fn) {
-  std::uint64_t n = seq.size();
+/// A count load may not change: geometry fixed at construction (bank
+/// arrays, warp arrays, cache lines).  A mismatch means the snapshot
+/// disagrees with the constructed simulator in a way the config
+/// fingerprint failed to capture.
+template <class Ar>
+void io_check_count(Ar& ar, std::size_t expect, const char* what) {
+  io_expect<Ar, std::uint64_t>(
+      ar, expect, std::string("snapshot geometry mismatch: ") + what);
+}
+
+/// An element count.  Load refuses one larger than the bytes left in the
+/// section (every element reads at least one), so a hostile count fails
+/// before anything is sized to it.
+template <class Ar>
+void io_count(Ar& ar, std::uint64_t& n) {
   ar.u64(n);
   if constexpr (!Ar::kIsWriter) {
     if (n > ar.remaining()) {
       throw ckpt::CkptError(
           "snapshot corrupt: sequence count exceeds its section");
     }
-    seq.resize(static_cast<std::size_t>(n));
   }
+}
+
+/// Resizable sequence (vector / deque): count, then one callback per
+/// element.  Load resizes in place.
+template <class Ar, class Seq, class Fn>
+void io_seq(Ar& ar, Seq& seq, Fn&& fn) {
+  std::uint64_t n = seq.size();
+  io_count(ar, n);
+  if constexpr (!Ar::kIsWriter) seq.resize(static_cast<std::size_t>(n));
   for (auto& item : seq) fn(item);
+}
+
+/// Keyed container (std::map / std::unordered_map): count, then each key
+/// and value in ascending key order, so hash order never reaches the
+/// bytes.  Load clears the container and refuses a repeated key.
+template <class Ar, class Map, class KeyFn, class ValFn>
+void io_map(Ar& ar, Map& map, KeyFn&& key_fn, ValFn&& val_fn) {
+  std::uint64_t n = map.size();
+  io_count(ar, n);
+  if constexpr (Ar::kIsWriter) {
+    std::vector<typename Map::value_type*> entries;
+    entries.reserve(map.size());
+    for (auto& entry : map) entries.push_back(&entry);
+    std::sort(entries.begin(), entries.end(),
+              [](const auto* a, const auto* b) { return a->first < b->first; });
+    for (auto* entry : entries) {
+      typename Map::key_type key = entry->first;
+      key_fn(key);
+      val_fn(entry->second);
+    }
+  } else {
+    map.clear();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      typename Map::key_type key{};
+      key_fn(key);
+      const auto [it, fresh] = map.try_emplace(key);
+      if (!fresh) {
+        throw ckpt::CkptError("snapshot corrupt: key listed twice");
+      }
+      val_fn(it->second);
+    }
+  }
+}
+
+/// Set (std::set / std::unordered_set): count, then the keys in ascending
+/// order.  Load clears the set and refuses a repeated key.
+template <class Ar, class Set, class KeyFn>
+void io_set(Ar& ar, Set& set, KeyFn&& key_fn) {
+  std::uint64_t n = set.size();
+  io_count(ar, n);
+  if constexpr (Ar::kIsWriter) {
+    std::vector<typename Set::key_type> keys(set.begin(), set.end());
+    std::sort(keys.begin(), keys.end());
+    for (auto& key : keys) key_fn(key);
+  } else {
+    set.clear();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      typename Set::key_type key{};
+      key_fn(key);
+      if (!set.insert(key).second) {
+        throw ckpt::CkptError("snapshot corrupt: key listed twice");
+      }
+    }
+  }
+}
+
+/// std::optional: a presence flag, then the value.
+template <class Ar, class T, class Fn>
+void io_optional(Ar& ar, std::optional<T>& opt, Fn&& fn) {
+  bool has = opt.has_value();
+  ar.b(has);
+  if constexpr (!Ar::kIsWriter) {
+    opt.reset();
+    if (has) opt.emplace();
+  }
+  if (has) fn(*opt);
+}
+
+/// The walk order of a slot table's first `n` slots, whose numbering is
+/// an accident of allocation history: save visits them sorted by `less`,
+/// load fills slots 0..n-1 in stream order.
+template <class Ar, class Less>
+std::vector<std::uint32_t> slot_order(std::uint64_t n, Less less) {
+  std::vector<std::uint32_t> slots(static_cast<std::size_t>(n));
+  std::iota(slots.begin(), slots.end(), 0u);
+  if constexpr (Ar::kIsWriter) std::sort(slots.begin(), slots.end(), less);
+  return slots;
+}
+
+/// A component behind a virtual save/load pair (a scheduling policy, an
+/// instruction source).
+template <class Ar, class T>
+void io_virtual(Ar& ar, T& component) {
+  if constexpr (Ar::kIsWriter) {
+    component.ckpt_save(ar);
+  } else {
+    component.ckpt_load(ar);
+  }
+}
+
+/// A MetricRegistry instrument list in creation order: count, then each
+/// instrument's name and state.  Load finds or creates each by name
+/// (`find_or_create`), so instruments registered at construction keep the
+/// pointers hot paths cached and export order is reproduced.
+template <class Ar, class List, class FindOrCreate>
+void io_named(Ar& ar, List& list, FindOrCreate&& find_or_create) {
+  std::uint64_t n = list.size();
+  io_count(ar, n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    if constexpr (Ar::kIsWriter) {
+      ar.str(list[i].name);
+      list[i].instrument->ckpt_io(ar);
+    } else {
+      std::string name;
+      ar.str(name);
+      find_or_create(name).ckpt_io(ar);
+    }
+  }
 }
 
 template <class Ar>
@@ -196,16 +330,12 @@ void io_request_ring(Ar& ar, BoundedQueue<MemRequest>& q, const char* what) {
   io_ring(ar, q, what, [&ar](MemRequest& req) { io_req(ar, req); });
 }
 
-/// std::priority_queue exposes no container access; the standard-blessed
-/// workaround reaches the protected member through a derived class.  The
-/// heap vector is serialized verbatim — both sides build it through the
-/// same push sequence, so the layout is deterministic.
-template <class PQ>
-struct HeapAccess : PQ {
-  static typename PQ::container_type& container(PQ& q) {
-    return q.*(&HeapAccess::c);
-  }
-};
+/// SRCE kind byte: which instruction source the configuration builds
+/// (the Simulator's precedence: trace replay, factory, generator).
+std::uint8_t source_kind(const SimConfig& cfg) {
+  if (!cfg.replay_trace_path.empty()) return 2;
+  return cfg.instr_source ? 1 : 0;
+}
 
 /// A warp-group's primary fields; its request list is index state that
 /// WgPolicy::on_load rebuilds from the read queue.
@@ -241,46 +371,36 @@ void Cache::ckpt_io(Ar& ar) {
 
 template <class Ar>
 void MshrFile::ckpt_io(Ar& ar) {
-  // Entries in line-address order: slot order is an accident of release
-  // history, so the writer sorts and the loader accepts any order.
-  if constexpr (Ar::kIsWriter) {
-    std::vector<std::uint32_t> slots(used_);
-    for (std::uint32_t s = 0; s < used_; ++s) slots[s] = s;
-    std::sort(slots.begin(), slots.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                return lines_[a] < lines_[b];
-              });
-    std::uint64_t n = used_;
-    ar.u64(n);
-    for (std::uint32_t s : slots) {
-      ar.u64(lines_[s]);
-      io_seq(ar, waiters_[s], [&ar](MemRequest& req) { io_req(ar, req); });
-    }
-  } else {
-    used_ = 0;
-    std::uint64_t n = 0;
-    ar.u64(n);
+  // Entries in line-address order; the loader accepts any order.
+  std::uint64_t n = used_;
+  ar.u64(n);
+  if constexpr (!Ar::kIsWriter) {
     if (n > cfg_.entries) {
       throw ckpt::CkptError(
           "snapshot corrupt: MSHR holds more entries than its file");
     }
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Addr line = 0;
-      ar.u64(line);
-      if (tracking(line)) {
+    used_ = 0;
+  }
+  const auto by_line = [this](std::uint32_t a, std::uint32_t b) {
+    return lines_[a] < lines_[b];
+  };
+  for (std::uint32_t s : slot_order<Ar>(n, by_line)) {
+    ar.u64(lines_[s]);
+    std::uint64_t count = waiters_[s].size();
+    ar.u64(count);
+    if constexpr (!Ar::kIsWriter) {
+      // Slot s is about to become slot used_; tracking() sees the others.
+      if (tracking(lines_[s])) {
         throw ckpt::CkptError("snapshot corrupt: MSHR line listed twice");
       }
-      std::uint64_t count = 0;
-      ar.u64(count);
       if (count == 0 || count > cfg_.max_merged) {
         throw ckpt::CkptError(
             "snapshot corrupt: MSHR entry waiter count out of range");
       }
-      lines_[used_] = line;
-      waiters_[used_].resize(static_cast<std::size_t>(count));
-      for (MemRequest& req : waiters_[used_]) io_req(ar, req);
+      waiters_[s].resize(static_cast<std::size_t>(count));
       ++used_;
     }
+    for (MemRequest& req : waiters_[s]) io_req(ar, req);
   }
   ar.u64(stats_.allocations);
   ar.u64(stats_.merges);
@@ -343,44 +463,16 @@ void Sm::ckpt_io(Ar& ar) {
 
 template <class Ar>
 void InstrTracker::ckpt_io(Ar& ar) {
-  if constexpr (Ar::kIsWriter) {
-    // Collect-then-sort: records_ is unordered, the byte stream must not
-    // be (classic iterator loop; the sorted key walk below is the only
-    // iteration order the archive sees).
-    std::vector<WarpInstrUid> keys;
-    keys.reserve(records_.size());
-    for (auto it = records_.begin(); it != records_.end(); ++it) {
-      keys.push_back(it->first);
-    }
-    std::sort(keys.begin(), keys.end());
-    std::uint64_t n = keys.size();
-    ar.u64(n);
-    for (WarpInstrUid uid : keys) {
-      ar.u64(uid);
-      Record& rec = records_.at(uid);
-      ar.u64(rec.issued);
-      ar.u64(rec.first_done);
-      ar.u64(rec.last_done);
-      ar.u16(rec.sm);
-      ar.u16(rec.warp);
-      io_seq(ar, rec.locs, [&ar](DramLoc& loc) { io_loc(ar, loc); });
-    }
-  } else {
-    records_.clear();
-    std::uint64_t n = 0;
-    ar.u64(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      WarpInstrUid uid = 0;
-      ar.u64(uid);
-      Record& rec = records_[uid];
-      ar.u64(rec.issued);
-      ar.u64(rec.first_done);
-      ar.u64(rec.last_done);
-      ar.u16(rec.sm);
-      ar.u16(rec.warp);
-      io_seq(ar, rec.locs, [&ar](DramLoc& loc) { io_loc(ar, loc); });
-    }
-  }
+  io_map(
+      ar, records_, [&ar](WarpInstrUid& uid) { ar.u64(uid); },
+      [&ar](Record& rec) {
+        ar.u64(rec.issued);
+        ar.u64(rec.first_done);
+        ar.u64(rec.last_done);
+        ar.u16(rec.sm);
+        ar.u16(rec.warp);
+        io_seq(ar, rec.locs, [&ar](DramLoc& loc) { io_loc(ar, loc); });
+      });
   ar.u64(summary_.loads_finalized);
   ar.u64(summary_.loads_touching_dram);
   summary_.dram_reqs_per_load.ckpt_io(ar);
@@ -505,9 +597,7 @@ void MemoryController::ckpt_io(Ar& ar) {
   ar.b(opportunistic_mode_);
   ar.u32(rr_group_);
   for (auto& rr : rr_bank_in_group_) ar.u32(rr);
-  auto& heap =
-      HeapAccess<std::priority_queue<Inflight>>::container(inflight_reads_);
-  io_seq(ar, heap, [&ar](Inflight& f) {
+  io_seq(ar, inflight_reads_, [&ar](Inflight& f) {
     ar.u64(f.done);
     io_req(ar, f.req);
   });
@@ -525,10 +615,8 @@ void MemoryController::ckpt_io(Ar& ar) {
   for (auto& n : stats_.bank_row_misses) ar.u64(n);
   for (auto& n : stats_.bank_row_conflicts) ar.u64(n);
   channel_.ckpt_io(ar);
-  if constexpr (Ar::kIsWriter) {
-    policy_->ckpt_save(ar);
-  } else {
-    policy_->ckpt_load(ar);
+  io_virtual(ar, *policy_);
+  if constexpr (!Ar::kIsWriter) {
     // Scheduling indexes requests by bank (and WG by 1u << bank); a
     // corrupt snapshot must not index past them.
     const auto check = [this](const MemRequest& req) {
@@ -543,10 +631,10 @@ void MemoryController::ckpt_io(Ar& ar) {
     };
     for (const MemRequest& req : read_q_) check(req);
     for (const MemRequest& req : write_q_) check(req);
-    for (const Inflight& f : heap) check(f.req);
+    for (const Inflight& f : inflight_reads_) check(f.req);
     // complete_reads pops the earliest burst first; a heap saved out of
     // order would deliver data out of order.
-    if (!std::is_heap(heap.begin(), heap.end())) {
+    if (!std::is_heap(inflight_reads_.begin(), inflight_reads_.end())) {
       throw ckpt::CkptError(
           "snapshot corrupt: in-flight read heap out of order");
     }
@@ -595,20 +683,7 @@ void Partition::ckpt_io(Ar& ar) {
 
 template <class Ar>
 void ZldCoordinator::ckpt_io(Ar& ar) {
-  if constexpr (Ar::kIsWriter) {
-    std::vector<WarpInstrUid> keys(started_.begin(), started_.end());
-    std::sort(keys.begin(), keys.end());
-    io_seq(ar, keys, [&ar](WarpInstrUid& uid) { ar.u64(uid); });
-  } else {
-    started_.clear();
-    std::uint64_t n = 0;
-    ar.u64(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      WarpInstrUid uid = 0;
-      ar.u64(uid);
-      started_.insert(uid);
-    }
-  }
+  io_set(ar, started_, [&ar](WarpInstrUid& uid) { ar.u64(uid); });
 }
 
 template <class Ar>
@@ -616,46 +691,10 @@ void WgPolicy::ckpt_io(Ar& ar) {
   // Primary state only: the read-queue index (each group's items,
   // active_, next_seq_) is rebuilt by on_load, and the selection wake is
   // derived.
-  if constexpr (Ar::kIsWriter) {
-    // Collect-then-sort (classic iterator loop over the unordered map;
-    // the archive only sees the sorted walk).
-    std::vector<WarpInstrUid> keys;
-    keys.reserve(groups_.size());
-    for (auto it = groups_.begin(); it != groups_.end(); ++it) {
-      keys.push_back(it->first);
-    }
-    std::sort(keys.begin(), keys.end());
-    std::uint64_t n = keys.size();
-    ar.u64(n);
-    for (WarpInstrUid uid : keys) {
-      ar.u64(uid);
-      io_wg_meta(ar, groups_.at(uid));
-    }
-  } else {
-    groups_.clear();
-    std::uint64_t n = 0;
-    ar.u64(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      WarpInstrUid uid = 0;
-      ar.u64(uid);
-      io_wg_meta(ar, groups_[uid]);
-    }
-  }
-  if constexpr (Ar::kIsWriter) {
-    bool has = current_.has_value();
-    ar.b(has);
-    if (has) ar.u64(*current_);
-  } else {
-    bool has = false;
-    ar.b(has);
-    if (has) {
-      WarpInstrUid uid = 0;
-      ar.u64(uid);
-      current_ = uid;
-    } else {
-      current_.reset();
-    }
-  }
+  const auto io_uid = [&ar](WarpInstrUid& uid) { ar.u64(uid); };
+  io_map(ar, groups_, io_uid,
+         [&ar](WgGroupMeta& meta) { io_wg_meta(ar, meta); });
+  io_optional(ar, current_, io_uid);
   io_seq(ar, recent_msgs_, [&ar](RecentMsg& m) {
     ar.u64(m.instr);
     ar.u32(m.score);
@@ -752,49 +791,13 @@ void Log2Histogram::ckpt_io(Ar& ar) {
 
 template <class Ar>
 void MetricRegistry::ckpt_io(Ar& ar) {
-  // Saved in creation order; loading find-or-creates by name, so
-  // instruments registered by the hub's constructor keep their hot-path
-  // pointers and export order is reproduced exactly.
-  if constexpr (Ar::kIsWriter) {
-    std::uint64_t n = counters_.size();
-    ar.u64(n);
-    for (auto& named : counters_) {
-      ar.str(named.name);
-      named.instrument->ckpt_io(ar);
-    }
-    n = gauges_.size();
-    ar.u64(n);
-    for (auto& named : gauges_) {
-      ar.str(named.name);
-      named.instrument->ckpt_io(ar);
-    }
-    n = histograms_.size();
-    ar.u64(n);
-    for (auto& named : histograms_) {
-      ar.str(named.name);
-      named.instrument->ckpt_io(ar);
-    }
-  } else {
-    std::uint64_t n = 0;
-    ar.u64(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      std::string name;
-      ar.str(name);
-      counter(name).ckpt_io(ar);
-    }
-    ar.u64(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      std::string name;
-      ar.str(name);
-      gauge(name).ckpt_io(ar);
-    }
-    ar.u64(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      std::string name;
-      ar.str(name);
-      histogram(name).ckpt_io(ar);
-    }
-  }
+  io_named(ar, counters_,
+           [this](const std::string& name) -> auto& { return counter(name); });
+  io_named(ar, gauges_,
+           [this](const std::string& name) -> auto& { return gauge(name); });
+  io_named(ar, histograms_, [this](const std::string& name) -> auto& {
+    return histogram(name);
+  });
 }
 
 template <class Ar>
@@ -839,86 +842,27 @@ void AttributionProfiler::ckpt_io(Ar& ar) {
     ar.u64(a.sl_bus);
     io_enum8(ar, a.sl_outcome);
   };
-  if constexpr (Ar::kIsWriter) {
-    std::uint64_t n = inflight_.size();
-    ar.u64(n);
-    for (auto& [key, st] : inflight_) {
-      std::uint64_t uid = key.first;
-      std::uint64_t addr = key.second;
-      ar.u64(uid);
-      ar.u64(addr);
-      io_state(st);
-    }
-    n = accs_.size();
-    ar.u64(n);
-    for (auto& [uid, acc] : accs_) {
-      std::uint64_t u = uid;
-      ar.u64(u);
-      io_acc(acc);
-    }
-  } else {
-    inflight_.clear();
-    std::uint64_t n = 0;
-    ar.u64(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      std::uint64_t uid = 0;
-      std::uint64_t addr = 0;
-      ar.u64(uid);
-      ar.u64(addr);
-      ReqState st;
-      io_state(st);
-      inflight_.emplace(std::make_pair(uid, addr), st);
-    }
-    accs_.clear();
-    ar.u64(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      std::uint64_t uid = 0;
-      ar.u64(uid);
-      Acc acc;
-      io_acc(acc);
-      accs_.emplace(uid, acc);
-    }
-  }
+  io_map(
+      ar, inflight_,
+      [&ar](std::pair<WarpInstrUid, Addr>& key) {
+        ar.u64(key.first);
+        ar.u64(key.second);
+      },
+      io_state);
+  io_map(ar, accs_, [&ar](WarpInstrUid& uid) { ar.u64(uid); }, io_acc);
 }
 
 template <class Ar>
 void ObsHub::ckpt_io(Ar& ar) {
   chrome_.ckpt_io(ar);
   registry_.ckpt_io(ar);
-  if constexpr (Ar::kIsWriter) {
-    std::vector<std::uint64_t> tracks(named_tracks_.begin(),
-                                      named_tracks_.end());
-    std::sort(tracks.begin(), tracks.end());
-    io_seq(ar, tracks, [&ar](std::uint64_t& key) { ar.u64(key); });
-    std::vector<std::uint32_t> pids(named_pids_.begin(), named_pids_.end());
-    std::sort(pids.begin(), pids.end());
-    io_seq(ar, pids, [&ar](std::uint32_t& pid) { ar.u32(pid); });
-  } else {
-    named_tracks_.clear();
-    std::uint64_t n = 0;
-    ar.u64(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      std::uint64_t key = 0;
-      ar.u64(key);
-      named_tracks_.insert(key);
-    }
-    named_pids_.clear();
-    ar.u64(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      std::uint32_t pid = 0;
-      ar.u32(pid);
-      named_pids_.insert(pid);
-    }
-  }
+  io_set(ar, named_tracks_, [&ar](std::uint64_t& key) { ar.u64(key); });
+  io_set(ar, named_pids_, [&ar](std::uint32_t& pid) { ar.u32(pid); });
   io_seq(ar, drain_start_, [&ar](Cycle& at) { ar.u64(at); });
   ar.str(series_);
   ar.b(finalized_);
-  bool have_attrib = attrib_ != nullptr;
-  ar.b(have_attrib);
-  if (have_attrib != (attrib_ != nullptr)) {
-    throw ckpt::CkptError(
-        "snapshot attribution configuration does not match");
-  }
+  io_expect(ar, attrib_ != nullptr,
+            "snapshot attribution configuration does not match");
   if (attrib_) attrib_->ckpt_io(ar);
 }
 
@@ -948,25 +892,13 @@ void Simulator::ckpt_io(Ar& ar) {
   zld_->ckpt_io(ar);
 
   ar.section("SRCE");
-  {
-    // The source chain is rebuilt from the config at construction; the
-    // archive pins which link is active and then defers to its virtual
-    // save/load hooks (cursors, RNG streams).
-    const std::uint8_t kind = replayer_ ? 2 : (custom_source_ ? 1 : 0);
-    if constexpr (Ar::kIsWriter) {
-      ar.u8(kind);
-      source_->ckpt_save(ar);
-    } else {
-      std::uint8_t stored = 0;
-      ar.u8(stored);
-      if (stored != kind) {
-        throw ckpt::CkptError(
+  // The source is rebuilt from the config at construction; the archive
+  // pins which kind it is and then defers to its virtual save/load hooks
+  // (cursors, RNG streams).
+  io_expect(ar, source_kind(cfg_),
             "snapshot instruction-source kind does not match the "
             "configuration");
-      }
-      source_->ckpt_load(ar);
-    }
-  }
+  io_virtual(ar, instr_source());
 
   ar.section("GPUS");
   tracker_.ckpt_io(ar);
@@ -982,31 +914,16 @@ void Simulator::ckpt_io(Ar& ar) {
   for (auto& part : partitions_) part->ckpt_io(ar);
 
   ar.section("CHKR");
-  {
-    std::uint64_t n = protocol_checkers_.size();
-    ar.u64(n);
-    if (n != protocol_checkers_.size()) {
-      throw ckpt::CkptError("snapshot checker configuration does not match");
-    }
-    for (auto& checker : protocol_checkers_) checker->ckpt_io(ar);
-    bool have_inv = invariant_checker_ != nullptr;
-    ar.b(have_inv);
-    if (have_inv != (invariant_checker_ != nullptr)) {
-      throw ckpt::CkptError("snapshot checker configuration does not match");
-    }
-    if (invariant_checker_) invariant_checker_->ckpt_io(ar);
-  }
+  const char* const checkers = "snapshot checker configuration does not match";
+  io_expect<Ar, std::uint64_t>(ar, protocol_checkers_.size(), checkers);
+  for (auto& checker : protocol_checkers_) checker->ckpt_io(ar);
+  io_expect(ar, invariant_checker_ != nullptr, checkers);
+  if (invariant_checker_) invariant_checker_->ckpt_io(ar);
 
   ar.section("OBSV");
-  {
-    bool have_obs = obs_hub_ != nullptr;
-    ar.b(have_obs);
-    if (have_obs != (obs_hub_ != nullptr)) {
-      throw ckpt::CkptError(
-          "snapshot observability configuration does not match");
-    }
-    if (obs_hub_) obs_hub_->ckpt_io(ar);
-  }
+  io_expect(ar, obs_hub_ != nullptr,
+            "snapshot observability configuration does not match");
+  if (obs_hub_) obs_hub_->ckpt_io(ar);
 }
 
 }  // namespace latdiv

@@ -176,9 +176,10 @@ void MemoryController::update_drain_mode(Cycle now) {
 }
 
 void MemoryController::complete_reads(Cycle now) {
-  while (!inflight_reads_.empty() && inflight_reads_.top().done <= now) {
-    Inflight done = inflight_reads_.top();
-    inflight_reads_.pop();
+  while (!inflight_reads_.empty() && inflight_reads_.front().done <= now) {
+    std::pop_heap(inflight_reads_.begin(), inflight_reads_.end());
+    Inflight done = inflight_reads_.back();
+    inflight_reads_.pop_back();
     LATDIV_DCHECK(done.req.completed == kNoCycle,
                   "read completing a second time");
     LATDIV_DCHECK(done.done >= done.req.arrived_at_mc,
@@ -287,7 +288,8 @@ void MemoryController::issue_one_command(Cycle now) {
         if (cmd.cmd == DramCmd::kRead) {
           stats_.read_queueing_cycles.add(
               static_cast<double>(now - req.arrived_at_mc));
-          inflight_reads_.push(Inflight{done, req});
+          inflight_reads_.push_back(Inflight{done, req});
+          std::push_heap(inflight_reads_.begin(), inflight_reads_.end());
         } else {
           ++stats_.writes_served;
           if (obs_ != nullptr) obs_->req_write_retired(req, done);

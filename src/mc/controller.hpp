@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -264,7 +263,9 @@ class MemoryController {
   std::uint32_t rr_group_ = 0;
   std::vector<std::uint32_t> rr_bank_in_group_;
 
-  std::priority_queue<Inflight> inflight_reads_;
+  /// Reads whose data is on the bus: a binary heap kept with
+  /// std::push_heap / std::pop_heap, earliest completion at the front.
+  std::vector<Inflight> inflight_reads_;
   std::vector<CoordMsg> outbox_;
   McStats stats_;
 };

@@ -112,7 +112,6 @@ Simulator::Simulator(const SimConfig& cfg)
         a.banks_per_group = cfg.dram.banks_per_group;
         return a;
       }()),
-      gen_(cfg.workload, cfg.num_sms, cfg.sm.warps, cfg.seed),
       xbar_([&] {
         IcntConfig i = cfg.icnt;
         i.sms = cfg.num_sms;
@@ -121,28 +120,25 @@ Simulator::Simulator(const SimConfig& cfg)
       }()) {
   zld_ = std::make_shared<ZldCoordinator>();
 
-  // Instruction source: generator by default, displaced by a custom
-  // factory source, displaced by trace replay; trace capture wraps
-  // whichever source is active.
-  source_ = &gen_;
-  if (cfg_.instr_source) {
-    custom_source_ = cfg_.instr_source(cfg_.num_sms, cfg_.sm.warps, cfg_.seed);
-    LATDIV_ASSERT(custom_source_ != nullptr,
-                  "instr_source factory returned null");
-    source_ = custom_source_.get();
-  }
+  // Instruction source: trace replay, else a custom factory source, else
+  // the statistical generator; trace capture wraps it.
   if (!cfg_.replay_trace_path.empty()) {
-    replayer_ = std::make_unique<TraceReplayer>(cfg_.replay_trace_path);
-    LATDIV_ASSERT(replayer_->sms() >= cfg_.num_sms &&
-                      replayer_->warps_per_sm() >= cfg_.sm.warps,
+    auto replayer = std::make_unique<TraceReplayer>(cfg_.replay_trace_path);
+    LATDIV_ASSERT(replayer->sms() >= cfg_.num_sms &&
+                      replayer->warps_per_sm() >= cfg_.sm.warps,
                   "trace geometry smaller than the simulated GPU");
-    source_ = replayer_.get();
+    source_ = std::move(replayer);
+  } else if (cfg_.instr_source) {
+    source_ = cfg_.instr_source(cfg_.num_sms, cfg_.sm.warps, cfg_.seed);
+    LATDIV_ASSERT(source_ != nullptr, "instr_source factory returned null");
+  } else {
+    source_ = std::make_unique<WorkloadGenerator>(cfg_.workload, cfg_.num_sms,
+                                                  cfg_.sm.warps, cfg_.seed);
   }
   if (!cfg_.record_trace_path.empty()) {
     trace_writer_ = std::make_unique<TraceWriter>(
         cfg_.record_trace_path, cfg_.num_sms, cfg_.sm.warps);
     recorder_ = std::make_unique<RecordingSource>(*source_, *trace_writer_);
-    source_ = recorder_.get();
   }
 
   // Introspection hub — constructed before the partitions so controllers
@@ -173,7 +169,7 @@ Simulator::Simulator(const SimConfig& cfg)
   }
   for (std::uint32_t s = 0; s < cfg_.num_sms; ++s) {
     sms_.push_back(std::make_unique<Sm>(
-        static_cast<SmId>(s), cfg_.sm, *source_, amap_, xbar_, tracker_,
+        static_cast<SmId>(s), cfg_.sm, instr_source(), amap_, xbar_, tracker_,
         /*uid_base=*/s + 1, /*uid_stride=*/cfg_.num_sms));
   }
   // Coordination network (only WG-M and above broadcast, but wiring it

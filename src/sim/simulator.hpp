@@ -1,5 +1,5 @@
 // Top-level simulator: wires SMs, crossbar, partitions (L2 + memory
-// controller), the coordination network and the workload generator, then
+// controller), the coordination network and the instruction source, then
 // advances the two clock domains to completion.
 //
 // One global tick = one GDDR5 command-clock cycle (1.5 GHz).  The core
@@ -55,7 +55,9 @@ class Simulator {
 
   /// The instruction stream the SMs consume (sampled-mode warming draws
   /// from it; snapshot save/load serializes its cursors).
-  [[nodiscard]] InstrSource& instr_source() { return *source_; }
+  [[nodiscard]] InstrSource& instr_source() {
+    return recorder_ ? *recorder_ : *source_;
+  }
 
   // Component access for tests and custom drivers.
   [[nodiscard]] Partition& partition(std::size_t i) { return *partitions_[i]; }
@@ -99,13 +101,12 @@ class Simulator {
   SimConfig cfg_;
   DramTiming timing_;
   AddressMap amap_;
-  WorkloadGenerator gen_;
-  std::unique_ptr<InstrSource> custom_source_;  ///< from cfg.instr_source
-  std::unique_ptr<TraceReplayer> replayer_;
+  /// The instruction source the config names: a replayed trace, else the
+  /// cfg.instr_source factory's, else the statistical generator.
+  std::unique_ptr<InstrSource> source_;
+  /// Trace capture (cfg.record_trace_path): the recorder wraps source_.
   std::unique_ptr<TraceWriter> trace_writer_;
   std::unique_ptr<RecordingSource> recorder_;
-  /// The source SMs actually consume.
-  InstrSource* source_ = nullptr;
   InstrTracker tracker_;
   Crossbar xbar_;
   std::vector<std::unique_ptr<Partition>> partitions_;

@@ -7,40 +7,25 @@
 
 namespace latdiv {
 
-namespace {
-
-/// Shared save/load body: the per-warp RNG streams plus the per-SM
-/// streaming cursors are the generator's entire mutable state.
 template <class Ar>
-void generator_io(Ar& ar, std::vector<Rng*> rngs, std::vector<Addr>& pos) {
-  std::uint64_t warps = rngs.size();
-  std::uint64_t sms = pos.size();
+void WorkloadGenerator::ckpt_io(Ar& ar) {
+  std::uint64_t warps = warps_.size();
+  std::uint64_t sms = sm_stream_pos_.size();
   ar.u64(warps);
   ar.u64(sms);
-  if (warps != rngs.size() || sms != pos.size()) {
+  if (warps != warps_.size() || sms != sm_stream_pos_.size()) {
     throw ckpt::CkptError(
         "snapshot generator geometry does not match the configured GPU");
   }
-  for (Rng* rng : rngs) rng->ckpt_io(ar);
-  for (Addr& p : pos) ar.u64(p);
+  for (WarpState& ws : warps_) ws.rng.ckpt_io(ar);
+  for (Addr& pos : sm_stream_pos_) ar.u64(pos);
 }
-
-}  // namespace
 
 void WorkloadGenerator::ckpt_save(ckpt::CkptWriter& ar) const {
-  auto* self = const_cast<WorkloadGenerator*>(this);  // writer never mutates
-  std::vector<Rng*> rngs;
-  rngs.reserve(self->warps_.size());
-  for (WarpState& ws : self->warps_) rngs.push_back(&ws.rng);
-  generator_io(ar, std::move(rngs), self->sm_stream_pos_);
+  const_cast<WorkloadGenerator*>(this)->ckpt_io(ar);  // writer never mutates
 }
 
-void WorkloadGenerator::ckpt_load(ckpt::CkptReader& ar) {
-  std::vector<Rng*> rngs;
-  rngs.reserve(warps_.size());
-  for (WarpState& ws : warps_) rngs.push_back(&ws.rng);
-  generator_io(ar, std::move(rngs), sm_stream_pos_);
-}
+void WorkloadGenerator::ckpt_load(ckpt::CkptReader& ar) { ckpt_io(ar); }
 
 namespace {
 constexpr std::uint64_t kLineBytes = 128;

@@ -40,6 +40,11 @@ class WorkloadGenerator : public InstrSource {
     explicit WarpState(std::uint64_t seed) : rng(seed) {}
   };
 
+  /// Shared save/load body: the per-warp RNG streams plus the per-SM
+  /// streaming cursors are the generator's entire mutable state.
+  template <class Ar>
+  void ckpt_io(Ar& ar);
+
   [[nodiscard]] WarpState& state(SmId sm, WarpId warp);
   /// A line-aligned address, hot-region biased.
   [[nodiscard]] Addr random_line(Rng& rng) const;

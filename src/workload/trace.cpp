@@ -484,7 +484,15 @@ void TraceReplayer::ckpt_load(ckpt::CkptReader& ar) {
         "snapshot trace cursor does not match the trace geometry");
   }
   std::vector<std::uint64_t> cur(warp_count, 0);
-  for (std::uint64_t& pos : cur) ar.u64(pos);
+  for (std::size_t wi = 0; wi < warp_count; ++wi) {
+    ar.u64(cur[wi]);
+    // restore() would report this as a TraceError; a snapshot that
+    // disagrees with its trace is a snapshot error.
+    if (cur[wi] != 0 && cur[wi] >= cursors_[wi].records) {
+      throw ckpt::CkptError(
+          "snapshot trace cursor beyond the end of a warp stream");
+    }
+  }
   restore(cur);
 }
 

@@ -26,6 +26,7 @@
 #include "ckpt/snapshot.hpp"
 #include "common/crc32.hpp"
 #include "common/endian.hpp"
+#include "common/rng.hpp"
 #include "core/policy_wg.hpp"
 #include "exp/executor.hpp"
 #include "mc/policy_gmc.hpp"
@@ -370,6 +371,184 @@ TEST(CkptFile, MissingFileThrows) {
 }
 
 // ---------------------------------------------------------------------------
+// Byte-level helpers for tests that patch a saved snapshot.
+
+/// Recompute the header CRC after patching header fields, so the edit
+/// under test is the only corruption the loader sees.
+void fix_header_crc(std::vector<unsigned char>& bytes) {
+  put_le32(bytes.data() + 20, crc32(bytes.data(), 20));
+}
+
+/// Payload offset and length of section `tag` (throws if absent).
+std::pair<std::size_t, std::size_t> section(
+    const std::vector<unsigned char>& bytes, const char* tag) {
+  std::size_t pos = ckpt::kSnapshotHeaderBytes;
+  while (pos + 8 <= bytes.size()) {
+    const std::size_t len = get_le32(bytes.data() + pos + 4);
+    if (std::memcmp(bytes.data() + pos, tag, 4) == 0) return {pos + 8, len};
+    pos += 8 + len + 4;
+  }
+  throw std::runtime_error(std::string("no section ") + tag);
+}
+
+/// Recompute section `tag`'s CRC after patching its payload.
+void fix_section_crc(std::vector<unsigned char>& bytes, const char* tag) {
+  const auto [at, len] = section(bytes, tag);
+  put_le32(bytes.data() + at + len, crc32(bytes.data() + at, len));
+}
+
+// ---------------------------------------------------------------------------
+// Byte pins: the CRC-32 of save_snapshot at a fixed cycle for the walks the
+// GMC sha256 golden does not reach — the warp-group table with its
+// selection and coordination history (WG-W), the ZLD started set, and the
+// observability state (metric registry, attribution join maps, named
+// track sets) of a WG-Sh run with every obs artifact on.  A change to any
+// of these values is a snapshot format change.
+
+constexpr Cycle kGoldenCycle = 2'000;
+/// The WG-W pin's cycle: one at which a selected group is still draining
+/// (pointer-chase groups are small, so a selection is usually brief).
+constexpr Cycle kWgGoldenCycle = 2'041;
+
+SimConfig golden_obs_cfg() {
+  SimConfig cfg = scenario_cfg(SchedulerKind::kWgShared, "powerlaw-rows");
+  cfg.obs.trace = true;
+  cfg.obs.timeseries = true;
+  cfg.obs.attrib = true;
+  cfg.obs.sample_interval = 250;
+  return cfg;
+}
+
+std::vector<unsigned char> snapshot_at(const SimConfig& cfg, Cycle at) {
+  Simulator sim(cfg);
+  sim.run_to(at);
+  return ckpt::save_snapshot(sim);
+}
+
+std::uint32_t snapshot_crc(const SimConfig& cfg, Cycle at = kGoldenCycle) {
+  const std::vector<unsigned char> snap = snapshot_at(cfg, at);
+  return crc32(snap.data(), snap.size());
+}
+
+TEST(CkptGolden, WgWarpGroupTable) {
+  const SimConfig cfg = scenario_cfg(SchedulerKind::kWgW, "pointer-chase");
+  // The pinned state holds queued groups, a selected group and applied
+  // coordination messages on some controller.
+  Simulator sim(cfg);
+  sim.run_to(kWgGoldenCycle);
+  bool groups = false;
+  bool selected = false;
+  std::uint64_t msgs = 0;
+  for (std::size_t p = 0; p < cfg.icnt.partitions; ++p) {
+    const auto* wg =
+        dynamic_cast<const WgPolicy*>(&sim.partition(p).mc().policy());
+    ASSERT_NE(wg, nullptr);
+    groups = groups || !wg->groups().empty();
+    selected = selected || wg->current().has_value();
+    msgs += wg->wg_stats()->coord_msgs_applied;
+  }
+  EXPECT_TRUE(groups);
+  EXPECT_TRUE(selected);
+  EXPECT_GT(msgs, 0u);
+  EXPECT_EQ(snapshot_crc(cfg, kWgGoldenCycle), 0x8114b9ecu);
+}
+
+TEST(CkptGolden, ZldStartedSet) {
+  EXPECT_EQ(snapshot_crc(scenario_cfg(SchedulerKind::kZld, "pointer-chase")),
+            0x6417b709u);
+}
+
+TEST(CkptGolden, WgSharedWithObservability) {
+  const SimConfig cfg = golden_obs_cfg();
+  Simulator sim(cfg);
+  sim.run_to(kGoldenCycle);
+  ASSERT_NE(sim.obs(), nullptr);
+  EXPECT_FALSE(sim.obs()->trace_json().empty());
+  EXPECT_EQ(snapshot_crc(cfg), 0xee44e875u);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded payload fuzz: single-field and single-byte mutants of the pinned
+// WG-W and observability snapshots, each with its section CRC resealed so
+// the mutant reaches the field walk.  Loading each into a fresh simulator
+// must either succeed or raise CkptError — never another exception type,
+// and never a crash (the sanitizer build runs this too).
+
+/// Load `bytes` into a fresh simulator: "loaded", "CkptError", or a
+/// description of any other exception that escapes.
+std::string load_outcome(const SimConfig& cfg,
+                         const std::vector<unsigned char>& bytes) {
+  Simulator sim(cfg);
+  try {
+    ckpt::load_snapshot(sim, bytes.data(), bytes.size());
+  } catch (const ckpt::CkptError&) {
+    return "CkptError";
+  } catch (const std::exception& e) {
+    return std::string("escaped: ") + e.what();
+  } catch (...) {
+    return "escaped: non-std exception";
+  }
+  return "loaded";
+}
+
+void fuzz_payloads(const SimConfig& cfg, Cycle at, std::uint64_t seed,
+                   int mutants) {
+  const char* const kSections[] = {"CORE", "SRCE", "GPUS", "ICNT",
+                                   "MCTL", "CHKR", "OBSV"};
+  const std::vector<unsigned char> snap = snapshot_at(cfg, at);
+  Rng rng(seed);
+  int loaded = 0;
+  int refused = 0;
+  for (int i = 0; i < mutants; ++i) {
+    const char* tag = kSections[rng.below(std::size(kSections))];
+    const auto [begin, len] = section(snap, tag);
+    if (len == 0) continue;
+    std::vector<unsigned char> bad = snap;
+    const std::size_t off = begin + rng.below(len);
+    std::string what;
+    if (rng.below(2) == 0) {
+      // One byte: flip a random nonzero mask.
+      const auto mask = static_cast<unsigned char>(1 + rng.below(255));
+      bad[off] ^= mask;
+      what = "byte " + std::to_string(off) + " ^= " + std::to_string(mask);
+    } else {
+      // One field: a boundary or random value over 1, 2, 4 or 8 bytes.
+      const std::size_t width = std::size_t{1} << rng.below(4);
+      const std::size_t room = std::min(width, begin + len - off);
+      const std::uint64_t kValues[] = {
+          0, 1, 2, 0xff, 0xffff, 0xffffffffu, ~std::uint64_t{0},
+          std::uint64_t{1} << 32};
+      const std::uint64_t v =
+          rng.below(3) == 0 ? rng.next() : kValues[rng.below(8)];
+      for (std::size_t b = 0; b < room; ++b) {
+        bad[off + b] = static_cast<unsigned char>(v >> (8 * b));
+      }
+      what = "field " + std::to_string(off) + " = " + std::to_string(v);
+    }
+    fix_section_crc(bad, tag);
+    const std::string outcome = load_outcome(cfg, bad);
+    if (outcome == "loaded") {
+      ++loaded;
+    } else if (outcome == "CkptError") {
+      ++refused;
+    } else {
+      ADD_FAILURE() << "mutant " << i << " in " << tag << ": " << what << ": "
+                    << outcome;
+    }
+  }
+  // Mutants of plain counters and timestamps load, mutants of counts and
+  // geometry are refused: both outcomes show the mutants reach the walk.
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(refused, 0);
+}
+
+TEST(CkptFuzz, SealedMutantsFailWithCkptErrorOrLoad) {
+  fuzz_payloads(scenario_cfg(SchedulerKind::kWgW, "pointer-chase"),
+                kWgGoldenCycle, 0x5eed1, 1'500);
+  fuzz_payloads(golden_obs_cfg(), kGoldenCycle, 0x5eed2, 1'500);
+}
+
+// ---------------------------------------------------------------------------
 // Error taxonomy: every malformed input is a pinned CkptError message.
 
 class CkptErrors : public ::testing::Test {
@@ -383,38 +562,19 @@ class CkptErrors : public ::testing::Test {
 
   void expect_load_error(const std::vector<unsigned char>& bytes,
                          const std::string& message) {
-    Simulator sim(cfg_);
+    expect_load_error(cfg_, bytes, message);
+  }
+
+  static void expect_load_error(const SimConfig& cfg,
+                                const std::vector<unsigned char>& bytes,
+                                const std::string& message) {
+    Simulator sim(cfg);
     try {
       ckpt::load_snapshot(sim, bytes.data(), bytes.size());
       FAIL() << "expected CkptError: " << message;
     } catch (const ckpt::CkptError& e) {
       EXPECT_EQ(std::string(e.what()), message);
     }
-  }
-
-  /// Recompute the header CRC after patching header fields, so the edit
-  /// under test is the only corruption the loader sees.
-  static void fix_header_crc(std::vector<unsigned char>& bytes) {
-    put_le32(bytes.data() + 20, crc32(bytes.data(), 20));
-  }
-
-  /// Payload offset and length of section `tag` (throws if absent).
-  static std::pair<std::size_t, std::size_t> section(
-      const std::vector<unsigned char>& bytes, const char* tag) {
-    std::size_t pos = ckpt::kSnapshotHeaderBytes;
-    while (pos + 8 <= bytes.size()) {
-      const std::size_t len = get_le32(bytes.data() + pos + 4);
-      if (std::memcmp(bytes.data() + pos, tag, 4) == 0) return {pos + 8, len};
-      pos += 8 + len + 4;
-    }
-    throw std::runtime_error(std::string("no section ") + tag);
-  }
-
-  /// Recompute section `tag`'s CRC after patching its payload.
-  static void fix_section_crc(std::vector<unsigned char>& bytes,
-                              const char* tag) {
-    const auto [at, len] = section(bytes, tag);
-    put_le32(bytes.data() + at + len, crc32(bytes.data() + at, len));
   }
 
   /// Step `sim` until some controller has a queued read; return it.
@@ -824,6 +984,40 @@ TEST_F(CkptErrors, WarpLineListNotCoalesced) {
     at += 8 + 8 * lines;
   }
   FAIL() << "no warp of SM 0 holds a multi-line access";
+}
+
+// A replayed trace's SRCE section holds one cursor per warp.  A cursor
+// past the end of its warp's stream is a snapshot error; the replayer's
+// own restore() would report it as a TraceError.
+TEST_F(CkptErrors, TraceCursorBeyondWarpStream) {
+  constexpr std::uint64_t kRecords = 32;
+  SimConfig cfg = cfg_;
+  cfg.replay_trace_path = ::testing::TempDir() + "latdiv_ckpt_cursor.trace";
+  {
+    const auto source = scenario::make_scenario(
+        scenario::scenario_by_name("pointer-chase"), cfg.num_sms,
+        cfg.sm.warps, cfg.seed);
+    TraceWriter writer(cfg.replay_trace_path, cfg.num_sms, cfg.sm.warps);
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
+      for (std::uint32_t sm = 0; sm < cfg.num_sms; ++sm) {
+        for (std::uint32_t w = 0; w < cfg.sm.warps; ++w) {
+          writer.record(static_cast<SmId>(sm), static_cast<WarpId>(w),
+                        source->next(static_cast<SmId>(sm),
+                                     static_cast<WarpId>(w)));
+        }
+      }
+    }
+  }
+  Simulator sim(cfg);
+  sim.run_to(500);
+  std::vector<unsigned char> bytes = ckpt::save_snapshot(sim);
+  // SRCE: the source-kind byte, the warp count, then one cursor per warp.
+  const std::size_t first_cursor = section(bytes, "SRCE").first + 1 + 8;
+  put_le64(bytes.data() + first_cursor, kRecords);
+  fix_section_crc(bytes, "SRCE");
+  expect_load_error(cfg, bytes,
+                    "snapshot trace cursor beyond the end of a warp stream");
+  std::remove(cfg.replay_trace_path.c_str());
 }
 
 TEST_F(CkptErrors, CustomPolicyRefusesToSnapshot) {

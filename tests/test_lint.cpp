@@ -122,6 +122,20 @@ TEST(LintSelfCheck, ProductionTreeIsClean) {
   EXPECT_GT(r.suppressions_used, 0u);
 }
 
+// A file's findings must not depend on what else is linted in the same
+// run: a local or parameter resolves only in its own file, so a
+// floating-point local named `n` under src/ cannot turn an integer `n` in
+// a fixture into a float accumulation.
+TEST(LintSelfCheck, ProductionTreeWithGoodCorpusIsClean) {
+  const LintResult r = run_lint(
+      {std::string(LATDIV_SOURCE_DIR) + "/src", fixture_dir() + "/good"});
+  ASSERT_TRUE(r.errors.empty());
+  for (const auto& f : r.findings) {
+    ADD_FAILURE() << f.file << ":" << f.line << ": " << f.rule << ": "
+                  << f.message;
+  }
+}
+
 TEST(LintReport, TextFormatIsFileLineRuleMessage) {
   const LintResult r = run_lint({fixture_dir() + "/bad/determinism.cpp"});
   const std::string text = latdiv::lint::to_text(r);

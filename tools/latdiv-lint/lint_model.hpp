@@ -6,7 +6,8 @@
 // observer-purity rules scope- and type-aware, without a full C++ frontend.
 // Everything it knows about a translation unit lives in a FileModel; the
 // rules run over the pooled models of every analyzed file, so a member
-// declared in one header is recognized when iterated in any .cpp.
+// declared in one header is recognized when iterated in any .cpp.  Locals
+// and parameters are not pooled: they resolve only in their own file.
 #pragma once
 
 #include <cstddef>
@@ -48,6 +49,8 @@ struct VarDecl {
   bool is_static = false;  ///< `static` or `thread_local` storage
   bool is_const = false;   ///< the variable itself is immutable
   bool annotated = false;  ///< carries LATDIV_GUARDED_BY / LATDIV_PT_GUARDED_BY
+  bool local = false;  ///< function-body local or parameter: resolves only
+                       ///< in its own file
 };
 
 struct Param {

@@ -565,6 +565,7 @@ class Parser {
     v.line = line(name_idx);
     v.is_static = is_static;
     v.annotated = annotated;
+    v.local = !at_type_scope();
     bool saw_const = false;
     bool saw_constexpr = false;
     for (std::size_t idx : head) {
@@ -685,6 +686,7 @@ class Parser {
             v.type = prm.type;
             v.file = m_.path;
             v.line = line(sig.front());
+            v.local = true;
             m_.vars.push_back(std::move(v));
           }
           f.params.push_back(std::move(prm));

@@ -93,12 +93,19 @@ bool is_float_type(const std::string& expanded) {
 
 // --- pooled symbol tables ------------------------------------------------
 
+/// Variable names by the kind of type they resolve to.
+struct VarTypes {
+  std::map<std::string, const VarDecl*> unordered;  // exemplar per name
+  std::set<std::string> floats;
+};
+
 struct Tables {
   std::map<std::string, std::string> aliases;  // merged across files
-  std::set<std::string> unordered_vars;
-  std::map<std::string, const VarDecl*> unordered_decl;  // exemplar per name
+  // Class members and namespace-scope variables are pooled across files;
+  // locals and parameters resolve only in the file that declares them.
+  VarTypes pooled;
+  std::map<std::string, VarTypes> local;  // by file path
   std::set<std::string> unordered_funcs;  // accessors returning unordered
-  std::set<std::string> float_vars;
   std::set<std::string> simstate;
 };
 
@@ -113,12 +120,10 @@ Tables build_tables(const std::vector<FileModel>& files) {
   }
   for (const FileModel& f : files) {
     for (const VarDecl& v : f.vars) {
+      VarTypes& vt = v.local ? tb.local[f.path] : tb.pooled;
       const std::string t = expand_aliases(v.type, tb.aliases);
-      if (is_unordered_type(t)) {
-        tb.unordered_vars.insert(v.name);
-        tb.unordered_decl.emplace(v.name, &v);
-      }
-      if (is_float_type(t)) tb.float_vars.insert(v.name);
+      if (is_unordered_type(t)) vt.unordered.emplace(v.name, &v);
+      if (is_float_type(t)) vt.floats.insert(v.name);
     }
     for (const FuncDecl& fn : f.funcs) {
       const std::string rt = expand_aliases(fn.return_type, tb.aliases);
@@ -163,7 +168,10 @@ class SupIndex {
 class Checker {
  public:
   Checker(FileModel& f, const Tables& tb, std::vector<Finding>& out)
-      : f_(f), tb_(tb), out_(out), sups_(f) {}
+      : f_(f), tb_(tb), out_(out), sups_(f) {
+    const auto it = tb.local.find(f.path);
+    if (it != tb.local.end()) locals_ = it->second;
+  }
 
   void run() {
     wall_clock();
@@ -179,6 +187,21 @@ class Checker {
   const Tables& tb_;
   std::vector<Finding>& out_;
   SupIndex sups_;
+  VarTypes locals_;  // this file's locals and parameters
+
+  /// Declaration of the unordered container `name` names here (a local
+  /// first, then a pooled member or global), or null.
+  const VarDecl* unordered_var(const std::string& name) const {
+    for (const VarTypes* vt : {&locals_, &tb_.pooled}) {
+      const auto it = vt->unordered.find(name);
+      if (it != vt->unordered.end()) return it->second;
+    }
+    return nullptr;
+  }
+  bool float_var(const std::string& name) const {
+    return locals_.floats.count(name) != 0 ||
+           tb_.pooled.floats.count(name) != 0;
+  }
 
   void emit(const std::string& rule, int line, std::string message) {
     if (sups_.suppressed(rule, line)) return;
@@ -259,15 +282,11 @@ class Checker {
           unordered = true;
           origin = loop.iter_name + "() returns an unordered container";
         }
-      } else if (tb_.unordered_vars.count(loop.iter_name) != 0) {
+      } else if (const VarDecl* decl = unordered_var(loop.iter_name)) {
         unordered = true;
-        auto it = tb_.unordered_decl.find(loop.iter_name);
         origin = "'" + loop.iter_name + "' is declared " +
-                 (it != tb_.unordered_decl.end()
-                      ? pretty_type(it->second->type) + " (" +
-                            it->second->file + ":" +
-                            std::to_string(it->second->line) + ")"
-                      : "unordered");
+                 pretty_type(decl->type) + " (" + decl->file + ":" +
+                 std::to_string(decl->line) + ")";
       }
       if (!unordered) continue;
       emit("unordered-iter", loop.line,
@@ -284,7 +303,7 @@ class Checker {
         if (s != "+=" && s != "-=" && s != "*=" && s != "/=") continue;
         if (k == 0 || !is_ident(k - 1)) continue;
         const std::string& lhs = tok(k - 1);
-        if (tb_.float_vars.count(lhs) == 0) continue;
+        if (!float_var(lhs)) continue;
         emit("float-accum", f_.tokens[k].line,
              "float accumulation into '" + lhs +
                  "' inside a loop over unordered container '" +
