@@ -84,6 +84,40 @@ std::optional<Addr> Cache::fill(Addr addr, bool dirty) {
   return writeback;
 }
 
+bool Cache::warm(Addr addr, std::uint32_t n) {
+  LATDIV_DCHECK(n > 0, "warm needs at least one access");
+  // One pass over the set finds the line or, failing that, fill()'s
+  // victim.  After the first access the line is present, so the other
+  // n-1 are hits that only move the use clock.
+  const Addr tag = tag_of(addr);
+  Line* base = &lines_[static_cast<std::size_t>(set_of(addr)) * cfg_.ways];
+  Line* victim = base;  // fill()'s: the first invalid way, else first LRU
+  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+    Line& l = base[w];
+    if (l.valid && l.tag == tag) {
+      stats_.hits += n;
+      use_clock_ += n;
+      l.last_use = use_clock_;
+      return true;
+    }
+    if (victim->valid && (!l.valid || l.last_use < victim->last_use)) {
+      victim = &l;
+    }
+  }
+  ++stats_.misses;
+  stats_.hits += n - 1;
+  if (victim->valid) {
+    LATDIV_ASSERT(!victim->dirty, "warm evicts a dirty line");
+    ++stats_.evictions;
+  }
+  victim->tag = tag;
+  victim->valid = true;
+  victim->dirty = false;
+  use_clock_ += n;
+  victim->last_use = use_clock_;
+  return false;
+}
+
 bool Cache::invalidate(Addr addr) {
   Line* line = find(addr);
   if (line == nullptr) return false;

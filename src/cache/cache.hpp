@@ -29,6 +29,8 @@ struct CacheConfig {
   std::uint32_t size_bytes = 32 * 1024;
   std::uint32_t line_bytes = 128;
   std::uint32_t ways = 8;
+
+  friend bool operator==(const CacheConfig&, const CacheConfig&) = default;
 };
 
 struct CacheStats {
@@ -41,6 +43,8 @@ struct CacheStats {
     const double total = static_cast<double>(hits + misses);
     return total == 0.0 ? 0.0 : static_cast<double>(hits) / total;
   }
+
+  friend bool operator==(const CacheStats&, const CacheStats&) = default;
 };
 
 class Cache {
@@ -59,6 +63,14 @@ class Cache {
   /// if the victim was dirty.
   std::optional<Addr> fill(Addr addr, bool dirty = false);
 
+  /// `n` back-to-back load accesses to `addr`'s line in one set scan:
+  /// the same tags, LRU order and stats as `n` touch() calls with a
+  /// clean fill() after a miss (sampled-mode functional warming of one
+  /// coalesced lane run).  Victim choice matches fill(); the victim must
+  /// be clean, as every line of the write-through L1 is.  Returns
+  /// whether the first access hit.
+  bool warm(Addr addr, std::uint32_t n);
+
   /// Mark the line dirty (store hit).  The line must be present.
   void mark_dirty(Addr addr);
 
@@ -75,12 +87,17 @@ class Cache {
   template <class Ar>
   void ckpt_io(Ar& ar);
 
+  /// Same geometry and the same tags, LRU clocks and stats, way by way.
+  friend bool operator==(const Cache&, const Cache&) = default;
+
  private:
   struct Line {
     Addr tag = 0;
     bool valid = false;
     bool dirty = false;
     std::uint64_t last_use = 0;
+
+    friend bool operator==(const Line&, const Line&) = default;
   };
 
   [[nodiscard]] std::uint32_t set_of(Addr addr) const noexcept;

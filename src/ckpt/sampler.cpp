@@ -87,7 +87,7 @@ void aggregate(SampledResult& r, const SimConfig& sc, Cycle period) {
 }  // namespace
 
 SampledRunner::SampledRunner(Simulator& sim, const SamplingConfig& cfg)
-    : sim_(sim), cfg_(cfg), amap_(sim.config().amap) {
+    : sim_(sim), cfg_(cfg) {
   if (cfg_.detail_cycles == 0) {
     throw std::invalid_argument("sampling requires a positive detailed window");
   }
@@ -149,9 +149,15 @@ SampledWindow SampledRunner::measure_window(Cycle warm, Cycle detail) {
 
 void SampledRunner::skip_to(Cycle target) {
   const SimConfig& sc = sim_.config();
+  const AddressMap& amap = sim_.address_map();
   const Cycle span = target - sim_.now();
   InstrSource& src = sim_.instr_source();
+  std::vector<Channel*> channels(sc.icnt.partitions);
+  for (std::size_t p = 0; p < channels.size(); ++p) {
+    channels[p] = &sim_.partition(p).mc().channel_mut();
+  }
   for (std::uint32_t s = 0; s < sc.num_sms; ++s) {
+    Sm& sm = sim_.sm(s);
     const std::uint64_t want =
         std::min(rate_pm_[s] * span / 1'000, kMaxWarmInstrPerSm);
     for (std::uint64_t i = 0; i < want; ++i) {
@@ -159,17 +165,25 @@ void SampledRunner::skip_to(Cycle target) {
       const WarpInstr instr = src.next(static_cast<SmId>(s), warp);
       ++warm_instructions_;
       if (instr.kind == WarpInstr::Kind::kCompute) continue;
-      for (std::uint8_t lane = 0; lane < instr.active_lanes; ++lane) {
-        const Addr line = amap_.line_base(instr.lane_addr[lane]);
+      // One warm per run of adjacent lanes on one line: the run's later
+      // lanes re-touch a line its first lane left present, and a repeated
+      // (bank, row) warm is a no-op.  Non-adjacent repeats (a,a,b,a) stay
+      // separate accesses, since they reorder LRU.
+      std::uint32_t lane = 0;
+      while (lane < instr.active_lanes) {
+        const Addr line = amap.line_base(instr.lane_addr[lane]);
+        std::uint32_t end = lane + 1;
+        while (end < instr.active_lanes &&
+               amap.line_base(instr.lane_addr[end]) == line) {
+          ++end;
+        }
         if (instr.kind == WarpInstr::Kind::kLoad) {
           // L1 allocates on loads only (write-through no-allocate).
-          sim_.sm(s).warm_line(line);
+          sm.warm_line(line, end - lane);
         }
-        const DramLoc loc = amap_.decode(line);
-        sim_.partition(loc.channel)
-            .mc()
-            .channel_mut()
-            .warm_row(loc.bank, loc.row);
+        const DramLoc loc = amap.decode(line);
+        channels[loc.channel]->warm_row(loc.bank, loc.row);
+        lane = end;
       }
     }
   }

@@ -11,12 +11,14 @@
 // timing), the measured window contributes to the metric estimates, and
 // the remainder of the period is skipped via Simulator::teleport() after
 // *functional* warming — the instruction source is drained at each SM's
-// measured issue rate, touching L1 tags and DRAM row buffers, so cursors
-// and long-lived locality survive the jump even though no timing is
-// modelled.  The per-SM issue-rate estimator is an integer per-mille
-// accumulator refreshed from each detailed segment, which keeps the whole
-// procedure deterministic and snapshot-friendly (no floating-point state,
-// no wall-clock input).
+// measured issue rate, touching L1 tags and DRAM row buffers once per run
+// of adjacent lanes on one line (with exactly the effect of one touch per
+// lane), through the simulator's own address map, so cursors and
+// long-lived locality survive the jump even though no timing is modelled.
+// The per-SM issue-rate estimator is an integer per-mille accumulator
+// refreshed from each detailed segment, which keeps the whole procedure
+// deterministic and snapshot-friendly (no floating-point state, no
+// wall-clock input).
 //
 // Accuracy/throughput contract (enforced by bench_throughput and
 // tests/test_ckpt_sampling.cpp): on >= 1M-cycle scenario runs the default
@@ -32,7 +34,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "mem/address_map.hpp"
 
 namespace latdiv {
 class Simulator;
@@ -115,7 +116,6 @@ class SampledRunner {
  private:
   Simulator& sim_;
   SamplingConfig cfg_;
-  AddressMap amap_;
   std::vector<std::uint64_t> rate_pm_;   ///< per-SM instr per 1000 cycles
   std::vector<std::uint64_t> warm_rr_;   ///< per-SM warp round-robin cursor
   std::uint64_t warm_instructions_ = 0;

@@ -90,9 +90,13 @@ class Sm {
   [[nodiscard]] bool issue_masks_consistent() const;
 
   /// Functional L1 warming during a sampled-mode skip interval
-  /// (ckpt::SampledRunner): install recency/presence for `line` without
-  /// issuing any request.  Counts in cache stats like a normal access —
-  /// sampled-mode estimates never read hit rates across a skip.
+  /// (ckpt::SampledRunner): `lanes` adjacent lanes of one load access
+  /// `line` (a coalesced run), installing its recency/presence without
+  /// issuing any request.  Exactly equivalent to `lanes` single-lane
+  /// calls: counts in cache stats like a normal access — sampled-mode
+  /// estimates never read hit rates across a skip.  warm_lines_ counts
+  /// calls, not lanes; the deficit wake only compares it for equality,
+  /// so any count that moves on every warm keeps that rule exact.
   ///
   /// Known defect, kept for result compatibility: warming does not move
   /// mem_epoch_, so a warp whose load failed before the skip keeps
@@ -100,9 +104,9 @@ class Sm {
   /// now L1 hits, until some other L1/MSHR change moves the epoch.  It
   /// does end the MSHR-deficit wake (warmed hits shrink the deficit
   /// without a release).
-  void warm_line(Addr line) {
+  void warm_line(Addr line, std::uint32_t lanes) {
     ++warm_lines_;
-    if (!l1_.touch(line)) l1_.fill(line);
+    l1_.warm(line, lanes);
   }
 
   /// Snapshot serialization of the full core state (src/ckpt).

@@ -64,6 +64,9 @@ class Simulator {
   [[nodiscard]] Sm& sm(std::size_t i) { return *sms_[i]; }
   [[nodiscard]] InstrTracker& tracker() { return tracker_; }
   [[nodiscard]] const SimConfig& config() const { return cfg_; }
+  /// The one address map of this simulation: cfg.amap with the channel
+  /// and bank counts of cfg.icnt and cfg.dram.
+  [[nodiscard]] const AddressMap& address_map() const { return amap_; }
 
   /// Advance exactly one global cycle (exposed for incremental tests).
   void step();

@@ -136,6 +136,37 @@ TEST(Cache, StressManyFillsStayConsistent) {
   EXPECT_EQ(c.stats().hits + c.stats().misses, 50000u);
 }
 
+// warm(line, n) is the one-scan form of n touches with a clean fill after
+// a miss.  Seeded random line runs over a small, heavily shared line pool
+// (so sets overflow and LRU picks victims), with invalidates punching
+// holes mid-set: after every step the two caches agree on the first
+// access's outcome and are equal way by way (tags, LRU clocks, stats).
+TEST(Cache, WarmMatchesTouchThenFill) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Cache ref(CacheConfig{2048, 128, 4});  // 4 sets x 4 ways
+    Cache dut(CacheConfig{2048, 128, 4});
+    Rng rng(seed);
+    for (int step = 0; step < 2000; ++step) {
+      const Addr line = rng.below(24) * 128;  // 6 lines per set
+      if (rng.chance(0.1)) {
+        EXPECT_EQ(ref.invalidate(line), dut.invalidate(line));
+        continue;
+      }
+      const auto n = static_cast<std::uint32_t>(1 + rng.below(4));
+      bool first_hit = false;
+      for (std::uint32_t k = 0; k < n; ++k) {
+        const bool hit = ref.touch(line);
+        if (!hit) ref.fill(line);
+        if (k == 0) first_hit = hit;
+      }
+      ASSERT_EQ(dut.warm(line + rng.below(128), n), first_hit)
+          << "seed " << seed << " step " << step;
+      ASSERT_TRUE(dut == ref) << "seed " << seed << " step " << step;
+    }
+    EXPECT_GT(ref.stats().evictions, 0u);
+  }
+}
+
 TEST(CacheDeath, MarkDirtyAbsentAborts) {
   Cache c(tiny());
   EXPECT_DEATH(c.mark_dirty(0x5000), "absent");

@@ -467,6 +467,41 @@ TEST(CkptGolden, WgSharedWithObservability) {
   EXPECT_EQ(snapshot_crc(cfg), 0xee44e875u);
 }
 
+// The section CRCs above are computed eight bytes per step; the sliced
+// fold must equal the plain one-byte-per-step CRC-32 at every length,
+// alignment and seed, so no snapshot or trace checksum can move.
+std::uint32_t crc32_bytewise(const unsigned char* p, std::size_t n,
+                             std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(CkptCrc32, SlicedMatchesBytewiseReference) {
+  const char check[] = "123456789";
+  EXPECT_EQ(crc32(check, 9), 0xCBF43926u);  // the CRC-32 check value
+  Rng rng(7);
+  std::vector<unsigned char> buf(96);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.next());
+  for (std::size_t at = 0; at < 8; ++at) {
+    for (std::size_t n = 0; at + n <= buf.size(); ++n) {
+      const std::uint32_t seed = static_cast<std::uint32_t>(rng.next());
+      ASSERT_EQ(crc32(buf.data() + at, n, seed),
+                crc32_bytewise(buf.data() + at, n, seed))
+          << "offset " << at << " length " << n;
+    }
+  }
+  // Chaining discontiguous pieces equals one pass over the whole.
+  const std::uint32_t head = crc32(buf.data(), 13);
+  EXPECT_EQ(crc32(buf.data() + 13, buf.size() - 13, head),
+            crc32(buf.data(), buf.size()));
+}
+
 // ---------------------------------------------------------------------------
 // Seeded payload fuzz: single-field and single-byte mutants of the pinned
 // WG-W and observability snapshots, each with its section CRC resealed so

@@ -1,6 +1,7 @@
 // SMARTS-style interval sampling (src/ckpt/sampler.*): accuracy bounds
 // against straight-through detailed runs, strict determinism of the
-// sampled estimates, and the config refusals.
+// sampled estimates, exactness of line-run warming, and the config
+// refusals.
 //
 // The tolerances here are pinned, not aspirational: they document the
 // measured estimator quality on the shrunk test geometry, and a change
@@ -9,13 +10,20 @@
 // geomean IPC error on >= 1M-cycle runs) lives in bench_throughput.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "ckpt/archive.hpp"
 #include "ckpt/sampler.hpp"
 #include "ckpt/snapshot.hpp"
+#include "common/rng.hpp"
+#include "dram/params.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "workload/profile.hpp"
@@ -111,6 +119,169 @@ TEST(SamplingWarming, WarmingDrawsInstructionsAndStaysDeterministic) {
   const ckpt::SampledResult with_warm = warm_runner.run();
   EXPECT_GT(with_warm.warm_instructions, 0u);
   EXPECT_GT(with_warm.ipc, 0.0);
+}
+
+// Warming granularity: skip_to warms once per run of adjacent lanes on
+// one line.  A per-lane reference (one L1 access and one row warm per
+// active lane) must leave the same simulator state, byte for byte.
+// Cache.WarmMatchesTouchThenFill ties each one-lane access to touch +
+// fill.
+
+/// Hands out a fixed instruction list in order, whatever the (SM, warp);
+/// checkpointable, so whole-simulator snapshot bytes can be compared.
+class ScriptedSource final : public InstrSource {
+ public:
+  explicit ScriptedSource(std::vector<WarpInstr> script)
+      : script_(std::move(script)) {}
+  WarpInstr next(SmId /*sm*/, WarpId /*warp*/) override {
+    return script_[cursor_++ % script_.size()];
+  }
+  [[nodiscard]] bool checkpointable() const override { return true; }
+  void ckpt_save(ckpt::CkptWriter& ar) const override { ar.u64(cursor_); }
+  void ckpt_load(ckpt::CkptReader& ar) override { ar.u64(cursor_); }
+
+ private:
+  std::vector<WarpInstr> script_;
+  std::uint64_t cursor_ = 0;
+};
+
+/// A memory instruction whose lane i accesses cache line `lines[i]`
+/// (line numbers; lanes of one line read different words of it).
+WarpInstr lanes_on(WarpInstr::Kind kind, const std::vector<Addr>& lines) {
+  WarpInstr in;
+  in.kind = kind;
+  in.active_lanes = static_cast<std::uint8_t>(lines.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    in.lane_addr[i] = lines[i] * 128 + (i * 4) % 128;
+  }
+  return in;
+}
+
+/// `count` lanes on each of `lines` in turn.
+std::vector<Addr> groups(std::initializer_list<Addr> lines, std::size_t count) {
+  std::vector<Addr> out;
+  for (Addr l : lines) out.insert(out.end(), count, l);
+  return out;
+}
+
+/// The cases run warming must get right, then seeded random loads and
+/// stores.  The 32-set L1 puts lines 4 + 32k in one set, so these
+/// overflow its 8 ways and LRU order decides the victims; k up to 96
+/// spreads them over several DRAM rows per bank.
+std::vector<WarpInstr> warming_script() {
+  using Kind = WarpInstr::Kind;
+  std::vector<WarpInstr> script;
+  script.push_back(lanes_on(Kind::kLoad, groups({5}, 32)));  // coalesced
+  script.push_back(  // divergent contiguous groups
+      lanes_on(Kind::kLoad, groups({100, 132, 7, 164}, 8)));
+  script.push_back(lanes_on(Kind::kLoad, {4, 4, 36, 4}));  // a,a,b,a
+  script.push_back(  // 20 active lanes
+      lanes_on(Kind::kLoad, groups({68, 196, 228, 260}, 5)));
+  script.push_back(lanes_on(Kind::kStore, groups({292, 3076}, 16)));
+  script.push_back(WarpInstr{});  // compute
+  Rng rng(11);
+  for (int i = 0; i < 40; ++i) {
+    const Kind kind = rng.chance(0.2) ? Kind::kStore : Kind::kLoad;
+    const std::size_t active = 1 + rng.below(kWarpLanes);
+    std::vector<Addr> lines;
+    while (lines.size() < active) {
+      const Addr line = 4 + rng.below(2) + 32 * rng.below(96);
+      lines.insert(lines.end(),
+                   std::min<std::size_t>(1 + rng.below(6),
+                                         active - lines.size()),
+                   line);
+    }
+    script.push_back(lanes_on(kind, lines));
+  }
+  return script;
+}
+
+/// skip_to's draw order with one warm per active lane.
+void warm_per_lane(Simulator& sim, const std::vector<std::uint64_t>& rates,
+                   Cycle target) {
+  const SimConfig& sc = sim.config();
+  const AddressMap& amap = sim.address_map();
+  const Cycle span = target - sim.now();
+  for (std::uint32_t s = 0; s < sc.num_sms; ++s) {
+    const std::uint64_t want = rates[s] * span / 1'000;
+    for (std::uint64_t i = 0; i < want; ++i) {
+      const WarpInstr instr = sim.instr_source().next(
+          static_cast<SmId>(s), static_cast<WarpId>(i % sc.sm.warps));
+      if (instr.kind == WarpInstr::Kind::kCompute) continue;
+      for (std::uint32_t lane = 0; lane < instr.active_lanes; ++lane) {
+        const Addr line = amap.line_base(instr.lane_addr[lane]);
+        if (instr.kind == WarpInstr::Kind::kLoad) sim.sm(s).warm_line(line, 1);
+        const DramLoc loc = amap.decode(line);
+        sim.partition(loc.channel).mc().channel_mut().warm_row(loc.bank,
+                                                               loc.row);
+      }
+    }
+  }
+  sim.teleport(target);
+}
+
+TEST(SamplingWarming, RunWarmingMatchesPerLaneReference) {
+  const std::vector<WarpInstr> script = warming_script();
+  SimConfig cfg = sampling_cfg("pointer-chase", 240'000);
+  cfg.workload.name = "scripted";
+  cfg.instr_source = [script](std::uint32_t, std::uint32_t, std::uint64_t) {
+    return std::make_unique<ScriptedSource>(script);
+  };
+  constexpr Cycle kDetailed = 2'000;  // warm on top of detailed state
+  constexpr Cycle kTarget = 30'000;
+  // 1'120 draws per SM: every script entry, many times over.
+  const std::vector<std::uint64_t> rates(cfg.num_sms, 40);
+
+  Simulator by_run(cfg);
+  by_run.run_to(kDetailed);
+  ckpt::SampledRunner runner(by_run, test_schedule());
+  runner.freeze_issue_rates(rates);
+  runner.skip_to(kTarget);
+
+  Simulator by_lane(cfg);
+  by_lane.run_to(kDetailed);
+  warm_per_lane(by_lane, rates, kTarget);
+
+  EXPECT_EQ(runner.warm_instructions(), 1'120u * cfg.num_sms);
+  std::uint64_t evictions = 0;
+  for (std::size_t s = 0; s < cfg.num_sms; ++s) {
+    const CacheStats& got = by_run.sm(s).l1().stats();
+    const CacheStats& want = by_lane.sm(s).l1().stats();
+    EXPECT_EQ(got.hits, want.hits) << "SM " << s;
+    EXPECT_EQ(got.misses, want.misses) << "SM " << s;
+    EXPECT_EQ(got.evictions, want.evictions) << "SM " << s;
+    evictions += got.evictions;
+  }
+  EXPECT_GT(evictions, 0u);  // LRU order was exercised
+  for (std::size_t p = 0; p < cfg.icnt.partitions; ++p) {
+    const Channel& got = by_run.partition(p).mc().channel();
+    const Channel& want = by_lane.partition(p).mc().channel();
+    for (BankId b = 0; b < cfg.dram.banks; ++b) {
+      EXPECT_EQ(got.open_row(b), want.open_row(b))
+          << "channel " << p << " bank " << b;
+    }
+  }
+  // Tags, LRU clocks, stats, rows and cursors: the whole state.
+  EXPECT_EQ(ckpt::save_snapshot(by_run), ckpt::save_snapshot(by_lane));
+}
+
+// The sampler warms rows through the simulator's own address map, whose
+// bank count comes from the DRAM device.  A map built from the raw
+// cfg.amap (16 banks) once sent an 8-bank DDR3 channel warm_row calls
+// for banks 8..15, past the end of its bank table.
+TEST(SamplingWarming, Ddr3SkipWarmsOnlyExistingBanks) {
+  SimConfig cfg = sampling_cfg("pointer-chase", 48'000);
+  cfg.dram = ddr3_1600_params();
+  Simulator sim(cfg);
+  ASSERT_EQ(sim.address_map().config().banks_per_channel, 8u);
+  ckpt::SampledRunner runner(sim, test_schedule());
+  const ckpt::SampledResult r = runner.run();
+  EXPECT_EQ(r.windows.size(), 2u);
+  EXPECT_GT(r.warm_instructions, 0u);
+  for (std::size_t p = 0; p < cfg.icnt.partitions; ++p) {
+    EXPECT_TRUE(sim.partition(p).mc().channel().open_banks_consistent())
+        << "channel " << p;
+  }
 }
 
 // ---------------------------------------------------------------------------
