@@ -77,6 +77,9 @@ void InvariantChecker::audit_controller(const MemoryController& mc,
             "commands_pending() == sum of bank queue sizes");
   expect_eq(mc.banks_with_work(), nonempty_banks, now, "mc-nonempty-banks",
             "banks_with_work() == number of non-empty bank queues");
+  expect_eq(mc.command_state_consistent(now), 1, now, "mc-command-bounds",
+            "busy-bank mask == non-empty bank queues, and no bank bound or "
+            "command wake past a head's earliest legal cycle");
   expect_le(mc.read_queue().size(), mc.read_queue().capacity(), now,
             "readq-bound", "read queue within capacity");
   expect_le(mc.write_queue().size(), mc.write_queue().capacity(), now,

@@ -16,6 +16,9 @@
 //                commands_pending() == sum of bank-queue depths, each
 //                within its configured bound (no silent overflow)
 //                banks_with_work() == number of non-empty bank queues
+//                command scheduler: busy-bank mask == non-empty bank
+//                queues; each busy bank's bound and the command wake
+//                <= its head command's earliest legal cycle
 //   partition:   L2 MSHR allocations == releases + outstanding (no leak)
 //                outstanding MSHR lines == controller reads outstanding
 //                                           + fills awaiting install

@@ -638,8 +638,19 @@ void MemoryController::ckpt_io(Ar& ar) {
       throw ckpt::CkptError(
           "snapshot corrupt: in-flight read heap out of order");
     }
+    // The command scan shifts masks by these pointers.
+    const std::uint32_t per_group = channel_.timing().banks_per_group;
+    const auto past_group = [per_group](std::uint32_t rr) {
+      return rr >= per_group;
+    };
+    if (rr_group_ >= rr_bank_in_group_.size() ||
+        std::any_of(rr_bank_in_group_.begin(), rr_bank_in_group_.end(),
+                    past_group)) {
+      throw ckpt::CkptError(
+          "snapshot corrupt: command round-robin pointer out of range");
+    }
     cmdq_total_ = 0;
-    nonempty_banks_ = 0;
+    busy_banks_ = 0;
     for (std::size_t b = 0; b < bank_q_.size(); ++b) {
       for (const MemRequest& req : bank_q_[b]) {
         check(req);
@@ -649,10 +660,10 @@ void MemoryController::ckpt_io(Ar& ar) {
         }
       }
       cmdq_total_ += bank_q_[b].size();
-      if (!bank_q_[b].empty()) ++nonempty_banks_;
+      if (!bank_q_[b].empty()) busy_banks_ |= 1u << b;
     }
     policy_->on_load(*this);
-    cmd_wake_ = 0;
+    reset_command_bounds();
     ++layout_epoch_;
   }
 }

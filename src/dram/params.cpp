@@ -46,6 +46,11 @@ DramParams ddr3_1600_params() {
 DramTiming DramTiming::from(const DramParams& p) noexcept {
   LATDIV_ASSERT(p.tck_ns > 0.0, "tCK must be positive");
   LATDIV_ASSERT(p.banks % p.banks_per_group == 0, "bank-group geometry");
+  // The command scheduler's per-bank bounds stay valid across a CAS to
+  // another bank group only if the short gap, paid twice, covers the long
+  // one (DESIGN.md, "Why the ignored events cannot change a failed
+  // answer").
+  LATDIV_ASSERT(2 * p.tccds_ck >= p.tccdl_ck, "tCCDL exceeds 2 x tCCDS");
   DramTiming t{};
   t.trc = ns_to_ck(p.trc_ns, p.tck_ns);
   t.trcd = ns_to_ck(p.trcd_ns, p.tck_ns);

@@ -2,6 +2,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -143,6 +144,17 @@ int run_manifest(const std::string& name, const SweepRunArgs& args) {
                  "obs hub disabled)\n");
     return 2;
   }
+  if (args.sampled &&
+      !sampled_runner_reports(manifest.spec.primary_metric) &&
+      std::any_of(manifest.grid.points().begin(),
+                  manifest.grid.points().end(),
+                  [](const ExpPoint& p) { return !p.analytic; })) {
+    std::fprintf(stderr,
+                 "latdiv-sweep: --sampling cannot run '%s': sampled points "
+                 "do not report its metric '%s'\n",
+                 name.c_str(), manifest.spec.primary_metric.c_str());
+    return 2;
+  }
   if (args.sampled && !args.snapshot_dir.empty()) {
     std::fprintf(stderr,
                  "latdiv-sweep: --sampling cannot be combined with "
@@ -186,13 +198,16 @@ int run_manifest(const std::string& name, const SweepRunArgs& args) {
           std::chrono::steady_clock::now() - start)  // lint: wall-clock-ok
           .count();
 
-  // Simulated DRAM cycles across the sweep (for --profile throughput);
-  // analytic points carry no dram_cycles metric and contribute zero.
+  // DRAM cycles simulated in detail across the sweep (for --profile
+  // throughput): a sampled point counts only its detailed cycles, and
+  // analytic points carry neither metric and contribute zero.
   double sim_cycles = 0.0;
   double point_wall_ms = 0.0;
   for (const PointResult& r : results) {
-    const auto it = r.metrics.find("dram_cycles");
-    if (r.ok && it != r.metrics.end()) sim_cycles += it->second;
+    for (const char* key : {"dram_cycles", "sampled.detailed_cycles"}) {
+      const auto it = r.metrics.find(key);
+      if (r.ok && it != r.metrics.end()) sim_cycles += it->second;
+    }
     point_wall_ms += r.wall_ms;
   }
 

@@ -37,6 +37,10 @@ MetricMap metrics_from_sampled(const ckpt::SampledResult& s) {
 
 }  // namespace
 
+bool sampled_runner_reports(const std::string& metric) {
+  return metrics_from_sampled(ckpt::SampledResult{}).contains(metric);
+}
+
 MetricMap metrics_from(const RunResult& r) {
   MetricMap m;
   // Performance.

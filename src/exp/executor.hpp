@@ -55,6 +55,12 @@ using ProgressFn =
 /// emit — every sweep artifact and `latdiv-tracegen replay` share it.
 [[nodiscard]] MetricMap metrics_from(const RunResult& r);
 
+/// Does the sampled runner (`--sampling`) report `metric`?  Sampled
+/// points carry only a small estimate set (the headline rates and
+/// `sampled.*`), so a sweep whose table metric is outside it would print
+/// zeros.
+[[nodiscard]] bool sampled_runner_reports(const std::string& metric);
+
 /// Execute one point in isolation (exposed for tests).
 [[nodiscard]] PointResult execute_point(const ExpPoint& p);
 

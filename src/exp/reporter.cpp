@@ -340,8 +340,16 @@ void print_table(const Artifact& a, std::FILE* out) {
 
   const std::vector<std::string> cols = column_order(a);
   const std::vector<std::string> rows = first_appearance_rows(a.cells);
+  // One width for every column: 10, or wide enough that the longest
+  // label keeps a space before it.
+  int width = 10;
+  for (const std::string& c : cols) {
+    width = std::max(width, static_cast<int>(c.size()) + 1);
+  }
   std::fprintf(out, "%-16s", "");
-  for (const std::string& c : cols) std::fprintf(out, "%10s", c.c_str());
+  for (const std::string& c : cols) {
+    std::fprintf(out, "%*s", width, c.c_str());
+  }
   std::fprintf(out, "\n");
 
   for (const std::string& row : rows) {
@@ -349,16 +357,16 @@ void print_table(const Artifact& a, std::FILE* out) {
     for (const std::string& col : cols) {
       const CellAggregate* c = find_cell(a.cells, row, col);
       if (c == nullptr) {
-        std::fprintf(out, "%10s", "-");
+        std::fprintf(out, "%*s", width, "-");
       } else if (c->n == 0) {
-        std::fprintf(out, "%10s", "FAILED");
+        std::fprintf(out, "%*s", width, "FAILED");
       } else if (!a.spec.baseline_col.empty() &&
                  col != a.spec.baseline_col) {
-        std::fprintf(out, "%10.3f", c->speedup);
+        std::fprintf(out, "%*.3f", width, c->speedup);
       } else {
         const auto it = c->metrics.find(a.spec.primary_metric);
         const double v = it == c->metrics.end() ? 0.0 : it->second.mean;
-        std::fprintf(out, "%10.3f", v);
+        std::fprintf(out, "%*.3f", width, v);
       }
     }
     std::fprintf(out, "\n");
@@ -369,9 +377,9 @@ void print_table(const Artifact& a, std::FILE* out) {
     for (const std::string& col : cols) {
       const auto it = a.col_geomean.find(col);
       if (it == a.col_geomean.end()) {
-        std::fprintf(out, "%10s", "-");
+        std::fprintf(out, "%*s", width, "-");
       } else {
-        std::fprintf(out, "%10.3f", it->second);
+        std::fprintf(out, "%*.3f", width, it->second);
       }
     }
     std::fprintf(out, "\n");

@@ -1,6 +1,7 @@
 #include "mc/controller.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hpp"
 #include "obs/hub.hpp"
@@ -114,8 +115,8 @@ void MemoryController::send_to_bank(MemRequest req, Cycle now) {
     bank_tail_streak_[bank] = 1;
   }
   if (bank_q_[bank].empty()) {
-    ++nonempty_banks_;
-    cmd_wake_ = 0;  // a new bank head: the next scan may issue for it
+    busy_banks_ |= 1u << bank;
+    reset_bank_bound(bank);  // a new bank head: the next scan probes it
   }
   bank_q_[bank].push(req);
   ++cmdq_total_;
@@ -193,15 +194,47 @@ void MemoryController::complete_reads(Cycle now) {
   }
 }
 
+DramCommand MemoryController::head_command(BankId bank) const {
+  const MemRequest& head = bank_q_[bank].front();
+  const RowId open = channel_.open_row(bank);
+  if (open == head.loc.row) {
+    return {head.kind == ReqKind::kRead ? DramCmd::kRead : DramCmd::kWrite,
+            bank, head.loc.row};
+  }
+  if (open != kNoRow) return {DramCmd::kPrecharge, bank, kNoRow};
+  return {DramCmd::kActivate, bank, head.loc.row};
+}
+
+Cycle MemoryController::min_bank_bound() const {
+  Cycle at = kNoCycle;
+  for (std::uint32_t busy = busy_banks_; busy != 0; busy &= busy - 1) {
+    at = std::min(at, bank_bound_[std::countr_zero(busy)]);
+  }
+  return at;
+}
+
+bool MemoryController::command_state_consistent(Cycle now) const {
+  std::uint32_t busy = 0;
+  Cycle earliest_head = kNoCycle;
+  for (std::size_t b = 0; b < bank_q_.size(); ++b) {
+    if (bank_q_[b].empty()) continue;
+    busy |= 1u << b;
+    const auto bank = static_cast<BankId>(b);
+    const Cycle at = channel_.earliest(head_command(bank), now);
+    if (bank_bound_[b] > at) return false;
+    earliest_head = std::min(earliest_head, at);
+  }
+  return busy == busy_banks_ && cmd_wake_ <= earliest_head;
+}
+
 void MemoryController::issue_one_command(Cycle now) {
-  // Refresh has absolute priority once due: close banks, then REF.
+  // Refresh has absolute priority once due: close banks, then REF.  REF
+  // only raises each bank's earliest ACT, so it leaves the bounds valid;
+  // a refresh PRE changes its bank's next command.
   if (channel_.refresh_due(now)) {
     if (channel_.all_banks_closed()) {
       const DramCommand ref{DramCmd::kRefresh, 0, kNoRow};
-      if (channel_.can_issue(ref, now)) {
-        channel_.issue(ref, now);
-        cmd_wake_ = 0;
-      }
+      if (channel_.can_issue(ref, now)) channel_.issue(ref, now);
       return;
     }
     const auto banks = static_cast<BankId>(channel_.timing().banks);
@@ -209,100 +242,113 @@ void MemoryController::issue_one_command(Cycle now) {
       const DramCommand pre{DramCmd::kPrecharge, b, kNoRow};
       if (channel_.open_row(b) != kNoRow && channel_.can_issue(pre, now)) {
         channel_.issue(pre, now);
-        cmd_wake_ = 0;
+        reset_bank_bound(b);
         return;
       }
     }
     return;  // waiting on tRAS/tRTP/tWR before banks can close
   }
 
-  if (cmdq_total_ == 0) return;  // every bank queue is empty
-  // The last scan issued nothing and no bank head or row state has changed
-  // since: no head's command is legal before the recorded wake cycle.
+  if (busy_banks_ == 0) return;  // every bank queue is empty
+  // No busy bank's bound has been reached: no head's command is legal.
   if (now < cmd_wake_) return;
 
+  // Multi-level round robin: bank groups from rr_group_, then the busy
+  // banks of each group from its pointer, wrapping.  A bank whose bound
+  // is still ahead is skipped; the others are probed and re-bounded.
   Cycle wake = kNoCycle;
   const DramTiming& t = channel_.timing();
-  const std::uint32_t groups = t.banks / t.banks_per_group;
+  const std::uint32_t per_group = t.banks_per_group;
+  const std::uint32_t groups = t.banks / per_group;
+  const std::uint32_t group_bits =
+      per_group == 32 ? ~0u : (1u << per_group) - 1u;
+  std::uint32_t g = rr_group_;
   for (std::uint32_t g_off = 0; g_off < groups; ++g_off) {
-    const std::uint32_t g = (rr_group_ + g_off) % groups;
-    for (std::uint32_t b_off = 0; b_off < t.banks_per_group; ++b_off) {
-      const std::uint32_t in_group =
-          (rr_bank_in_group_[g] + b_off) % t.banks_per_group;
-      const auto bank = static_cast<BankId>(g * t.banks_per_group + in_group);
-      if (bank_q_[bank].empty()) continue;
-      MemRequest& head = bank_q_[bank].front();
-
-      DramCommand cmd;
-      const RowId open = channel_.open_row(bank);
-      if (open == head.loc.row) {
-        cmd = {head.kind == ReqKind::kRead ? DramCmd::kRead : DramCmd::kWrite,
-               bank, head.loc.row};
-      } else if (open != kNoRow) {
-        cmd = {DramCmd::kPrecharge, bank, kNoRow};
-      } else {
-        cmd = {DramCmd::kActivate, bank, head.loc.row};
-      }
-      const Cycle at = channel_.earliest(cmd, now);
-      if (at != now) {
-        wake = std::min(wake, at);
-        continue;
-      }
-
-      const Cycle done = channel_.issue(cmd, now);
-      cmd_wake_ = 0;
-      // The first command issued on behalf of a still-unclassified head
-      // fixes its row-buffer outcome: straight CAS = the row was already
-      // open (hit), ACT from precharged = miss, PRE of another row =
-      // conflict.  Later commands for the same head (the ACT after a
-      // conflict's PRE, the CAS after either) leave it untouched.
-      if (head.row_outcome == RowOutcome::kNone) {
-        switch (cmd.cmd) {
-          case DramCmd::kRead:
-          case DramCmd::kWrite:
-            head.row_outcome = RowOutcome::kHit;
-            ++stats_.bank_row_hits[bank];
-            break;
-          case DramCmd::kActivate:
-            head.row_outcome = RowOutcome::kMiss;
-            ++stats_.bank_row_misses[bank];
-            break;
-          case DramCmd::kPrecharge:
-            head.row_outcome = RowOutcome::kConflict;
-            ++stats_.bank_row_conflicts[bank];
-            break;
-          case DramCmd::kRefresh:
-            break;  // never reaches here (refresh handled above)
+    const std::uint32_t base = g * per_group;
+    const std::uint32_t busy = (busy_banks_ >> base) & group_bits;
+    const std::uint32_t from_rr = busy & (~0u << rr_bank_in_group_[g]);
+    for (std::uint32_t pending : {from_rr, busy & ~from_rr}) {
+      for (; pending != 0; pending &= pending - 1) {
+        const auto in_group =
+            static_cast<std::uint32_t>(std::countr_zero(pending));
+        const auto bank = static_cast<BankId>(base + in_group);
+        if (bank_bound_[bank] > now) {
+          wake = std::min(wake, bank_bound_[bank]);
+          continue;
         }
-      }
-      if (cmd.cmd == DramCmd::kRead || cmd.cmd == DramCmd::kWrite) {
-        ++mutation_epoch_;  // the bank queue shrinks
-        popped_banks_ |= 1u << bank;
-        MemRequest req = bank_q_[bank].pop();
-        if (bank_q_[bank].empty()) --nonempty_banks_;
-        LATDIV_DCHECK(req.loc.bank == bank && req.loc.row == cmd.row,
-                      "CAS issued for a request other than the bank head");
-        --cmdq_total_;
-        req.cas_issued = now;
-        if (obs_ != nullptr) obs_->req_cas(req, now);
-        if (cmd.cmd == DramCmd::kRead) {
-          stats_.read_queueing_cycles.add(
-              static_cast<double>(now - req.arrived_at_mc));
-          inflight_reads_.push_back(Inflight{done, req});
-          std::push_heap(inflight_reads_.begin(), inflight_reads_.end());
-        } else {
-          ++stats_.writes_served;
-          if (obs_ != nullptr) obs_->req_write_retired(req, done);
+        const DramCommand cmd = head_command(bank);
+        const Cycle at = channel_.earliest(cmd, now);
+        bank_bound_[bank] = at;
+        if (at != now) {
+          wake = std::min(wake, at);
+          continue;
         }
-        // Advance the round-robin pointers past the bank that got data
-        // service, so other bank groups / banks get the next slot.
-        rr_bank_in_group_[g] = (in_group + 1) % t.banks_per_group;
-        rr_group_ = (g + 1) % groups;
+        issue_head(bank, cmd, now);
+        if (cmd.cmd == DramCmd::kRead || cmd.cmd == DramCmd::kWrite) {
+          // Advance the round-robin pointers past the bank that got data
+          // service, so other bank groups / banks get the next slot.
+          rr_bank_in_group_[g] = in_group + 1 == per_group ? 0 : in_group + 1;
+          rr_group_ = g + 1 == groups ? 0 : g + 1;
+        }
+        if (!bank_q_[bank].empty()) {
+          bank_bound_[bank] = channel_.earliest(head_command(bank), now);
+        }
+        cmd_wake_ = std::max(now + 1, min_bank_bound());
+        return;  // one command per cycle on the command bus
       }
-      return;  // one command per cycle on the command bus
     }
+    g = g + 1 == groups ? 0 : g + 1;
   }
   cmd_wake_ = wake;
+}
+
+void MemoryController::issue_head(BankId bank, const DramCommand& cmd,
+                                  Cycle now) {
+  MemRequest& head = bank_q_[bank].front();
+  const Cycle done = channel_.issue(cmd, now);
+  // The first command issued on behalf of a still-unclassified head
+  // fixes its row-buffer outcome: straight CAS = the row was already
+  // open (hit), ACT from precharged = miss, PRE of another row =
+  // conflict.  Later commands for the same head (the ACT after a
+  // conflict's PRE, the CAS after either) leave it untouched.
+  if (head.row_outcome == RowOutcome::kNone) {
+    switch (cmd.cmd) {
+      case DramCmd::kRead:
+      case DramCmd::kWrite:
+        head.row_outcome = RowOutcome::kHit;
+        ++stats_.bank_row_hits[bank];
+        break;
+      case DramCmd::kActivate:
+        head.row_outcome = RowOutcome::kMiss;
+        ++stats_.bank_row_misses[bank];
+        break;
+      case DramCmd::kPrecharge:
+        head.row_outcome = RowOutcome::kConflict;
+        ++stats_.bank_row_conflicts[bank];
+        break;
+      case DramCmd::kRefresh:
+        break;  // never reaches here (refresh handled above)
+    }
+  }
+  if (cmd.cmd != DramCmd::kRead && cmd.cmd != DramCmd::kWrite) return;
+  ++mutation_epoch_;  // the bank queue shrinks
+  popped_banks_ |= 1u << bank;
+  MemRequest req = bank_q_[bank].pop();
+  if (bank_q_[bank].empty()) busy_banks_ &= ~(1u << bank);
+  LATDIV_DCHECK(req.loc.bank == bank && req.loc.row == cmd.row,
+                "CAS issued for a request other than the bank head");
+  --cmdq_total_;
+  req.cas_issued = now;
+  if (obs_ != nullptr) obs_->req_cas(req, now);
+  if (cmd.cmd == DramCmd::kRead) {
+    stats_.read_queueing_cycles.add(
+        static_cast<double>(now - req.arrived_at_mc));
+    inflight_reads_.push_back(Inflight{done, req});
+    std::push_heap(inflight_reads_.begin(), inflight_reads_.end());
+  } else {
+    ++stats_.writes_served;
+    if (obs_ != nullptr) obs_->req_write_retired(req, done);
+  }
 }
 
 void MemoryController::tick(Cycle now) {

@@ -18,6 +18,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -131,10 +133,11 @@ class MemoryController {
   [[nodiscard]] Channel& channel_mut() { return channel_; }
   /// Resynchronise after the clock jumped to `now` past unsimulated
   /// cycles (Simulator::teleport): re-anchor refresh and drop the command
-  /// wake, since row warming may have changed what each bank head needs.
+  /// bounds and wake, since row warming may have changed what each bank
+  /// head needs.
   void on_teleport(Cycle now) {
     channel_.rebase_refresh(now);
-    cmd_wake_ = 0;
+    reset_command_bounds();
     ++layout_epoch_;
   }
   /// Reads that issued their CAS but whose data burst has not completed
@@ -153,8 +156,13 @@ class MemoryController {
   [[nodiscard]] std::size_t commands_pending() const { return cmdq_total_; }
   /// Number of banks with a non-empty command queue (MERB table index).
   [[nodiscard]] std::uint32_t banks_with_work() const {
-    return nonempty_banks_;
+    return static_cast<std::uint32_t>(std::popcount(busy_banks_));
   }
+  /// The command scheduler's derived state holds at the start of cycle
+  /// `now` (invariant audit): the busy-bank mask equals the non-empty
+  /// bank queues, no busy bank's bound exceeds its head command's true
+  /// earliest cycle, and the command wake exceeds none of them.
+  [[nodiscard]] bool command_state_consistent(Cycle now) const;
 
   // --- change tracking (policy wakes and memos) ---
   /// Bumped on every controller-state change that can change a GMC row
@@ -212,6 +220,23 @@ class MemoryController {
 
   void update_drain_mode(Cycle now);
   void issue_one_command(Cycle now);
+  /// The command `bank`'s head request needs next: CAS on a row hit, PRE
+  /// on a conflict, ACT on a precharged bank.
+  [[nodiscard]] DramCommand head_command(BankId bank) const;
+  /// Issue `cmd` for `bank`'s head: classify its row outcome and, on a
+  /// CAS, pop it into flight.
+  void issue_head(BankId bank, const DramCommand& cmd, Cycle now);
+  /// Smallest command bound over the busy banks (kNoCycle if none).
+  [[nodiscard]] Cycle min_bank_bound() const;
+  /// `bank`'s head or row state changed: probe it on the next scan.
+  void reset_bank_bound(BankId bank) {
+    bank_bound_[bank] = 0;
+    cmd_wake_ = 0;
+  }
+  void reset_command_bounds() {
+    bank_bound_.fill(0);
+    cmd_wake_ = 0;
+  }
   void complete_reads(Cycle now);
   [[nodiscard]] bool all_bank_queues_empty() const { return cmdq_total_ == 0; }
   /// Writes the current drain episode pulled out of the write queue so
@@ -239,18 +264,23 @@ class MemoryController {
   // arrays, so splitting them keeps the scanned array dense in cache.
   std::vector<RowId> bank_tail_row_;
   std::vector<std::uint32_t> bank_tail_streak_;
-  // Counts over bank_q_ (derived: recounted on snapshot load).
+  // Derived from bank_q_, recounted on snapshot load: the total depth
+  // and one bit per non-empty queue (the busy-bank mask).
   std::size_t cmdq_total_ = 0;
-  std::uint32_t nonempty_banks_ = 0;
+  std::uint32_t busy_banks_ = 0;
 
   // See mutation_epoch().
   std::uint64_t mutation_epoch_ = 0;
 
-  // Command wake: after a scan of the bank heads issues nothing, the
-  // earliest cycle any head's command becomes legal.  Scans before it are
-  // skipped; any issued command or a request reaching an empty bank queue
-  // resets it to 0 (scan).  Derived state: reset on snapshot load, never
-  // saved.
+  // Command bounds: per busy bank, a lower bound on the cycle its head's
+  // next command becomes legal; a scan probes only banks whose bound has
+  // been reached.  Commands to other banks and REF only add constraints,
+  // so a bound stays valid until the bank's own head or row state changes
+  // (a command to it, a new head, row warming, a load; DESIGN.md, "Why
+  // the ignored events cannot change a failed answer").  The wake is
+  // the smallest bound: scans before it are skipped.  Derived state:
+  // reset on snapshot load and teleport, never saved.
+  std::array<Cycle, 32> bank_bound_{};
   Cycle cmd_wake_ = 0;
   // See layout_epoch() and take_popped_banks().
   std::uint64_t layout_epoch_ = 0;

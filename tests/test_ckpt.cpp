@@ -951,6 +951,27 @@ TEST_F(CkptErrors, BankQueueRequestForAnotherBank) {
                     "snapshot corrupt: bank-queue request for another bank");
 }
 
+// The command scan shifts bank masks by the round-robin pointers, so a
+// group or in-group pointer past the geometry is refused at load.
+TEST_F(CkptErrors, CommandRoundRobinPointerOutOfRange) {
+  Simulator sim(cfg_);
+  const std::vector<unsigned char> bytes = ckpt::save_snapshot(sim);
+  const Partition0 p = walk_partition0(bytes, sim);
+  const DramTiming& t = sim.partition(0).mc().channel().timing();
+  const std::uint32_t groups = t.banks / t.banks_per_group;
+  const std::size_t rr_group_at = p.heap - groups * 4 - 4;
+  for (const auto& [at, value] :
+       {std::pair{rr_group_at, groups},
+        std::pair{rr_group_at + 4 * groups, t.banks_per_group}}) {
+    std::vector<unsigned char> bad = bytes;
+    ASSERT_LT(get_le32(bad.data() + at), value);
+    put_le32(bad.data() + at, value);
+    fix_section_crc(bad, "MCTL");
+    expect_load_error(
+        bad, "snapshot corrupt: command round-robin pointer out of range");
+  }
+}
+
 TEST_F(CkptErrors, InflightReadHeapOutOfOrder) {
   Simulator sim(cfg_);
   step_until(sim, [](Simulator& s) {

@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "dram/params.hpp"
 #include "mc/policy_fcfs.hpp"
+#include "sim/simulator.hpp"
+#include "workload/profile.hpp"
 
 namespace latdiv {
 namespace {
@@ -249,6 +254,157 @@ TEST(Controller, CoordinationMessagesRouteToPolicy) {
   ASSERT_EQ(raw->scores.size(), 1u);
   EXPECT_EQ(raw->scores[0], 9u);
 }
+
+// ---- command scheduler: no legal bank head waits ----------------------
+//
+// The scheduler skips banks whose command bound lies ahead and sleeps
+// until the smallest bound.  Cross-check it against a recomputation from
+// the public API on every cycle of full simulations with refresh on: a
+// command issues exactly when some bank head's command is legal.
+
+/// Adversarial timings for the bound resets on the refresh path: a long
+/// tRCD with short tRAS/tRC/tRP/tRFC makes refresh close a bank whose CAS
+/// bound lies far ahead, after which its ACT is legal almost at once.
+DramParams slow_cas_fast_refresh_params() {
+  DramParams p = gddr5_params();
+  p.trcd_ns = 60.0;
+  p.tras_ns = 1.0;
+  p.trc_ns = 2.0;
+  p.trp_ns = 1.0;
+  p.trefi_ns = 300.0;
+  p.trfc_ns = 1.0;
+  return p;
+}
+
+/// The command `bank`'s head needs next, derived from the public API.
+DramCommand head_command_of(const MemoryController& mc, BankId bank) {
+  const MemRequest& head = mc.bank_queue(bank).front();
+  const RowId open = mc.channel().open_row(bank);
+  if (open == head.loc.row) {
+    return {head.kind == ReqKind::kRead ? DramCmd::kRead : DramCmd::kWrite,
+            bank, head.loc.row};
+  }
+  if (open != kNoRow) return {DramCmd::kPrecharge, bank, kNoRow};
+  return {DramCmd::kActivate, bank, head.loc.row};
+}
+
+bool some_head_legal(const MemoryController& mc, Cycle now) {
+  const auto banks = static_cast<BankId>(mc.channel().timing().banks);
+  for (BankId b = 0; b < banks; ++b) {
+    if (!mc.bank_queue(b).empty() &&
+        mc.channel().can_issue(head_command_of(mc, b), now)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::uint32_t empty_banks(const MemoryController& mc) {
+  std::uint32_t mask = 0;
+  for (BankId b = 0; b < mc.channel().timing().banks; ++b) {
+    if (mc.bank_queue(b).empty()) mask |= 1u << b;
+  }
+  return mask;
+}
+
+using DeviceAndPolicy = std::tuple<std::string, SchedulerKind>;
+
+class CommandScheduler : public ::testing::TestWithParam<DeviceAndPolicy> {};
+
+TEST_P(CommandScheduler, IssuesExactlyWhenABankHeadIsLegal) {
+  const auto& [device, sched] = GetParam();
+  SimConfig cfg;
+  cfg.shrink_for_tests();
+  if (device == "DDR3") {
+    cfg.dram = ddr3_1600_params();
+  } else if (device == "SlowCas") {
+    cfg.dram = slow_cas_fast_refresh_params();
+  }
+  cfg.dram.refresh_enabled = true;  // shrink_for_tests turns it off
+  cfg.scheduler = sched;
+  cfg.workload = profile_by_name("bfs");
+  cfg.max_cycles = 12'000;
+  Simulator sim(cfg);
+
+  const std::size_t channels = cfg.icnt.partitions;
+  std::vector<Cycle> issued_at(channels, kNoCycle);
+  std::vector<BankId> issued_bank(channels, 0);
+  for (std::size_t p = 0; p < channels; ++p) {
+    sim.partition(p).mc().channel_mut().add_command_observer(
+        [&issued_at, &issued_bank, p](const DramCommand& cmd, Cycle now) {
+          issued_at[p] = now;
+          issued_bank[p] = cmd.bank;
+        });
+  }
+
+  std::uint64_t refreshes = 0;
+  std::uint64_t checked = 0;
+  std::uint64_t missed = 0;    // a legal head waited
+  std::uint64_t spurious = 0;  // a command issued with no legal head
+  std::string first;
+  std::vector<bool> refresh_due(channels);
+  std::vector<bool> legal(channels);
+  std::vector<std::uint32_t> empty(channels);
+  while (sim.now() < cfg.max_cycles) {
+    const Cycle now = sim.now();
+    for (std::size_t p = 0; p < channels; ++p) {
+      const MemoryController& mc = sim.partition(p).mc();
+      refresh_due[p] = mc.channel().refresh_due(now);
+      legal[p] = some_head_legal(mc, now);
+      empty[p] = empty_banks(mc);
+    }
+    sim.step();
+    for (std::size_t p = 0; p < channels; ++p) {
+      if (refresh_due[p]) {
+        ++refreshes;
+        continue;
+      }
+      ++checked;
+      const MemoryController& mc = sim.partition(p).mc();
+      const bool issued = issued_at[p] == now;
+      // A head legal before the tick stays legal through it (the policy
+      // only adds requests); a command with none legal must be for a bank
+      // the policy just gave its first request.  With nothing issued the
+      // channel is unchanged, so every head must still be illegal now.
+      const bool miss = (legal[p] && !issued) ||
+                        (!issued && some_head_legal(mc, now));
+      const bool spur =
+          issued && !legal[p] && ((empty[p] >> issued_bank[p]) & 1u) == 0;
+      if ((miss || spur) && first.empty()) {
+        first = "channel " + std::to_string(p) + " cycle " +
+                std::to_string(now) + (miss ? ": a legal head waited"
+                                            : ": issued with no legal head");
+      }
+      missed += miss ? 1 : 0;
+      spurious += spur ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(missed, 0u) << first;
+  EXPECT_EQ(spurious, 0u) << first;
+  EXPECT_GT(refreshes, 0u);  // the refresh path ran
+  EXPECT_GT(checked, 0u);
+  std::uint64_t commands = 0;
+  for (std::size_t p = 0; p < channels; ++p) {
+    const ChannelStats& s = sim.partition(p).mc().channel().stats();
+    commands += s.activates + s.reads + s.writes;
+    EXPECT_GT(s.refreshes, 0u);
+  }
+  EXPECT_GT(commands, 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DevicesXPolicies, CommandScheduler,
+    ::testing::Combine(::testing::Values("GDDR5", "DDR3", "SlowCas"),
+                       ::testing::Values(SchedulerKind::kGmc,
+                                         SchedulerKind::kFrFcfs,
+                                         SchedulerKind::kWgW)),
+    [](const ::testing::TestParamInfo<DeviceAndPolicy>& info) {
+      const SchedulerKind k = std::get<1>(info.param);
+      return std::get<0>(info.param) + "_" +
+             (k == SchedulerKind::kGmc      ? "GMC"
+              : k == SchedulerKind::kFrFcfs ? "FRFCFS"
+                                            : "WGW");
+    });
 
 TEST(ControllerDeath, BadWatermarksAbort) {
   McConfig cfg;

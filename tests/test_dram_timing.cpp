@@ -67,5 +67,22 @@ TEST(DramTiming, DisabledRefreshRespected) {
   EXPECT_FALSE(DramTiming::from(p).refresh_enabled);
 }
 
+// The command scheduler's bank bounds need 2 x tCCDS >= tCCDL (a CAS to
+// another group may not lower a bank's CAS-to-CAS bound); both shipped
+// devices meet it with equality or better.
+TEST(DramTiming, ShippedDevicesCoverTheLongCasGapWithTwoShortOnes) {
+  for (const DramParams& p : {gddr5_params(), ddr3_1600_params()}) {
+    const DramTiming t = DramTiming::from(p);
+    EXPECT_GE(2 * t.tccds, t.tccdl);
+  }
+}
+
+TEST(DramTimingDeath, LongCasGapBeyondTwoShortOnesAborts) {
+  DramParams p;
+  p.tccdl_ck = 5;
+  p.tccds_ck = 2;
+  EXPECT_DEATH((void)DramTiming::from(p), "tCCDL exceeds 2 x tCCDS");
+}
+
 }  // namespace
 }  // namespace latdiv

@@ -2,7 +2,9 @@
 // speedups vs. the baseline column, JSON/CSV round trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -56,6 +58,29 @@ std::vector<PointResult> two_by_two() {
       ok_point("w2", "base", 1, 2.0), ok_point("w2", "base", 2, 2.0),
       ok_point("w2", "opt", 1, 8.0),  ok_point("w2", "opt", 2, 8.0),
   };
+}
+
+/// The header and body lines print_table writes for `a` (everything
+/// after the "shape:" line).
+std::vector<std::string> table_lines(const Artifact& a) {
+  std::FILE* f = std::tmpfile();
+  print_table(a, f);
+  std::rewind(f);
+  std::vector<std::string> lines;
+  std::string line;
+  for (int ch = std::fgetc(f); ch != EOF; ch = std::fgetc(f)) {
+    if (ch != '\n') {
+      line += static_cast<char>(ch);
+      continue;
+    }
+    lines.push_back(line);
+    line.clear();
+  }
+  std::fclose(f);
+  const auto shape = std::find_if(
+      lines.begin(), lines.end(),
+      [](const std::string& l) { return l.rfind("shape:", 0) == 0; });
+  return {shape + 1, lines.end()};
 }
 
 }  // namespace
@@ -167,4 +192,34 @@ TEST(ExpReporter, CsvHasPointAndCellRows) {
             std::string::npos);
   EXPECT_NE(csv.find("cell,,w1,base,,,,ok,ipc,2,1,2,0"), std::string::npos);
   EXPECT_NE(csv.find("speedup_vs_base,2,,2,0"), std::string::npos);
+}
+
+TEST(ExpReporter, TableColumnsFitTheirLabels) {
+  // The device ablation's labels: "WG-W@GDDR5" is 10 characters, so every
+  // column widens to 11 and the header keeps a space between labels.
+  SweepSpec spec = spec_with_baseline();
+  spec.baseline_col.clear();
+  spec.col_order = {"GMC@GDDR5", "WG-W@GDDR5", "GMC@DDR3", "WG-W@DDR3"};
+  std::vector<PointResult> points;
+  double ipc = 1.0;
+  for (const std::string& col : spec.col_order) {
+    points.push_back(ok_point("bfs", col, 1, ipc));
+    ipc *= 2.0;
+  }
+  const std::vector<std::string> lines =
+      table_lines(make_artifact(spec, RunShape{}, std::move(points)));
+  ASSERT_GE(lines.size(), 2u);
+  EXPECT_EQ(lines[0],
+            "                  GMC@GDDR5 WG-W@GDDR5   GMC@DDR3  WG-W@DDR3");
+  EXPECT_EQ(lines[1],
+            "bfs                   1.000      2.000      4.000      8.000");
+}
+
+TEST(ExpReporter, TableColumnsOfShortLabelsStayTenWide) {
+  const std::vector<std::string> lines = table_lines(
+      make_artifact(spec_with_baseline(), RunShape{.seeds = 2}, two_by_two()));
+  ASSERT_GE(lines.size(), 4u);
+  EXPECT_EQ(lines[0], "                      base       opt");
+  EXPECT_EQ(lines[1], "w1                   2.000     2.000");
+  EXPECT_EQ(lines[3], "geomean                  -     2.828");
 }
