@@ -165,13 +165,13 @@ class MemoryController {
   [[nodiscard]] bool command_state_consistent(Cycle now) const;
 
   // --- change tracking (policy wakes and memos) ---
-  /// Bumped on every controller-state change that can change a GMC row
-  /// sorter scan that picked nothing: request-queue pushes and pulls,
-  /// bank-queue pushes, CAS pops and drain-mode flips.  ACT/PRE/REF,
-  /// group completions and coordination messages do not bump it
-  /// (DESIGN.md, "Hot path & determinism contract").  Derived state:
-  /// never saved; a load moves layout_epoch(), which the GMC memo also
-  /// keys on.
+  /// Bumped on every controller-state change that can change a
+  /// scheduling scan that moved nothing (IdleScanMemo): request-queue
+  /// pushes and pulls, bank-queue pushes, CAS pops and drain-mode flips.
+  /// ACT/PRE/REF, group completions and coordination messages do not
+  /// bump it (DESIGN.md, "Hot path & determinism contract").  Derived
+  /// state: never saved; a load moves layout_epoch(), which the memo
+  /// also keys on.
   [[nodiscard]] std::uint64_t mutation_epoch() const {
     return mutation_epoch_;
   }

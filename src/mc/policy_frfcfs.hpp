@@ -7,6 +7,7 @@
 #pragma once
 
 #include "mc/controller.hpp"
+#include "mc/idle_scan_memo.hpp"
 #include "mc/policy.hpp"
 
 namespace latdiv {
@@ -17,7 +18,7 @@ class FrFcfsPolicy final : public TransactionScheduler {
 
   void schedule_reads(MemoryController& mc, Cycle now) override {
     auto& rq = mc.read_queue();
-    if (rq.empty()) return;
+    if (rq.empty() || idle_.holds(mc, now)) return;
     auto best = rq.end();
     for (auto it = rq.begin(); it != rq.end(); ++it) {
       // Classic FR-FCFS re-evaluates row state at issue time; bounding
@@ -29,11 +30,19 @@ class FrFcfsPolicy final : public TransactionScheduler {
       }
       if (best == rq.end()) best = it;  // remember oldest schedulable
     }
-    if (best == rq.end()) return;
+    if (best == rq.end()) {
+      idle_.arm(mc);  // every queued read's bank holds 2 or more commands
+      return;
+    }
     MemRequest req = *best;
     rq.erase(best);
     mc.send_to_bank(req, now);
   }
+
+  [[nodiscard]] const IdleScanMemo& idle_memo() const { return idle_; }
+
+ private:
+  IdleScanMemo idle_;
 };
 
 }  // namespace latdiv

@@ -21,6 +21,7 @@
 #include <cstddef>
 
 #include "mc/controller.hpp"
+#include "mc/idle_scan_memo.hpp"
 #include "mc/policy.hpp"
 
 namespace latdiv {
@@ -44,10 +45,7 @@ class GmcPolicy : public TransactionScheduler {
     if (rq.empty()) return;
     // A scan that picked nothing repeats identically until the queues or
     // tail rows change, or the oldest request crosses the age threshold.
-    if (mc.mutation_epoch() == idle_epoch_ &&
-        mc.layout_epoch() == idle_layout_ && now < idle_until_) {
-      return;
-    }
+    if (idle_.holds(mc, now)) return;
 
     // One pass: per bank, remember the queue position of the best
     // candidate in each priority class (positions are stable until we
@@ -108,9 +106,7 @@ class GmcPolicy : public TransactionScheduler {
     }
     if (n_picks == 0) {
       // The queue is in arrival order, so its front ages out first.
-      idle_epoch_ = mc.mutation_epoch();
-      idle_layout_ = mc.layout_epoch();
-      idle_until_ = rq.front().arrived_at_mc + cfg_.age_threshold + 1;
+      idle_.arm(mc, rq.front().arrived_at_mc + cfg_.age_threshold + 1);
       return;
     }
     std::sort(picks.begin(), picks.begin() + n_picks);
@@ -122,15 +118,13 @@ class GmcPolicy : public TransactionScheduler {
     }
   }
 
+  [[nodiscard]] const IdleScanMemo& idle_memo() const { return idle_; }
+
  private:
   GmcConfig cfg_;
-  // Idle-scan memo (derived, never saved): the controller epochs of the
-  // last scan that picked nothing and the cycle its oldest request ages
-  // out.  A snapshot load or teleport moves layout_epoch(), so the memo
-  // never survives one.
-  std::uint64_t idle_epoch_ = ~std::uint64_t{0};
-  std::uint64_t idle_layout_ = 0;
-  Cycle idle_until_ = 0;
+  // Armed by a scan that picked nothing, until its oldest request ages
+  // out.
+  IdleScanMemo idle_;
 };
 
 }  // namespace latdiv

@@ -15,9 +15,12 @@
 // out when explaining why SBWAS trails WG-W.
 #pragma once
 
-#include <map>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "mc/controller.hpp"
+#include "mc/idle_scan_memo.hpp"
 #include "mc/policy.hpp"
 
 namespace latdiv {
@@ -38,19 +41,29 @@ class SbwasPolicy final : public TransactionScheduler {
   [[nodiscard]] bool wants_interleaved_writes() const override { return true; }
 
   void schedule_reads(MemoryController& mc, Cycle now) override;
+  void on_push(MemoryController& mc, const MemRequest& req,
+               Cycle now) override;
+  void on_load(MemoryController& mc) override;
+
+  /// (warp instruction, queued reads) for every warp instruction with a
+  /// read in the read queue, sorted by warp instruction.
+  using Counts = std::vector<std::pair<WarpInstrUid, std::uint32_t>>;
+  [[nodiscard]] const Counts& remaining() const { return remaining_; }
+  [[nodiscard]] const IdleScanMemo& idle_memo() const { return idle_; }
 
  private:
-  /// Count of read-queue requests per dynamic warp instruction, rebuilt
-  /// each scheduling step (the queue holds at most 64 entries).
-  void rebuild_remaining(MemoryController& mc);
+  [[nodiscard]] Counts::iterator find_count(WarpInstrUid instr);
   bool try_schedule_write(MemoryController& mc, Cycle now, bool force);
 
   SbwasConfig cfg_;
-  // Ordered map by determinism policy (latdiv-lint unordered-iter):
-  // rebuild_remaining only does point lookups/increments today, but the
-  // table is tiny (<= 64 read-queue entries) and an ordered structure
-  // keeps any future tie-break walk deterministic by construction.
-  std::map<WarpInstrUid, std::uint32_t> remaining_;
+  // Read-queue requests per dynamic warp instruction, kept up to date at
+  // push and at SBWAS's own erase (the queue holds at most 64 entries,
+  // so a flat sorted vector; only point lookups).  Derived state, never
+  // saved: on_load recounts the loaded read queue.
+  Counts remaining_;
+  // Armed by a call that moved neither a read nor a write.  SBWAS reads
+  // no clock, so the memo has no `until`.
+  IdleScanMemo idle_;
 };
 
 }  // namespace latdiv

@@ -145,7 +145,8 @@ INSTANTIATE_TEST_SUITE_P(
     SchedXScenXShardsXFf, CkptResume,
     ::testing::Combine(
         ::testing::Values(SchedulerKind::kGmc, SchedulerKind::kWgM,
-                          SchedulerKind::kWgW),
+                          SchedulerKind::kWgW, SchedulerKind::kSbwas,
+                          SchedulerKind::kFrFcfs),
         ::testing::Values("pointer-chase", "powerlaw-rows",
                           "threshold-compact"),
         ::testing::Values(1u, 2u, 6u), ::testing::Bool()),
@@ -192,10 +193,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Loading rewinds a simulator that already ran past the snapshot: the
 // wakes it armed since (the SM's MSHR-deficit records, the WG selection
-// wake, the GMC idle-scan memo) are derived state and must not survive
-// the load, or the replayed stretch skips work the first pass did.  The
-// WG read-queue index is rebuilt on load; WG-Bw and WG-Sh are the only
-// users of its row counts and shared-row census.
+// wake, the GMC, SBWAS and FR-FCFS idle-scan memos) are derived state and
+// must not survive the load, or the replayed stretch skips work the first
+// pass did.  The WG read-queue index and SBWAS's per-warp counts are
+// rebuilt on load; WG-Bw and WG-Sh are the only users of the index's row
+// counts and shared-row census.
 class CkptRewind
     : public ::testing::TestWithParam<std::tuple<SchedulerKind, std::string>> {
 };
@@ -220,7 +222,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(SchedulerKind::kGmc,
                                          SchedulerKind::kWgW,
                                          SchedulerKind::kWgBw,
-                                         SchedulerKind::kWgShared),
+                                         SchedulerKind::kWgShared,
+                                         SchedulerKind::kSbwas,
+                                         SchedulerKind::kFrFcfs),
                        ::testing::Values(std::string("pointer-chase"),
                                          std::string("powerlaw-rows"),
                                          std::string("threshold-compact"))),

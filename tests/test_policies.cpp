@@ -1,8 +1,15 @@
 // Behavioural tests for the baseline transaction schedulers: FCFS,
-// FR-FCFS, GMC (streak cap + age threshold), WAFCFS and SBWAS.
+// FR-FCFS, GMC (streak cap + age threshold), WAFCFS and SBWAS, and
+// randomized checks of their derived state (SBWAS's per-warp counts and
+// the shared idle-scan memo) against O(read-queue) reference scans.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "dram/params.hpp"
@@ -235,6 +242,68 @@ TEST(Sbwas, DrainsWritesUnderPressure) {
   EXPECT_EQ(h.order.size(), 4u);
 }
 
+/// Deterministic 64-bit LCG: the streams below are reproducible from the
+/// seed alone.
+struct Lcg {
+  std::uint64_t state;
+  std::uint32_t below(std::uint32_t n) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<std::uint32_t>((state >> 11) % n);
+  }
+};
+
+MemRequest write_to(BankId bank, RowId row, std::uint32_t col) {
+  MemRequest w = read_to(bank, row, col, kNoWarpInstr);
+  w.kind = ReqKind::kWrite;
+  return w;
+}
+
+/// Service order of one seeded read stream (warp instructions of 1-6
+/// requests over 4 banks, pushed in batches) under SBWAS with `alpha`.
+std::vector<MemRequest> sbwas_service_order(double alpha) {
+  SbwasConfig cfg;
+  cfg.alpha = alpha;
+  Harness h(std::make_unique<SbwasPolicy>(cfg));
+  Lcg rng{0x5eed};
+  WarpInstrUid uid = 0;
+  for (int batch = 0; batch < 40; ++batch) {
+    for (int instr = 0; instr < 4; ++instr) {
+      ++uid;
+      const std::uint32_t n = 1 + rng.below(6);
+      for (std::uint32_t i = 0; i < n && h.mc.can_accept_read(); ++i) {
+        h.mc.push(read_to(rng.below(4), 1 + rng.below(3), rng.below(32), uid),
+                  h.now);
+      }
+    }
+    h.run_to(h.now + 40);
+  }
+  h.run_to(h.now + 4000);
+  return h.order;
+}
+
+bool same_order(const std::vector<MemRequest>& a,
+                const std::vector<MemRequest>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].tag.instr != b[i].tag.instr || a[i].addr != b[i].addr) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(Sbwas, QuarterAndHalfAlphaServeIdentically) {
+  // SBWAS serves the hit when 1 - alpha >= alpha / remaining, and
+  // remaining >= 1, so for any alpha <= 0.5 a schedulable hit always
+  // wins: the {0.25, 0.5} "profiling" is a tie (EXPERIMENTS.md, §VI-C).
+  const std::vector<MemRequest> quarter = sbwas_service_order(0.25);
+  const std::vector<MemRequest> half = sbwas_service_order(0.5);
+  ASSERT_GT(quarter.size(), 300u);
+  EXPECT_TRUE(same_order(quarter, half));
+  // The stream does offer SBWAS a choice: alpha 0.75 serves it otherwise.
+  EXPECT_FALSE(same_order(quarter, sbwas_service_order(0.75)));
+}
+
 TEST(Sbwas, NeverEntersDrainMode) {
   SbwasConfig cfg;
   Harness h(std::make_unique<SbwasPolicy>(cfg));
@@ -247,6 +316,246 @@ TEST(Sbwas, NeverEntersDrainMode) {
   EXPECT_FALSE(h.mc.in_write_drain());
   h.run_to(5000);
   EXPECT_EQ(h.mc.stats().writes_served, 40u);
+}
+
+// --- Derived state against O(read-queue) references ---------------------
+//
+// SBWAS keeps its per-warp counts up to date at push and erase, and GMC,
+// SBWAS and FR-FCFS skip a scheduling call while their idle-scan memo
+// holds.  The streams below check, on every cycle, that the counts equal
+// a fresh recount of the read queue, and on every call the memo skips
+// that a reference scan finds no read and no write that could move.
+
+/// Reference: could the policy move a request into a bank queue now?
+using CanMove = std::function<bool(const MemoryController&, Cycle)>;
+
+bool ref_write_moves(const MemoryController& mc, bool force) {
+  for (const MemRequest& w : mc.write_queue()) {
+    if (!mc.bank_queue_has_space(w.loc.bank)) continue;
+    if (force || mc.predicted_row(w.loc.bank) == w.loc.row) return true;
+  }
+  return false;
+}
+
+bool ref_read_below_two(const MemoryController& mc) {
+  for (const MemRequest& r : mc.read_queue()) {
+    if (mc.bank_queue_size(r.loc.bank) < 2) return true;
+  }
+  return false;
+}
+
+CanMove ref_sbwas(const SbwasConfig& cfg) {
+  return [cfg](const MemoryController& mc, Cycle) {
+    if (mc.write_queue().size() >= cfg.write_pressure &&
+        ref_write_moves(mc, /*force=*/true)) {
+      return true;
+    }
+    if (mc.read_queue().empty()) return ref_write_moves(mc, /*force=*/true);
+    return ref_read_below_two(mc) || ref_write_moves(mc, /*force=*/false);
+  };
+}
+
+CanMove ref_frfcfs() {
+  return [](const MemoryController& mc, Cycle) {
+    return ref_read_below_two(mc);
+  };
+}
+
+CanMove ref_gmc(const GmcConfig& cfg) {
+  return [cfg](const MemoryController& mc, Cycle now) {
+    for (const MemRequest& r : mc.read_queue()) {
+      const BankId bank = r.loc.bank;
+      const std::size_t depth = mc.bank_queue_size(bank);
+      if (depth >= 2) continue;
+      if (depth == 0) return true;
+      if (mc.predicted_row(bank) == r.loc.row &&
+          mc.tail_streak(bank) < cfg.max_hit_streak) {
+        return true;
+      }
+      if (now - r.arrived_at_mc > cfg.age_threshold) return true;
+    }
+    return false;
+  };
+}
+
+/// Forwards to policy P and, on every scheduling call the memo skips,
+/// asks the reference whether anything could have moved.
+template <class P>
+class MemoChecked final : public TransactionScheduler {
+ public:
+  MemoChecked(std::unique_ptr<P> inner, CanMove can_move)
+      : inner_(std::move(inner)), can_move_(std::move(can_move)) {}
+
+  [[nodiscard]] const char* name() const override { return inner_->name(); }
+  [[nodiscard]] bool wants_interleaved_writes() const override {
+    return inner_->wants_interleaved_writes();
+  }
+  void schedule_reads(MemoryController& mc, Cycle now) override {
+    if (inner_->idle_memo().holds(mc, now)) {
+      ++skips;
+      if (can_move_(mc, now)) {
+        ADD_FAILURE() << "memo skipped a call that could move, cycle " << now;
+      }
+    }
+    inner_->schedule_reads(mc, now);
+  }
+  void schedule_writes(MemoryController& mc, Cycle now) override {
+    inner_->schedule_writes(mc, now);
+  }
+  void on_push(MemoryController& mc, const MemRequest& req,
+               Cycle now) override {
+    inner_->on_push(mc, req, now);
+  }
+
+  [[nodiscard]] const P& inner() const { return *inner_; }
+  std::uint64_t skips = 0;
+
+ private:
+  std::unique_ptr<P> inner_;
+  CanMove can_move_;
+};
+
+/// SBWAS's counts must equal a recount of the read queue.
+void expect_counts_match(const MemoryController& mc, const SbwasPolicy& p,
+                         Cycle now) {
+  std::map<WarpInstrUid, std::uint32_t> recount;
+  for (const MemRequest& r : mc.read_queue()) ++recount[r.tag.instr];
+  const SbwasPolicy::Counts expected(recount.begin(), recount.end());
+  ASSERT_EQ(p.remaining(), expected) << "cycle " << now;
+}
+
+struct StreamShape {
+  /// Reads go to banks [0, read_banks), writes to the banks above.
+  BankId read_banks = 4;
+  /// Reads pause every other 200 cycles, so the read queue empties.
+  bool bursty = false;
+  /// While the memo holds, now and then warm a queued write's row into
+  /// its never-used bank and teleport (sampled-mode row warming): only
+  /// layout_epoch() moves.
+  bool warm_rows = false;
+};
+
+template <class P>
+void run_memo_stream(std::unique_ptr<P> policy, CanMove can_move,
+                     std::uint64_t seed, StreamShape shape,
+                     Cycle cycles = 4000) {
+  auto checked =
+      std::make_unique<MemoChecked<P>>(std::move(policy), std::move(can_move));
+  MemoChecked<P>& c = *checked;
+  Harness h(std::move(checked));
+  Lcg rng{seed};
+  WarpInstrUid uid = 0;
+  std::uint32_t left = 0;  // requests still to come of warp instruction uid
+  std::uint64_t warms = 0;
+  const auto write_banks = static_cast<std::uint32_t>(16 - shape.read_banks);
+  for (; h.now < cycles; ++h.now) {
+    const Cycle now = h.now;
+    const bool quiet = shape.bursty && (now / 200) % 2 == 1;
+    while (!quiet && h.mc.can_accept_read() && rng.below(3) == 0) {
+      if (left == 0) {
+        ++uid;
+        left = 1 + rng.below(8);
+      }
+      h.mc.push(read_to(rng.below(shape.read_banks), 1 + rng.below(3),
+                        rng.below(32), uid),
+                now);
+      --left;
+    }
+    // Writes come in clumps of 1-4 to one row, like the write-backs of
+    // one evicted row, so several can be ready to move at once.
+    if (rng.below(20) == 0) {
+      const auto bank =
+          static_cast<BankId>(shape.read_banks + rng.below(write_banks));
+      const RowId row = 1 + rng.below(3);
+      for (std::uint32_t n = 1 + rng.below(4);
+           n > 0 && h.mc.can_accept_write(); --n) {
+        h.mc.push(write_to(bank, row, rng.below(32)), now);
+      }
+    }
+    if (shape.warm_rows && rng.below(4) == 0 &&
+        c.inner().idle_memo().holds(h.mc, now)) {
+      for (const MemRequest& w : h.mc.write_queue()) {
+        if (h.mc.predicted_row(w.loc.bank) != kNoRow) continue;
+        h.mc.channel_mut().warm_row(w.loc.bank, w.loc.row);
+        h.mc.on_teleport(now);
+        ++warms;
+        break;
+      }
+    }
+    if constexpr (std::is_same_v<P, SbwasPolicy>) {
+      expect_counts_match(h.mc, c.inner(), now);
+    }
+    h.mc.tick(now);
+    if constexpr (std::is_same_v<P, SbwasPolicy>) {
+      expect_counts_match(h.mc, c.inner(), now);
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(c.skips, 20u) << "the stream never exercised the memo";
+  EXPECT_GT(h.order.size(), 200u);
+  if (shape.warm_rows) {
+    EXPECT_GT(warms, 0u) << "the stream never warmed a row";
+  }
+}
+
+TEST(BaselineIncremental, SbwasSteadyReads) {
+  const SbwasConfig cfg;
+  run_memo_stream(std::make_unique<SbwasPolicy>(cfg), ref_sbwas(cfg), 0x51,
+                  StreamShape{});
+}
+
+TEST(BaselineIncremental, SbwasBurstsUnderWritePressure) {
+  // Write pressure forces writes, and quiet gaps empty the read queue so
+  // the forced-write path runs too.
+  SbwasConfig cfg;
+  cfg.alpha = 0.75;
+  cfg.write_pressure = 8;
+  StreamShape shape;
+  shape.bursty = true;
+  run_memo_stream(std::make_unique<SbwasPolicy>(cfg), ref_sbwas(cfg), 0x52,
+                  shape);
+}
+
+TEST(BaselineIncremental, SbwasRowWarming) {
+  // No write pressure: a write to a never-used bank waits for a row hit,
+  // which only row warming can give it.
+  SbwasConfig cfg;
+  cfg.write_pressure = 1000;
+  StreamShape shape;
+  shape.warm_rows = true;
+  run_memo_stream(std::make_unique<SbwasPolicy>(cfg), ref_sbwas(cfg), 0x53,
+                  shape);
+}
+
+TEST(BaselineIncremental, FrFcfsStream) {
+  StreamShape shape;
+  shape.bursty = true;
+  shape.warm_rows = true;
+  run_memo_stream(std::make_unique<FrFcfsPolicy>(), ref_frfcfs(), 0x54,
+                  shape);
+}
+
+TEST(BaselineIncremental, GmcStream) {
+  GmcConfig cfg;
+  cfg.age_threshold = 256;
+  cfg.max_hit_streak = 4;
+  StreamShape shape;
+  shape.warm_rows = true;
+  run_memo_stream(std::make_unique<GmcPolicy>(cfg), ref_gmc(cfg), 0x57,
+                  shape);
+}
+
+TEST(BaselineIncremental, GmcAgeOut) {
+  // A short age threshold makes the memo's `until` cycle matter: a read
+  // can age out while the memo's epochs still match.
+  GmcConfig cfg;
+  cfg.age_threshold = 32;
+  cfg.max_hit_streak = 4;
+  StreamShape shape;
+  shape.bursty = true;
+  shape.warm_rows = true;
+  run_memo_stream(std::make_unique<GmcPolicy>(cfg), ref_gmc(cfg), 0x55,
+                  shape);
 }
 
 }  // namespace
