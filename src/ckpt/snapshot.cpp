@@ -663,6 +663,16 @@ void MemoryController::ckpt_io(Ar& ar) {
       if (!bank_q_[b].empty()) busy_banks_ |= 1u << b;
     }
     policy_->on_load(*this);
+    // Policies find queued reads by arrival (find_read).  Checked after
+    // on_load, which names a policy-table contradiction first.
+    const auto later = [](const MemRequest& a, const MemRequest& b) {
+      return a.arrived_at_mc > b.arrived_at_mc;
+    };
+    if (std::adjacent_find(read_q_.begin(), read_q_.end(), later) !=
+        read_q_.end()) {
+      throw ckpt::CkptError(
+          "snapshot corrupt: read queue out of arrival order");
+    }
     reset_command_bounds();
     ++layout_epoch_;
   }

@@ -34,14 +34,22 @@ constexpr std::uint32_t kMaxPushesPerCycle = 8;
 // queue only ever push_backs and erases, so relative order is stable and
 // `seq` reconstructs it exactly: a group's position among the selection
 // candidates is its front item's seq (the old code's
-// first-occurrence-in-queue order).  The rare searches — MERB orphan
-// control, the shared-row count and the filler search — read the read
-// queue itself.
+// first-occurrence-in-queue order).  Each list carries its bank footprint,
+// so a candidate folds banks rather than requests.  The rare searches —
+// MERB orphan control, the shared-row count and the filler search — read
+// the read queue itself.
 
 void WgPolicy::index_add(WgGroupMeta& meta, const MemRequest& req) {
+  const BankId bank = req.loc.bank;
   meta.items.push_back(WgGroupMeta::QueuedReq{next_seq_++, req.arrived_at_mc,
-                                              req.loc.bank, req.loc.row});
+                                              bank, req.loc.row});
   if (meta.items.size() == 1) active_.emplace_back(req.tag.instr, &meta);
+  if ((meta.bank_mask & (1u << bank)) == 0) {
+    meta.bank_mask |= 1u << bank;
+    meta.bank_count[bank] = 0;
+    meta.bank_front_row[bank] = req.loc.row;
+  }
+  ++meta.bank_count[bank];
 }
 
 void WgPolicy::index_remove(WgGroupMeta& meta, const MemRequest& req) {
@@ -55,7 +63,19 @@ void WgPolicy::index_remove(WgGroupMeta& meta, const MemRequest& req) {
                q.arrival == req.arrived_at_mc;
       });
   LATDIV_ASSERT(it != meta.items.end(), "index_remove: request not indexed");
+  const BankId bank = it->bank;
+  const RowId row = it->row;
   meta.items.erase(it);
+  if (--meta.bank_count[bank] == 0) {
+    meta.bank_mask &= ~(1u << bank);
+  } else if (meta.bank_front_row[bank] == row) {
+    // The bank's first request may be the one that left.
+    meta.bank_front_row[bank] =
+        std::find_if(meta.items.begin(), meta.items.end(),
+                     [bank](const WgGroupMeta::QueuedReq& q) {
+                       return q.bank == bank;
+                     })->row;
+  }
   if (!meta.items.empty()) return;
   const auto ait =
       std::find_if(active_.begin(), active_.end(),
@@ -260,31 +280,24 @@ WgPolicy::Cand WgPolicy::make_cand(const MemoryController& mc,
   // liveness fallback ignores (b).
   LATDIV_DCHECK(!meta.items.empty(), "candidate without queued requests");
   const auto depth_cap = mc.config().bank_queue_depth;
-  Cand c{instr, &meta, meta.items.front().seq,
-         static_cast<std::uint32_t>(meta.items.size()), kNoCycle, 0, 0};
-  // Fold the list into per-bank request counts and front rows; only the
-  // banks in `touched` are initialised.
-  std::uint32_t touched = 0;
-  std::array<std::uint32_t, kMaxBanks> count;
-  std::array<RowId, kMaxBanks> front_row;
-  for (const WgGroupMeta::QueuedReq& q : meta.items) {
-    if ((touched & (1u << q.bank)) == 0) {
-      touched |= 1u << q.bank;
-      count[q.bank] = 0;
-      front_row[q.bank] = q.row;
-      c.oldest = std::min(c.oldest, q.arrival);
-    }
-    ++count[q.bank];
-  }
-  for (; touched != 0; touched &= touched - 1) {
-    const auto bank = static_cast<BankId>(std::countr_zero(touched));
+  // The list is in queue order, so its front is the oldest request.
+  Cand c{instr,
+         &meta,
+         meta.items.front().seq,
+         static_cast<std::uint32_t>(meta.items.size()),
+         meta.items.front().arrival,
+         0,
+         0};
+  for (std::uint32_t m = meta.bank_mask; m != 0; m &= m - 1) {
+    const auto bank = static_cast<BankId>(std::countr_zero(m));
     const std::size_t queued = mc.bank_queue_size(bank);
     // Groups larger than a bank's command queue can never fit whole;
     // they become selectable once the full queue depth is free and then
     // drain incrementally (drain_current keeps them current).
-    const auto need = std::min<std::size_t>(count[bank], depth_cap);
+    const auto need =
+        std::min<std::size_t>(meta.bank_count[bank], depth_cap);
     if (queued + need > depth_cap) c.room_block |= 1u << bank;
-    if (queued != 0 && mc.predicted_row(bank) != front_row[bank]) {
+    if (queued != 0 && mc.predicted_row(bank) != meta.bank_front_row[bank]) {
       c.drain_block |= 1u << bank;
     }
   }
@@ -555,6 +568,9 @@ bool WgPolicy::push_filler(MemoryController& mc, BankId bank, Cycle now) {
 
 std::uint32_t WgPolicy::drain_current(MemoryController& mc, Cycle now) {
   LATDIV_ASSERT(current_.has_value(), "drain without a selected group");
+  const WarpInstrUid instr = *current_;
+  WgGroupMeta& meta = groups_.at(instr);
+  const std::vector<WgGroupMeta::QueuedReq>& items = meta.items;
   auto& rq = mc.read_queue();
   std::uint32_t pushes = 0;
 
@@ -562,68 +578,76 @@ std::uint32_t WgPolicy::drain_current(MemoryController& mc, Cycle now) {
   // row-sorted stream: requests extending a bank's current row go first,
   // so the group's intra-warp row locality survives the (arbitrary)
   // arrival order.  Two passes: row-extending requests, then the rest.
+  // The walk is over the group's own list, which is the read queue
+  // restricted to the group: fillers never come from it, so every
+  // restart revisits the same requests in the same order.
   for (int pass = 0; pass < 2; ++pass) {
-    auto it = rq.begin();
-    while (it != rq.end() && pushes < kMaxPushesPerCycle) {
-      if (it->tag.instr != *current_) {
-        ++it;
+    std::size_t i = 0;
+    while (i < items.size() && pushes < kMaxPushesPerCycle) {
+      const WgGroupMeta::QueuedReq q = items[i];
+      const BankId bank = q.bank;
+      const bool miss = mc.predicted_row(bank) != q.row;
+      if (pass == 0 && miss) {
+        ++i;  // misses wait for the second pass
         continue;
-      }
-      if (pass == 0 && mc.predicted_row(it->loc.bank) != it->loc.row) {
-        ++it;  // misses wait for the second pass
-        continue;
-      }
-    const BankId bank = it->loc.bank;
-    if (!mc.bank_queue_has_space(bank)) {
-      ++it;  // this bank is saturated; other banks of the group may go
-      continue;
-    }
-    const bool miss = mc.predicted_row(bank) != it->loc.row;
-    if (cfg_.merb && miss) {
-      const std::uint32_t threshold = merb_.value(mc.banks_with_work());
-      if (mc.tail_streak(bank) < threshold) {
-        if (push_filler(mc, bank, now)) {
-          ++stats_.merb_deferrals;
-          ++pushes;
-          it = rq.begin();  // erase invalidated iterators; rescan
-          continue;
-        }
-        // No fillers available: nothing to hide behind; admit the miss.
-      } else {
-        // Threshold met — orphan control: if only 1..orphan_limit hits to
-        // the outgoing row remain, service them before closing it.
-        const RowId target = mc.predicted_row(bank);
-        const auto fillers = static_cast<std::uint32_t>(
-            std::count_if(rq.begin(), rq.end(), [&](const MemRequest& r) {
-              return r.loc.bank == bank && r.loc.row == target &&
-                     r.tag.instr != *current_;
-            }));
-        if (fillers >= 1 && fillers <= cfg_.orphan_limit) {
-          bool pushed_any = false;
-          while (pushes < kMaxPushesPerCycle &&
-                 push_filler(mc, bank, now)) {
-            ++stats_.orphan_topups;
-            ++pushes;
-            pushed_any = true;
-          }
-          if (pushed_any) {
-            it = rq.begin();
-            continue;
-          }
-        }
       }
       if (!mc.bank_queue_has_space(bank)) {
-        ++it;
+        ++i;  // this bank is saturated; other banks of the group may go
         continue;
       }
-    }
-      MemRequest req = *it;
-      it = rq.erase(it);
-      index_remove(groups_.at(req.tag.instr), req);
+      if (cfg_.merb && miss) {
+        const std::uint32_t threshold = merb_.value(mc.banks_with_work());
+        if (mc.tail_streak(bank) < threshold) {
+          if (push_filler(mc, bank, now)) {
+            ++stats_.merb_deferrals;
+            ++pushes;
+            i = 0;  // a filler moved the bank's tail; rescan
+            continue;
+          }
+          // No fillers available: nothing to hide behind; admit the miss.
+        } else {
+          // Threshold met — orphan control: if only 1..orphan_limit hits
+          // to the outgoing row remain, service them before closing it.
+          const RowId target = mc.predicted_row(bank);
+          const auto fillers = static_cast<std::uint32_t>(
+              std::count_if(rq.begin(), rq.end(), [&](const MemRequest& r) {
+                return r.loc.bank == bank && r.loc.row == target &&
+                       r.tag.instr != instr;
+              }));
+          if (fillers >= 1 && fillers <= cfg_.orphan_limit) {
+            bool pushed_any = false;
+            while (pushes < kMaxPushesPerCycle &&
+                   push_filler(mc, bank, now)) {
+              ++stats_.orphan_topups;
+              ++pushes;
+              pushed_any = true;
+            }
+            if (pushed_any) {
+              i = 0;
+              continue;
+            }
+          }
+        }
+        if (!mc.bank_queue_has_space(bank)) {
+          ++i;
+          continue;
+        }
+      }
+      // The read-queue element index_remove keys on: the first match of
+      // (instr, bank, row, arrival), the same request as items[i].
+      const auto it = mc.find_read(q.arrival, [&](const MemRequest& r) {
+        return r.tag.instr == instr && r.loc.bank == bank && r.loc.row == q.row;
+      });
+      LATDIV_ASSERT(it != rq.end(), "drain_current: request not queued");
+      const MemRequest req = *it;
+      rq.erase(it);
+      index_remove(meta, req);
       mc.send_to_bank(req, now);
-      ++groups_.at(req.tag.instr).pushed;
+      ++meta.pushed;
       ++pushes;
-      if (pass == 0) it = rq.begin();  // a new tail row may unlock more hits
+      // Pass 0: a new tail row may unlock more hits.  Pass 1: items[i] is
+      // now the next request.
+      if (pass == 0) i = 0;
     }
   }
   return pushes;

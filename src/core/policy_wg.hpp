@@ -42,6 +42,7 @@
 // signal eventually arrives.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -81,11 +82,14 @@ struct WgConfig {
 ///
 /// Besides the paper's counters this carries the incremental read-queue
 /// index: the group's requests still waiting in the controller's read
-/// queue, in queue order.  WgPolicy maintains it in on_push and at every
-/// read-queue erase, so selection and scoring never rescan the read
-/// queue; a snapshot holds only the fields above the index, which
-/// on_load rebuilds.
+/// queue, in queue order, and their bank footprint.  WgPolicy maintains
+/// both in on_push and at every read-queue erase, so selection, scoring
+/// and draining never rescan the read queue; a snapshot holds only the
+/// fields above the index, which on_load rebuilds.
 struct WgGroupMeta {
+  /// Width of the footprint's bank mask and per-bank arrays.
+  static constexpr std::uint32_t kMaxBanks = 32;
+
   WarpTag tag;
   Cycle first_arrival = kNoCycle;
   std::uint32_t seen = 0;    ///< requests received at this controller
@@ -101,6 +105,12 @@ struct WgGroupMeta {
   };
   /// This group's queued requests, in read-queue (= seq) order.
   std::vector<QueuedReq> items;
+  /// The bank footprint of `items`: the banks it touches and, per touched
+  /// bank, its request count and the row of its first request (entries
+  /// of untouched banks are stale).
+  std::uint32_t bank_mask = 0;
+  std::array<std::uint32_t, kMaxBanks> bank_count{};
+  std::array<RowId, kMaxBanks> bank_front_row{};
 
   /// Requests of this group currently in the read queue (== the old
   /// O(read-queue) pending_in_queue scan).
@@ -227,9 +237,9 @@ class WgPolicy final : public TransactionScheduler {
   [[nodiscard]] std::uint32_t watch_banks(const Cand& c) const;
   /// `c` precedes the armed wake's fallback candidate (or there is none).
   [[nodiscard]] bool older_than_fallback(const Cand& c) const;
-  /// Drain the current group's read-queue requests into bank queues,
-  /// applying MERB admission for row misses when WG-Bw is on.  Returns
-  /// the number of requests pushed.
+  /// Drain the current group's queued requests into bank queues, in
+  /// list order, applying MERB admission for row misses when WG-Bw is
+  /// on.  Returns the number of requests pushed.
   std::uint32_t drain_current(MemoryController& mc, Cycle now);
   /// Push one row-hit filler to `bank` from the group nearest completion.
   bool push_filler(MemoryController& mc, BankId bank, Cycle now);
@@ -246,7 +256,7 @@ class WgPolicy final : public TransactionScheduler {
   void index_remove(WgGroupMeta& meta, const MemRequest& req);
 
   /// Width of the per-group bank masks and the per-bank scratch arrays.
-  static constexpr std::uint32_t kMaxBanks = 32;
+  static constexpr std::uint32_t kMaxBanks = WgGroupMeta::kMaxBanks;
 
   WgConfig cfg_;
   MerbTable merb_;

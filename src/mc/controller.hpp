@@ -101,6 +101,22 @@ class MemoryController {
   [[nodiscard]] const BoundedQueue<MemRequest>& read_queue() const {
     return read_q_;
   }
+  /// First queued read that arrived at `arrival` and satisfies `match`,
+  /// or read_queue().end().  push() stamps the current cycle and nothing
+  /// reorders the queue, so arrivals do not decrease along it (a snapshot
+  /// load refuses a queue that breaks this): a binary search finds the
+  /// cycle's first arrival.
+  template <class Match>
+  [[nodiscard]] BoundedQueue<MemRequest>::const_iterator find_read(
+      Cycle arrival, Match match) const {
+    auto it = std::lower_bound(
+        read_q_.begin(), read_q_.end(), arrival,
+        [](const MemRequest& r, Cycle a) { return r.arrived_at_mc < a; });
+    for (; it != read_q_.end() && it->arrived_at_mc == arrival; ++it) {
+      if (match(*it)) return it;
+    }
+    return read_q_.end();
+  }
   [[nodiscard]] BoundedQueue<MemRequest>& write_queue() { return write_q_; }
   [[nodiscard]] const BoundedQueue<MemRequest>& write_queue() const {
     return write_q_;

@@ -94,7 +94,9 @@ class TransactionScheduler {
   virtual void ckpt_save(ckpt::CkptWriter&) const {}
   virtual void ckpt_load(ckpt::CkptReader&) {}
   /// Called by the controller right after ckpt_load, once its own queues
-  /// are loaded: rebuild any index derived from them, and throw
+  /// are loaded: rebuild any index derived from them (SBWAS's per-warp
+  /// counts, GMC's per-bank lists, the WG read-queue index and bank
+  /// footprints — derived state is never saved), and throw
   /// ckpt::CkptError if the loaded private state contradicts them.
   virtual void on_load(MemoryController&) {}
 };

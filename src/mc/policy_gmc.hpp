@@ -14,11 +14,22 @@
 // The streak state lives in the controller's per-bank insertion metadata
 // (tail_streak), which is exactly the row sorter's "current stream length"
 // without duplicating the bookkeeping here.
+//
+// The row sorter's streams are an index, not a read-queue walk: per bank,
+// the (row, arrival) of its queued reads in queue order, appended in
+// on_push, erased at GMC's own sends and rebuilt from the read queue in
+// on_load (derived state, never saved).  A scan visits only banks with
+// queued reads whose command queue is below the lookahead, and because
+// arrivals do not decrease along the read queue a bank's aged candidate
+// can only be the front of its list.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "mc/controller.hpp"
 #include "mc/idle_scan_memo.hpp"
@@ -40,88 +51,136 @@ class GmcPolicy : public TransactionScheduler {
 
   [[nodiscard]] const char* name() const override { return "GMC"; }
 
-  void schedule_reads(MemoryController& mc, Cycle now) override {
-    auto& rq = mc.read_queue();
-    if (rq.empty()) return;
-    // A scan that picked nothing repeats identically until the queues or
-    // tail rows change, or the oldest request crosses the age threshold.
-    if (idle_.holds(mc, now)) return;
+  /// One queued read in a bank's list.
+  struct Queued {
+    RowId row;
+    Cycle arrival;
+  };
+  /// One scheduling decision: the read-queue position of a bank's pick
+  /// and its index in that bank's list.
+  struct Pick {
+    std::size_t pos;
+    BankId bank;
+    std::size_t idx;
+  };
+  static constexpr std::size_t kMaxBanks = 32;
+  using Picks = std::array<Pick, kMaxBanks>;
 
-    // One pass: per bank, remember the queue position of the best
-    // candidate in each priority class (positions are stable until we
-    // erase, which happens afterwards in descending order).
-    constexpr std::size_t kMaxBanks = 32;
-    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  /// This cycle's picks, at most one per bank, in send order: descending
+  /// read-queue position, so each erase leaves the earlier positions
+  /// valid.  Returns how many there are.  Reads only the index and the
+  /// controller; schedule_reads sends exactly these.
+  [[nodiscard]] std::size_t plan(const MemoryController& mc, Cycle now,
+                                 Picks& picks) const {
     // Per-bank lookahead: how many transactions may sit in a bank's
     // command queue before the row sorter stops feeding it.  Committing
     // decisions early into a deep in-order queue would forfeit row hits
     // from requests that arrive a few cycles later; the row sorter keeps
     // the choice open until the bank is nearly ready (double-buffering).
     constexpr std::size_t kBankLookahead = 2;
-    struct Cand {
-      std::size_t aged, hit, breaker, oldest;
-    };
-    std::array<Cand, kMaxBanks> cands;
-    cands.fill(Cand{kNone, kNone, kNone, kNone});
-    const auto banks = static_cast<std::size_t>(mc.channel().timing().banks);
-    LATDIV_ASSERT(banks <= kMaxBanks, "bank count above candidate table");
-
-    std::size_t pos = 0;
-    for (auto it = rq.begin(); it != rq.end(); ++it, ++pos) {
-      const BankId bank = it->loc.bank;
+    std::size_t n = 0;
+    for (std::uint32_t m = queued_banks_; m != 0; m &= m - 1) {
+      const auto bank = static_cast<BankId>(std::countr_zero(m));
       const std::size_t depth = mc.bank_queue_size(bank);
       if (depth >= kBankLookahead) continue;
-      Cand& c = cands[bank];
-      const bool extends = mc.predicted_row(bank) == it->loc.row;
-      // Row-closing candidates only go in once the bank has fully drained:
-      // a hit for the still-open row may be one arrival away, and closing
-      // early forfeits it (the row sorter's stream hysteresis).
-      const bool miss_ok = depth == 0;
-      const bool under_cap = mc.tail_streak(bank) < cfg_.max_hit_streak;
-      if (c.oldest == kNone && ((extends && under_cap) || miss_ok)) {
-        c.oldest = pos;
-      }
-      // The starvation valve overrides the hysteresis: an over-age
-      // request is inserted as soon as the bank can take it at all.
-      if (c.aged == kNone && now - it->arrived_at_mc > cfg_.age_threshold) {
-        c.aged = pos;
-      }
-      if (c.hit == kNone && extends && under_cap) c.hit = pos;
-      if (c.breaker == kNone && !extends && miss_ok) c.breaker = pos;
+      const std::vector<Queued>& reads = banks_[bank];
+      const std::size_t idx = pick_in_bank(mc, bank, reads, depth, now);
+      if (idx == reads.size()) continue;
+      const Queued& q = reads[idx];
+      const auto it = mc.find_read(q.arrival, [&](const MemRequest& r) {
+        return r.loc.bank == bank && r.loc.row == q.row;
+      });
+      LATDIV_ASSERT(it != mc.read_queue().end(), "GMC pick not queued");
+      const auto pos = static_cast<std::size_t>(it - mc.read_queue().begin());
+      picks[n++] = Pick{pos, bank, idx};
     }
+    std::sort(picks.begin(), picks.begin() + static_cast<std::ptrdiff_t>(n),
+              [](const Pick& a, const Pick& b) { return a.pos > b.pos; });
+    return n;
+  }
 
-    // Per bank: starvation valve, then row-hit streaming below the streak
-    // cap, then (streak capped) the oldest stream-breaking request, then
-    // arrival order.  Collect the picks and erase from the back so the
-    // recorded positions stay valid.
-    std::array<std::size_t, kMaxBanks> picks;
-    std::size_t n_picks = 0;
-    for (std::size_t b = 0; b < banks; ++b) {
-      const Cand& c = cands[b];
-      std::size_t pick = c.aged;
-      if (pick == kNone) pick = c.hit;
-      if (pick == kNone) pick = c.breaker;
-      if (pick == kNone) pick = c.oldest;
-      if (pick != kNone) picks[n_picks++] = pick;
-    }
-    if (n_picks == 0) {
+  void schedule_reads(MemoryController& mc, Cycle now) override {
+    auto& rq = mc.read_queue();
+    if (rq.empty()) return;
+    // A scan that picked nothing repeats identically until the queues or
+    // tail rows change, or the oldest request crosses the age threshold.
+    if (idle_.holds(mc, now)) return;
+    Picks picks;
+    const std::size_t n = plan(mc, now, picks);
+    if (n == 0) {
       // The queue is in arrival order, so its front ages out first.
       idle_.arm(mc, rq.front().arrived_at_mc + cfg_.age_threshold + 1);
       return;
     }
-    std::sort(picks.begin(), picks.begin() + n_picks);
-    for (std::size_t i = n_picks; i-- > 0;) {
-      auto it = rq.begin() + static_cast<std::ptrdiff_t>(picks[i]);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Pick& p = picks[i];
+      auto it = rq.begin() + static_cast<std::ptrdiff_t>(p.pos);
       MemRequest req = *it;
       rq.erase(it);
+      std::vector<Queued>& reads = banks_[p.bank];
+      reads.erase(reads.begin() + static_cast<std::ptrdiff_t>(p.idx));
+      if (reads.empty()) queued_banks_ &= ~(1u << p.bank);
       mc.send_to_bank(req, now);
     }
   }
 
+  void on_push(MemoryController&, const MemRequest& req, Cycle) override {
+    if (req.kind != ReqKind::kRead) return;
+    banks_[req.loc.bank].push_back(Queued{req.loc.row, req.arrived_at_mc});
+    queued_banks_ |= 1u << req.loc.bank;
+  }
+
+  /// Rebuild the per-bank lists from the loaded read queue.
+  void on_load(MemoryController& mc) override {
+    for (std::vector<Queued>& reads : banks_) reads.clear();
+    queued_banks_ = 0;
+    for (const MemRequest& req : mc.read_queue()) on_push(mc, req, 0);
+  }
+
+  /// A bank's queued reads, in read-queue order.
+  [[nodiscard]] const std::vector<Queued>& bank_reads(BankId bank) const {
+    return banks_[bank];
+  }
+
   [[nodiscard]] const IdleScanMemo& idle_memo() const { return idle_; }
+  [[nodiscard]] const GmcConfig& config() const { return cfg_; }
 
  private:
+  /// Index in `reads` of `bank`'s pick, or reads.size() for none.  The
+  /// starvation valve first, then row-hit streaming below the streak
+  /// cap, then (streak capped) the oldest stream-breaking request, then
+  /// arrival order.
+  [[nodiscard]] std::size_t pick_in_bank(const MemoryController& mc,
+                                         BankId bank,
+                                         const std::vector<Queued>& reads,
+                                         std::size_t depth, Cycle now) const {
+    // The starvation valve overrides the hysteresis: an over-age request
+    // is inserted as soon as the bank can take it at all.  The front is
+    // the bank's oldest read.
+    if (now - reads.front().arrival > cfg_.age_threshold) return 0;
+    const RowId open = mc.predicted_row(bank);
+    const auto extends = [open](const Queued& q) { return q.row == open; };
+    if (mc.tail_streak(bank) < cfg_.max_hit_streak) {
+      const auto hit = std::find_if(reads.begin(), reads.end(), extends);
+      if (hit != reads.end()) {
+        return static_cast<std::size_t>(hit - reads.begin());
+      }
+    }
+    // Row-closing candidates only go in once the bank has fully drained:
+    // a hit for the still-open row may be one arrival away, and closing
+    // early forfeits it (the row sorter's stream hysteresis).
+    if (depth != 0) return reads.size();
+    const auto breaker = std::find_if_not(reads.begin(), reads.end(), extends);
+    return breaker != reads.end()
+               ? static_cast<std::size_t>(breaker - reads.begin())
+               : 0;
+  }
+
   GmcConfig cfg_;
+  // The row sorter's per-bank streams (derived; see the file comment) and
+  // the banks whose list is non-empty.
+  std::array<std::vector<Queued>, kMaxBanks> banks_;
+  std::uint32_t queued_banks_ = 0;
   // Armed by a scan that picked nothing, until its oldest request ages
   // out.
   IdleScanMemo idle_;

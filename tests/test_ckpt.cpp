@@ -791,6 +791,24 @@ TEST_F(CkptErrors, ControllerRequestOnAnotherChannel) {
       sim, "snapshot corrupt: controller request for another channel");
 }
 
+// Policies find queued reads by binary search on arrival.
+TEST_F(CkptErrors, ReadQueueOutOfArrivalOrder) {
+  Simulator sim(cfg_);
+  MemoryController* mc = nullptr;
+  step_until(sim, [&](Simulator& s) {
+    for (std::size_t p = 0; p < cfg_.icnt.partitions && mc == nullptr; ++p) {
+      if (s.partition(p).mc().read_queue().size() >= 2) {
+        mc = &s.partition(p).mc();
+      }
+    }
+    return mc != nullptr;
+  });
+  // The front now arrives after every other queued read.
+  auto& rq = mc->read_queue();
+  rq.front().arrived_at_mc = (rq.end() - 1)->arrived_at_mc + 1;
+  expect_resave_error(sim, "snapshot corrupt: read queue out of arrival order");
+}
+
 // The WG read-queue index is rebuilt from the read queue on load; a group
 // table that contradicts the queue is refused there.
 TEST_F(CkptErrors, QueuedReadOfUnknownWarpGroup) {

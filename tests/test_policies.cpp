@@ -1,7 +1,8 @@
 // Behavioural tests for the baseline transaction schedulers: FCFS,
 // FR-FCFS, GMC (streak cap + age threshold), WAFCFS and SBWAS, and
-// randomized checks of their derived state (SBWAS's per-warp counts and
-// the shared idle-scan memo) against O(read-queue) reference scans.
+// randomized checks of their derived state (SBWAS's per-warp counts,
+// GMC's per-bank lists and the shared idle-scan memo) against
+// O(read-queue) reference scans.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -320,11 +321,14 @@ TEST(Sbwas, NeverEntersDrainMode) {
 
 // --- Derived state against O(read-queue) references ---------------------
 //
-// SBWAS keeps its per-warp counts up to date at push and erase, and GMC,
-// SBWAS and FR-FCFS skip a scheduling call while their idle-scan memo
-// holds.  The streams below check, on every cycle, that the counts equal
-// a fresh recount of the read queue, and on every call the memo skips
-// that a reference scan finds no read and no write that could move.
+// SBWAS keeps its per-warp counts up to date at push and erase, GMC keeps
+// per-bank lists of its queued reads, and GMC, SBWAS and FR-FCFS skip a
+// scheduling call while their idle-scan memo holds.  The streams below
+// check, on every cycle, that the counts equal a fresh recount of the
+// read queue and GMC's lists its per-bank subsequences; on every call the
+// memo skips, that a reference scan finds no read and no write that
+// could move; and on every other GMC call, that it sends what the
+// original full-queue scan picks, in the same order.
 
 /// Reference: could the policy move a request into a bank queue now?
 using CanMove = std::function<bool(const MemoryController&, Cycle)>;
@@ -378,8 +382,106 @@ CanMove ref_gmc(const GmcConfig& cfg) {
   };
 }
 
+/// The original GMC scan over the whole read queue: per bank with room
+/// under the lookahead, the first request of each priority class (aged,
+/// row hit under the streak cap, stream breaker on a drained bank,
+/// oldest admissible), picked in that order.  Returns the read-queue
+/// positions of the picks in send order (descending).
+std::vector<std::size_t> ref_gmc_picks(const MemoryController& mc,
+                                       const GmcConfig& cfg, Cycle now) {
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  struct Cand {
+    std::size_t aged = kNone, hit = kNone, breaker = kNone, oldest = kNone;
+  };
+  std::vector<Cand> cands(mc.channel().timing().banks);
+  std::size_t pos = 0;
+  for (auto it = mc.read_queue().begin(); it != mc.read_queue().end();
+       ++it, ++pos) {
+    const BankId bank = it->loc.bank;
+    const std::size_t depth = mc.bank_queue_size(bank);
+    if (depth >= 2) continue;
+    Cand& c = cands[bank];
+    const bool extends = mc.predicted_row(bank) == it->loc.row;
+    const bool miss_ok = depth == 0;
+    const bool under_cap = mc.tail_streak(bank) < cfg.max_hit_streak;
+    if (c.oldest == kNone && ((extends && under_cap) || miss_ok)) {
+      c.oldest = pos;
+    }
+    if (c.aged == kNone && now - it->arrived_at_mc > cfg.age_threshold) {
+      c.aged = pos;
+    }
+    if (c.hit == kNone && extends && under_cap) c.hit = pos;
+    if (c.breaker == kNone && !extends && miss_ok) c.breaker = pos;
+  }
+  std::vector<std::size_t> picks;
+  for (const Cand& c : cands) {
+    std::size_t pick = c.aged;
+    if (pick == kNone) pick = c.hit;
+    if (pick == kNone) pick = c.breaker;
+    if (pick == kNone) pick = c.oldest;
+    if (pick != kNone) picks.push_back(pick);
+  }
+  std::sort(picks.rbegin(), picks.rend());
+  return picks;
+}
+
+/// GMC's per-bank lists must equal each bank's read-queue subsequence.
+void expect_gmc_lists_match(const MemoryController& mc, const GmcPolicy& p,
+                            Cycle now) {
+  for (BankId b = 0; b < mc.channel().timing().banks; ++b) {
+    std::vector<std::pair<RowId, Cycle>> want;
+    for (const MemRequest& r : mc.read_queue()) {
+      if (r.loc.bank == b) want.emplace_back(r.loc.row, r.arrived_at_mc);
+    }
+    std::vector<std::pair<RowId, Cycle>> got;
+    for (const GmcPolicy::Queued& q : p.bank_reads(b)) {
+      got.emplace_back(q.row, q.arrival);
+    }
+    ASSERT_EQ(got, want) << "cycle " << now << " bank " << +b;
+  }
+}
+
+bool same_request(const MemRequest& a, const MemRequest& b) {
+  return a.tag.instr == b.tag.instr && a.addr == b.addr &&
+         a.arrived_at_mc == b.arrived_at_mc;
+}
+
+/// A GMC call that the memo does not skip must plan the reference's
+/// picks in the reference's order, and send exactly those: each leaves
+/// the read queue and lands at its bank queue's tail.
+void check_gmc_call(MemoryController& mc, GmcPolicy& gmc, Cycle now) {
+  const std::vector<std::size_t> want = ref_gmc_picks(mc, gmc.config(), now);
+  GmcPolicy::Picks picks;
+  const std::size_t n = gmc.plan(mc, now, picks);
+  std::vector<std::size_t> got;
+  for (std::size_t i = 0; i < n; ++i) got.push_back(picks[i].pos);
+  ASSERT_EQ(got, want) << "cycle " << now;
+
+  std::vector<MemRequest> rest(mc.read_queue().begin(), mc.read_queue().end());
+  std::vector<MemRequest> sent;
+  for (const std::size_t pos : want) {  // descending: positions stay valid
+    sent.push_back(rest[pos]);
+    rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(pos));
+  }
+  gmc.schedule_reads(mc, now);
+  ASSERT_EQ(mc.read_queue().size(), rest.size()) << "cycle " << now;
+  for (std::size_t i = 0; i < rest.size(); ++i) {
+    const auto pos = static_cast<std::ptrdiff_t>(i);
+    ASSERT_TRUE(same_request(mc.read_queue().begin()[pos], rest[i]))
+        << "cycle " << now << " read-queue position " << i;
+  }
+  for (const MemRequest& r : sent) {
+    const auto& q = mc.bank_queue(r.loc.bank);
+    ASSERT_FALSE(q.empty());
+    const auto tail = static_cast<std::ptrdiff_t>(q.size() - 1);
+    ASSERT_TRUE(same_request(q.begin()[tail], r))
+        << "cycle " << now << " bank " << +r.loc.bank;
+  }
+}
+
 /// Forwards to policy P and, on every scheduling call the memo skips,
-/// asks the reference whether anything could have moved.
+/// asks the reference whether anything could have moved.  GMC's other
+/// calls are checked against its original full-queue scan.
 template <class P>
 class MemoChecked final : public TransactionScheduler {
  public:
@@ -396,6 +498,12 @@ class MemoChecked final : public TransactionScheduler {
       if (can_move_(mc, now)) {
         ADD_FAILURE() << "memo skipped a call that could move, cycle " << now;
       }
+    } else if constexpr (std::is_same_v<P, GmcPolicy>) {
+      if (!mc.read_queue().empty()) {
+        ++checked;
+        check_gmc_call(mc, *inner_, now);
+        return;
+      }
     }
     inner_->schedule_reads(mc, now);
   }
@@ -409,6 +517,7 @@ class MemoChecked final : public TransactionScheduler {
 
   [[nodiscard]] const P& inner() const { return *inner_; }
   std::uint64_t skips = 0;
+  std::uint64_t checked = 0;  ///< GMC calls compared with the reference
 
  private:
   std::unique_ptr<P> inner_;
@@ -484,10 +593,14 @@ void run_memo_stream(std::unique_ptr<P> policy, CanMove can_move,
     }
     if constexpr (std::is_same_v<P, SbwasPolicy>) {
       expect_counts_match(h.mc, c.inner(), now);
+    } else if constexpr (std::is_same_v<P, GmcPolicy>) {
+      expect_gmc_lists_match(h.mc, c.inner(), now);
     }
     h.mc.tick(now);
     if constexpr (std::is_same_v<P, SbwasPolicy>) {
       expect_counts_match(h.mc, c.inner(), now);
+    } else if constexpr (std::is_same_v<P, GmcPolicy>) {
+      expect_gmc_lists_match(h.mc, c.inner(), now);
     }
     if (::testing::Test::HasFailure()) return;
   }
@@ -495,6 +608,9 @@ void run_memo_stream(std::unique_ptr<P> policy, CanMove can_move,
   EXPECT_GT(h.order.size(), 200u);
   if (shape.warm_rows) {
     EXPECT_GT(warms, 0u) << "the stream never warmed a row";
+  }
+  if constexpr (std::is_same_v<P, GmcPolicy>) {
+    EXPECT_GT(c.checked, 500u) << "too few calls compared with the scan";
   }
 }
 

@@ -8,21 +8,27 @@
 // MemoryController::read_queue() and, after every cycle of a randomized
 // event stream (pushes, completions, coordination messages, ticks that
 // drain and fill banks), asserts that every list equals its group's
-// read-queue subsequence, and that the candidate ordering, every group
-// score and every selection outcome are identical to the reference.
-// Thousands of events per configuration exercise the add/remove/erase
-// paths of all WG variants.
+// read-queue subsequence with the bank footprint of a recount, that the
+// candidate ordering, every group score and every selection outcome are
+// identical to the reference, and that every drain of a group selected
+// on an earlier cycle leaves the read queue and the bank queues exactly
+// as the original read-queue walk does.  Thousands of events per
+// configuration exercise the add/remove/erase paths of all WG variants.
 #include "core/policy_wg.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
+#include "core/merb.hpp"
 #include "dram/params.hpp"
 #include "mc/controller.hpp"
 
@@ -170,6 +176,249 @@ bool ref_selects(const MemoryController& mc, const WgConfig& cfg,
   return any_fallback && (pressure || now - fallback_oldest >= cfg.fallback_age);
 }
 
+// ---- reference drain (the original read-queue walk) --------------------
+
+/// The controller state the original drain walk reads and writes, copied
+/// out of a controller so the walk can run without touching it.  Sends
+/// change only the bank's depth, tail row and streak (a command queue
+/// gains no room during a scheduling call).
+struct DrainShadow {
+  explicit DrainShadow(const MemoryController& mc)
+      : rq(mc.read_queue().begin(), mc.read_queue().end()) {
+    const auto banks = mc.channel().timing().banks;
+    for (BankId b = 0; b < banks; ++b) {
+      depth.push_back(mc.bank_queue_size(b));
+      tail.push_back(mc.predicted_row(b));
+      tail_set.push_back(mc.tail_streak(b) > 0);
+      streak.push_back(mc.tail_streak(b));
+    }
+    cap = mc.config().bank_queue_depth;
+    sent.resize(banks);
+  }
+
+  [[nodiscard]] bool has_space(BankId b) const { return depth[b] < cap; }
+  [[nodiscard]] std::uint32_t banks_with_work() const {
+    return static_cast<std::uint32_t>(std::count_if(
+        depth.begin(), depth.end(), [](std::size_t d) { return d != 0; }));
+  }
+  /// MemoryController::send_to_bank's effect on the state above.
+  void send(std::size_t pos) {
+    const MemRequest r = rq[pos];
+    rq.erase(rq.begin() + static_cast<std::ptrdiff_t>(pos));
+    const BankId b = r.loc.bank;
+    if (tail_set[b] && r.loc.row == tail[b]) {
+      ++streak[b];
+    } else {
+      tail[b] = r.loc.row;
+      tail_set[b] = true;
+      streak[b] = 1;
+    }
+    ++depth[b];
+    sent[b].push_back(r);
+  }
+  [[nodiscard]] std::uint32_t queued(WarpInstrUid instr) const {
+    return static_cast<std::uint32_t>(
+        std::count_if(rq.begin(), rq.end(), [instr](const MemRequest& r) {
+          return r.tag.instr == instr;
+        }));
+  }
+
+  std::vector<MemRequest> rq;
+  std::vector<std::size_t> depth;
+  std::vector<RowId> tail;  ///< predicted row
+  std::vector<bool> tail_set;
+  std::vector<std::uint32_t> streak;
+  std::size_t cap = 0;
+  std::vector<std::vector<MemRequest>> sent;  ///< per bank, in send order
+};
+
+/// The original filler search: the request to `bank`'s predicted row of
+/// the group with the fewest queued requests, oldest first.
+bool ref_push_filler(DrainShadow& s, WarpInstrUid current, BankId bank) {
+  const RowId target = s.tail[bank];
+  if (target == kNoRow || !s.has_space(bank)) return false;
+  std::size_t best = s.rq.size();
+  std::uint32_t best_remaining = 0;
+  for (std::size_t i = 0; i < s.rq.size(); ++i) {
+    const MemRequest& r = s.rq[i];
+    if (r.loc.bank != bank || r.loc.row != target) continue;
+    if (r.tag.instr == current) continue;
+    const std::uint32_t rem = s.queued(r.tag.instr);
+    if (best == s.rq.size() || rem < best_remaining) {
+      best = i;
+      best_remaining = rem;
+    }
+  }
+  if (best == s.rq.size()) return false;
+  s.send(best);
+  return true;
+}
+
+/// The original drain_current: two passes over the read queue, skipping
+/// other groups' requests, restarting from the queue head after every
+/// pass-0 send and every filler push.
+void ref_drain(DrainShadow& s, const WgConfig& cfg, const MerbTable& merb,
+               WarpInstrUid current) {
+  constexpr std::uint32_t kMaxPushes = 8;
+  std::uint32_t pushes = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    std::size_t i = 0;
+    while (i < s.rq.size() && pushes < kMaxPushes) {
+      const MemRequest& r = s.rq[i];
+      const BankId bank = r.loc.bank;
+      if (r.tag.instr != current ||
+          (pass == 0 && s.tail[bank] != r.loc.row) || !s.has_space(bank)) {
+        ++i;
+        continue;
+      }
+      if (cfg.merb && s.tail[bank] != r.loc.row) {
+        if (s.streak[bank] < merb.value(s.banks_with_work())) {
+          if (ref_push_filler(s, current, bank)) {
+            ++pushes;
+            i = 0;
+            continue;
+          }
+        } else {
+          const RowId target = s.tail[bank];
+          const auto fillers = static_cast<std::uint32_t>(std::count_if(
+              s.rq.begin(), s.rq.end(), [&](const MemRequest& q) {
+                return q.loc.bank == bank && q.loc.row == target &&
+                       q.tag.instr != current;
+              }));
+          if (fillers >= 1 && fillers <= cfg.orphan_limit) {
+            bool pushed_any = false;
+            while (pushes < kMaxPushes && ref_push_filler(s, current, bank)) {
+              ++pushes;
+              pushed_any = true;
+            }
+            if (pushed_any) {
+              i = 0;
+              continue;
+            }
+          }
+        }
+        if (!s.has_space(bank)) {
+          ++i;
+          continue;
+        }
+      }
+      s.send(i);
+      ++pushes;
+      if (pass == 0) i = 0;
+    }
+  }
+}
+
+bool same_request(const MemRequest& a, const MemRequest& b) {
+  return a.tag.instr == b.tag.instr && a.addr == b.addr &&
+         a.arrived_at_mc == b.arrived_at_mc;
+}
+
+/// Does `mc` hold the result of `ref`, run from `before`?  The read
+/// queue must equal the reference's, and each bank queue must have
+/// gained exactly its sends.  With `exact` off later rounds may have
+/// pulled more: the reference's sends must come first and the rest of
+/// the read queue is not compared.
+bool drained_as(const MemoryController& mc, const DrainShadow& before,
+                const DrainShadow& ref, bool exact) {
+  if (exact) {
+    if (mc.read_queue().size() != ref.rq.size()) return false;
+    for (std::size_t i = 0; i < ref.rq.size(); ++i) {
+      const auto pos = static_cast<std::ptrdiff_t>(i);
+      if (!same_request(mc.read_queue().begin()[pos], ref.rq[i])) {
+        return false;
+      }
+    }
+  }
+  for (BankId b = 0; b < ref.sent.size(); ++b) {
+    const auto& q = mc.bank_queue(b);
+    const std::size_t added = q.size() - before.depth[b];
+    const auto& want = ref.sent[b];
+    if (exact ? added != want.size() : added < want.size()) return false;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      const auto pos = static_cast<std::ptrdiff_t>(before.depth[b] + k);
+      if (!same_request(q.begin()[pos], want[k])) return false;
+    }
+  }
+  return true;
+}
+
+/// Forwards to a WgPolicy and checks every scheduling call that drains
+/// one known group against ref_drain run on a copy of the controller
+/// state: a call that starts with a group selected drains it first, and
+/// a call that selects exactly one group drains that one (still
+/// selected afterwards, or else one of the groups the call emptied).
+/// The comparison is exact unless a later round of the same call
+/// selected another group.
+class DrainChecked final : public TransactionScheduler {
+ public:
+  DrainChecked(std::unique_ptr<WgPolicy> inner, const DramTiming& timing)
+      : inner_(std::move(inner)), merb_(timing) {}
+
+  [[nodiscard]] const char* name() const override { return inner_->name(); }
+  void schedule_reads(MemoryController& mc, Cycle now) override {
+    const DrainShadow before(mc);
+    const std::optional<WarpInstrUid> entry = inner_->current();
+    const std::uint64_t selected = inner_->wg_stats()->groups_selected;
+    inner_->schedule_reads(mc, now);
+    const std::uint64_t selections =
+        inner_->wg_stats()->groups_selected - selected;
+
+    std::vector<WarpInstrUid> drained;
+    if (entry) {
+      drained.push_back(*entry);
+    } else if (selections == 1 && inner_->current()) {
+      drained.push_back(*inner_->current());
+    } else if (selections == 1) {
+      for (const MemRequest& r : before.rq) {
+        const bool gone = std::none_of(
+            mc.read_queue().begin(), mc.read_queue().end(),
+            [&](const MemRequest& q) { return q.tag.instr == r.tag.instr; });
+        if (gone && std::find(drained.begin(), drained.end(), r.tag.instr) ==
+                        drained.end()) {
+          drained.push_back(r.tag.instr);
+        }
+      }
+    }
+    if (drained.empty()) return;
+    const bool exact = entry ? selections == 0 : true;
+    const bool any = std::any_of(
+        drained.begin(), drained.end(), [&](WarpInstrUid instr) {
+          DrainShadow ref = before;
+          ref_drain(ref, inner_->config(), merb_, instr);
+          return drained_as(mc, before, ref, exact);
+        });
+    ASSERT_TRUE(any) << "cycle " << now << ": the drain of "
+                     << (entry ? "the selected group" : "a new selection")
+                     << " differs from the read-queue walk";
+    ++checked;
+  }
+  void on_push(MemoryController& mc, const MemRequest& req,
+               Cycle now) override {
+    inner_->on_push(mc, req, now);
+  }
+  void on_group_complete(MemoryController& mc, const WarpTag& tag,
+                         Cycle now) override {
+    inner_->on_group_complete(mc, tag, now);
+  }
+  void on_remote_selection(MemoryController& mc, const CoordMsg& msg,
+                           Cycle now) override {
+    inner_->on_remote_selection(mc, msg, now);
+  }
+  void on_drain_start(MemoryController& mc, Cycle now) override {
+    inner_->on_drain_start(mc, now);
+  }
+  [[nodiscard]] const WgStats* wg_stats() const override {
+    return inner_->wg_stats();
+  }
+
+  std::uint64_t checked = 0;
+
+ private:
+  std::unique_ptr<WgPolicy> inner_;
+  MerbTable merb_;
+};
+
 // ---- the differential harness -----------------------------------------
 
 struct DiffHarness {
@@ -178,10 +427,13 @@ struct DiffHarness {
         mc(0, McConfig{}, timing_no_refresh(), make_policy(cfg),
            [](const MemRequest&, Cycle) {}) {}
 
-  std::unique_ptr<WgPolicy> make_policy(const WgConfig& cfg) {
+  std::unique_ptr<TransactionScheduler> make_policy(const WgConfig& cfg) {
     auto p = std::make_unique<WgPolicy>(cfg, timing_no_refresh());
     wg = p.get();
-    return p;
+    auto checked =
+        std::make_unique<DrainChecked>(std::move(p), timing_no_refresh());
+    drains = checked.get();
+    return checked;
   }
 
   /// Assert the incremental index mirrors the read queue exactly.
@@ -201,6 +453,25 @@ struct DiffHarness {
         EXPECT_EQ(meta.items[i].bank, pending[i].loc.bank);
         EXPECT_EQ(meta.items[i].row, pending[i].loc.row);
         EXPECT_EQ(meta.items[i].arrival, pending[i].arrived_at_mc);
+      }
+    }
+
+    // Every group's bank footprint must equal a recount of its list
+    // (empty for a group with nothing queued).
+    for (const auto& [instr, meta] : wg->groups()) {
+      std::uint32_t mask = 0;
+      std::array<std::uint32_t, WgGroupMeta::kMaxBanks> count{};
+      std::array<RowId, WgGroupMeta::kMaxBanks> front{};
+      for (const MemRequest& r : ref_pending(mc, instr)) {
+        if ((mask & (1u << r.loc.bank)) == 0) front[r.loc.bank] = r.loc.row;
+        mask |= 1u << r.loc.bank;
+        ++count[r.loc.bank];
+      }
+      ASSERT_EQ(meta.bank_mask, mask) << "instr " << instr;
+      for (std::uint32_t m = mask; m != 0; m &= m - 1) {
+        const int b = std::countr_zero(m);
+        EXPECT_EQ(meta.bank_count[b], count[b]) << "instr " << instr;
+        EXPECT_EQ(meta.bank_front_row[b], front[b]) << "instr " << instr;
       }
     }
 
@@ -235,6 +506,7 @@ struct DiffHarness {
 
   WgConfig cfg_;
   WgPolicy* wg = nullptr;
+  DrainChecked* drains = nullptr;
   MemoryController mc;
 };
 
@@ -321,6 +593,7 @@ void run_differential(WgConfig cfg, std::uint64_t seed, Cycle cycles,
     if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_GT(armed_cycles, 0u) << "the stream never armed the wake";
+  EXPECT_GT(h.drains->checked, 50u) << "the stream drained too little";
 }
 
 TEST(WgIncremental, DifferentialWg) {
