@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "ckpt/sampler.hpp"
+#include "cli.hpp"
 #include "exp/manifest.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
@@ -39,46 +40,30 @@ constexpr const char* kUsage =
 
 /// --cycles/--warmup/--seed/--quick go through exp::SweepOptions so the
 /// quick and warmup rules match latdiv-sweep.  Exits 2 on an unknown
-/// flag or a malformed value.
+/// flag or a malformed value (numbers follow tools/cli.hpp).
 exp::RunShape parse_args(int argc, char** argv, std::string& out_json) {
+  constexpr const char* kTool = "bench_throughput";
   exp::SweepOptions opts;
   for (int i = 1; i < argc; ++i) {
     const char* flag = argv[i];
     if (std::strcmp(flag, "--quick") == 0) {
       opts.quick = true;
-      continue;
-    }
-    if (std::strcmp(flag, "--help") == 0) {
+    } else if (std::strcmp(flag, "--help") == 0) {
       std::printf("%s", kUsage);
       std::exit(0);
-    }
-    const bool numeric = std::strcmp(flag, "--cycles") == 0 ||
-                         std::strcmp(flag, "--warmup") == 0 ||
-                         std::strcmp(flag, "--seed") == 0;
-    if (!numeric && std::strcmp(flag, "--out") != 0) {
-      std::fprintf(stderr, "bench_throughput: unknown option '%s'\n%s", flag,
+    } else if (std::strcmp(flag, "--cycles") == 0) {
+      cli::next_uint(kTool, argc, argv, i, opts.cycles);
+    } else if (std::strcmp(flag, "--warmup") == 0) {
+      cli::next_uint(kTool, argc, argv, i, opts.warmup);
+    } else if (std::strcmp(flag, "--seed") == 0) {
+      cli::next_uint(kTool, argc, argv, i, opts.seed);
+    } else if (std::strcmp(flag, "--out") == 0) {
+      out_json = cli::next_arg(kTool, argc, argv, i);
+    } else {
+      std::fprintf(stderr, "%s: unknown option '%s'\n%s", kTool, flag,
                    kUsage);
       std::exit(2);
     }
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "bench_throughput: %s needs a value\n", flag);
-      std::exit(2);
-    }
-    const char* text = argv[++i];
-    if (!numeric) {
-      out_json = text;
-      continue;
-    }
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-      std::fprintf(stderr, "bench_throughput: %s wants a number, got '%s'\n",
-                   flag, text);
-      std::exit(2);
-    }
-    if (std::strcmp(flag, "--cycles") == 0) opts.cycles = v;
-    else if (std::strcmp(flag, "--warmup") == 0) opts.warmup = v;
-    else opts.seed = v;
   }
   return opts.shape();
 }

@@ -91,7 +91,9 @@ SampledRunner::SampledRunner(Simulator& sim, const SamplingConfig& cfg)
   if (cfg_.detail_cycles == 0) {
     throw std::invalid_argument("sampling requires a positive detailed window");
   }
-  if (cfg_.period_cycles < cfg_.warm_cycles + cfg_.detail_cycles) {
+  // W + D <= P, tested without forming W + D, which can wrap.
+  if (cfg_.warm_cycles > cfg_.period_cycles ||
+      cfg_.detail_cycles > cfg_.period_cycles - cfg_.warm_cycles) {
     throw std::invalid_argument(
         "sampling period must cover warm-up plus the detailed window");
   }

@@ -674,6 +674,7 @@ void MemoryController::ckpt_io(Ar& ar) {
           "snapshot corrupt: read queue out of arrival order");
     }
     reset_command_bounds();
+    ++mutation_epoch_;
     ++layout_epoch_;
   }
 }

@@ -123,7 +123,7 @@ void WgPolicy::on_push(MemoryController& mc, const MemRequest& req,
   const bool first = meta.seen == 0;
   // With no fallback candidate, a group gaining its first queued request
   // may become one, which sets an age bound the failed selection lacks.
-  if (wake_.armed && wake_.fb_oldest == kNoCycle && meta.queued() == 0) {
+  if (wake_.armed && wake_.fb_seq == kNoSeq && meta.queued() == 0) {
     wake_.due = true;
   }
   // Index before the WG-M replay below: the replay scores this group, and
@@ -310,19 +310,18 @@ void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
 
   // Candidates come from the incremental per-group index (one entry per
   // group with queued requests), in no particular order: every selection
-  // rule below ends on (oldest, head_seq), which reproduces the read
-  // queue's first-occurrence order as the final tie-breaker.  Nothing
-  // mutates the bank queues during a selection, so the candidates' fit
-  // masks stay valid throughout.  An empty read queue yields no
-  // candidates and arms the wake below; its first request then wakes it
-  // (see on_push).
+  // rule below ends on head_seq, the read queue's first-occurrence order,
+  // as the final tie-breaker (arrivals do not decrease along the queue,
+  // so this is also oldest-request-first).  Nothing mutates the bank
+  // queues during a selection, so the candidates' fit masks stay valid
+  // throughout.  An empty read queue yields no candidates and arms the
+  // wake below; its first request then wakes it (see on_push).
   cands_.clear();
   for (const auto& [instr, meta] : active_) {
     cands_.push_back(make_cand(mc, instr, *meta));
   }
   auto older = [](const Cand& a, const Cand& b) {
-    return a.oldest < b.oldest ||
-           (a.oldest == b.oldest && a.head_seq < b.head_seq);
+    return a.head_seq < b.head_seq;
   };
 
   // WG-W: imminent write drain — unit-remaining complete groups first.
@@ -447,8 +446,7 @@ void WgPolicy::select_next_group(MemoryController& mc, Cycle now) {
 // its blocking banks (a send or a drain flip moves layout_epoch()).
 
 bool WgPolicy::older_than_fallback(const Cand& c) const {
-  return c.oldest < wake_.fb_oldest ||
-         (c.oldest == wake_.fb_oldest && c.head_seq < wake_.fb_seq);
+  return c.head_seq < wake_.fb_seq;
 }
 
 bool WgPolicy::wakes(const Cand& c) const {
@@ -477,7 +475,6 @@ void WgPolicy::arm_wake(MemoryController& mc, const Cand* fallback,
   wake_.write_pressure = write_pressure(mc);
   wake_.layout_epoch = mc.layout_epoch();
   if (fallback != nullptr) {
-    wake_.fb_oldest = fallback->oldest;
     wake_.fb_seq = fallback->head_seq;
     wake_.until = fallback->oldest + cfg_.fallback_age;
   }

@@ -273,6 +273,7 @@ class WgPolicy final : public TransactionScheduler {
   /// carry it so the read queue's relative order (push-back + erase) can
   /// be reconstructed from the index alone.
   std::uint64_t next_seq_ = 0;
+  static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
 
   // Selection wake (derived, never saved).  Most controller mutations —
   // pushes, and pops or completions of groups that still cannot fit —
@@ -300,10 +301,9 @@ class WgPolicy final : public TransactionScheduler {
     bool pressure = false;
     bool write_pressure = false;
     std::uint64_t layout_epoch = 0;
-    /// The fallback candidate's (oldest, head_seq); kNoCycle = none.  Only
-    /// an older group that starts to fit can move the age bound.
-    Cycle fb_oldest = kNoCycle;
-    std::uint64_t fb_seq = ~std::uint64_t{0};
+    /// The fallback candidate's head_seq; kNoSeq = none.  Only an older
+    /// group that starts to fit can move the age bound.
+    std::uint64_t fb_seq = kNoSeq;
     /// The fallback's age bound: from then on time alone can flip the
     /// answer (kNoCycle = only an event can).
     Cycle until = kNoCycle;

@@ -79,11 +79,6 @@ class Channel {
   /// Row currently open in `bank` (kNoRow if precharged).
   [[nodiscard]] RowId open_row(BankId bank) const;
 
-  /// Would a column access to (bank,row) be a row hit right now?
-  [[nodiscard]] bool is_open(BankId bank, RowId row) const {
-    return open_row(bank) == row;
-  }
-
   /// True once the refresh interval has elapsed; the command scheduler
   /// must drain/precharge and issue kRefresh.
   [[nodiscard]] bool refresh_due(Cycle now) const;

@@ -131,8 +131,7 @@ bool Sm::issue_memory(WarpId wid, Cycle now) {
   // hits — while other warps' allocations, stores and LRU touches never
   // lower it.  Fewer releases than the recorded deficit cannot make the
   // load fit, so fail as the classify loop would, memo refresh included.
-  if (w.deficit_releases > mshr_.stats().releases &&
-      w.deficit_warms == warm_lines_) {
+  if (w.deficit_releases > mshr_.stats().releases) {
     w.issue_fail_epoch = mem_epoch_ + 1;
     ++stats_.issue_stall_mshr;
     return false;
@@ -199,7 +198,6 @@ bool Sm::issue_memory(WarpId wid, Cycle now) {
     w.issue_fail_epoch = mem_epoch_ + 1;
     w.deficit_releases =
         mshr_.stats().releases + (new_fetches - mshr_.free_entries());
-    w.deficit_warms = warm_lines_;
     ++stats_.issue_stall_mshr;
     return false;
   }

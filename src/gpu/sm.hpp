@@ -94,19 +94,19 @@ class Sm {
   /// `line` (a coalesced run), installing its recency/presence without
   /// issuing any request.  Exactly equivalent to `lanes` single-lane
   /// calls: counts in cache stats like a normal access — sampled-mode
-  /// estimates never read hit rates across a skip.  warm_lines_ counts
-  /// calls, not lanes; the deficit wake only compares it for equality,
-  /// so any count that moves on every warm keeps that rule exact.
+  /// estimates never read hit rates across a skip.
   ///
   /// Known defect, kept for result compatibility: warming does not move
   /// mem_epoch_, so a warp whose load failed before the skip keeps
   /// short-circuiting on issue_fail_epoch after it, even if its lines are
-  /// now L1 hits, until some other L1/MSHR change moves the epoch.  It
-  /// does end the MSHR-deficit wake (warmed hits shrink the deficit
-  /// without a release).
-  void warm_line(Addr line, std::uint32_t lanes) {
-    ++warm_lines_;
-    l1_.warm(line, lanes);
+  /// now L1 hits, until some other L1/MSHR change moves the epoch.
+  void warm_line(Addr line, std::uint32_t lanes) { l1_.warm(line, lanes); }
+
+  /// The clock jumped past unsimulated cycles (Simulator::teleport), the
+  /// end of every warming skip: drop the MSHR-deficit wakes, since warmed
+  /// hits shrink a deficit without a release.
+  void on_teleport() {
+    for (Warp& w : warps_) w.deficit_releases = 0;
   }
 
   /// Snapshot serialization of the full core state (src/ckpt).
@@ -127,11 +127,10 @@ class Sm {
     std::uint64_t issue_fail_epoch = 0;
     /// MSHR-deficit wake (derived, never saved; 0 = none): after `next`
     /// failed with more new fetches than free MSHR entries, the MSHR
-    /// release count at which it could first fit, and warm_lines_ then.
-    /// Until releases reach it (and while no line was warmed), a retry
-    /// fails exactly like the classify loop would.
+    /// release count at which it could first fit.  Until releases reach
+    /// it, a retry fails exactly like the classify loop would.  Dropped
+    /// at a snapshot load and a teleport.
     std::uint64_t deficit_releases = 0;
-    std::uint64_t deficit_warms = 0;
     /// Coalesced line set of `next`, computed once at generation time
     /// (issue retries must not re-run the coalescer: it is pure, and
     /// re-running it would double-count statistics and burn host time).
@@ -195,8 +194,6 @@ class Sm {
   /// invalidates, reservations) — the entire state the issue_memory
   /// classify loop reads.  Keys the per-warp issue_fail_epoch memo.
   std::uint64_t mem_epoch_ = 0;
-  /// warm_line calls so far (derived: only compared with deficit_warms).
-  std::uint64_t warm_lines_ = 0;
   WarpId last_issued_ = 0;
   WarpInstrUid next_uid_;
   WarpInstrUid uid_stride_;

@@ -11,23 +11,11 @@ namespace latdiv {
 // ---- TransactionScheduler defaults -----------------------------------
 
 void TransactionScheduler::schedule_writes(MemoryController& mc, Cycle now) {
-  auto& wq = mc.write_queue();
-  if (wq.empty()) return;
   // FR-FCFS over the write queue: oldest row-hit, else oldest schedulable.
-  auto best = wq.end();
-  for (auto it = wq.begin(); it != wq.end(); ++it) {
-    if (!mc.bank_queue_has_space(it->loc.bank)) continue;
-    if (mc.predicted_row(it->loc.bank) == it->loc.row) {
-      best = it;
-      break;
-    }
-    if (best == wq.end()) best = it;
-  }
-  if (best != wq.end()) {
-    MemRequest req = *best;
-    wq.erase(best);
-    mc.send_to_bank(req, now);
-  }
+  send_oldest_hit_first(
+      mc, mc.write_queue(),
+      [&mc](BankId bank) { return mc.bank_queue_has_space(bank); },
+      /*fallback=*/true, now);
 }
 
 void TransactionScheduler::on_push(MemoryController&, const MemRequest&,

@@ -154,6 +154,7 @@ class MemoryController {
   void on_teleport(Cycle now) {
     channel_.rebase_refresh(now);
     reset_command_bounds();
+    ++mutation_epoch_;
     ++layout_epoch_;
   }
   /// Reads that issued their CAS but whose data burst has not completed
@@ -183,11 +184,10 @@ class MemoryController {
   // --- change tracking (policy wakes and memos) ---
   /// Bumped on every controller-state change that can change a
   /// scheduling scan that moved nothing (IdleScanMemo): request-queue
-  /// pushes and pulls, bank-queue pushes, CAS pops and drain-mode flips.
-  /// ACT/PRE/REF, group completions and coordination messages do not
-  /// bump it (DESIGN.md, "Hot path & determinism contract").  Derived
-  /// state: never saved; a load moves layout_epoch(), which the memo
-  /// also keys on.
+  /// pushes and pulls, bank-queue pushes, CAS pops, drain-mode flips, a
+  /// sampled-mode teleport and a snapshot load.  ACT/PRE/REF, group
+  /// completions and coordination messages do not bump it (DESIGN.md,
+  /// "Hot path & determinism contract").  Derived state: never saved.
   [[nodiscard]] std::uint64_t mutation_epoch() const {
     return mutation_epoch_;
   }
@@ -315,5 +315,29 @@ class MemoryController {
   std::vector<CoordMsg> outbox_;
   McStats stats_;
 };
+
+/// The oldest-row-hit-first scan over request queue `q` (the read or the
+/// write queue): moves to its bank queue the oldest request whose bank
+/// `eligible(bank)` admits and that hits the bank's predicted row, else,
+/// with `fallback`, the oldest admitted request.  Returns whether one
+/// moved.  FR-FCFS and both write schedulers are this scan.
+template <class Eligible>
+bool send_oldest_hit_first(MemoryController& mc, BoundedQueue<MemRequest>& q,
+                           Eligible eligible, bool fallback, Cycle now) {
+  auto best = q.end();
+  for (auto it = q.begin(); it != q.end(); ++it) {
+    if (!eligible(it->loc.bank)) continue;
+    if (mc.predicted_row(it->loc.bank) == it->loc.row) {
+      best = it;
+      break;
+    }
+    if (fallback && best == q.end()) best = it;
+  }
+  if (best == q.end()) return false;
+  MemRequest req = *best;
+  q.erase(best);
+  mc.send_to_bank(req, now);
+  return true;
+}
 
 }  // namespace latdiv

@@ -11,7 +11,7 @@
 
 namespace latdiv {
 
-class FcfsPolicy final : public TransactionScheduler {
+class FcfsPolicy : public TransactionScheduler {
  public:
   [[nodiscard]] const char* name() const override { return "FCFS"; }
 

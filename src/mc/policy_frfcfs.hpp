@@ -17,26 +17,15 @@ class FrFcfsPolicy final : public TransactionScheduler {
   [[nodiscard]] const char* name() const override { return "FR-FCFS"; }
 
   void schedule_reads(MemoryController& mc, Cycle now) override {
-    auto& rq = mc.read_queue();
-    if (rq.empty() || idle_.holds(mc, now)) return;
-    auto best = rq.end();
-    for (auto it = rq.begin(); it != rq.end(); ++it) {
-      // Classic FR-FCFS re-evaluates row state at issue time; bounding
-      // the per-bank backlog keeps the decision near service time.
-      if (mc.bank_queue_size(it->loc.bank) >= 2) continue;
-      if (mc.predicted_row(it->loc.bank) == it->loc.row) {
-        best = it;  // oldest row-hit wins outright
-        break;
-      }
-      if (best == rq.end()) best = it;  // remember oldest schedulable
-    }
-    if (best == rq.end()) {
-      idle_.arm(mc);  // every queued read's bank holds 2 or more commands
-      return;
-    }
-    MemRequest req = *best;
-    rq.erase(best);
-    mc.send_to_bank(req, now);
+    if (mc.read_queue().empty() || idle_.holds(mc)) return;
+    // Classic FR-FCFS re-evaluates row state at issue time; bounding the
+    // per-bank backlog keeps the decision near service time.
+    const bool moved = send_oldest_hit_first(
+        mc, mc.read_queue(),
+        [&mc](BankId bank) { return mc.bank_queue_size(bank) < 2; },
+        /*fallback=*/true, now);
+    // Nothing moved: every queued read's bank holds 2 or more commands.
+    if (!moved) idle_.arm(mc);
   }
 
   [[nodiscard]] const IdleScanMemo& idle_memo() const { return idle_; }

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "mc/controller.hpp"
-#include "mc/idle_scan_memo.hpp"
 #include "mc/policy.hpp"
 
 namespace latdiv {
@@ -56,70 +55,35 @@ class GmcPolicy : public TransactionScheduler {
     RowId row;
     Cycle arrival;
   };
-  /// One scheduling decision: the read-queue position of a bank's pick
-  /// and its index in that bank's list.
-  struct Pick {
-    std::size_t pos;
-    BankId bank;
-    std::size_t idx;
-  };
-  static constexpr std::size_t kMaxBanks = 32;
-  using Picks = std::array<Pick, kMaxBanks>;
 
-  /// This cycle's picks, at most one per bank, in send order: descending
-  /// read-queue position, so each erase leaves the earlier positions
-  /// valid.  Returns how many there are.  Reads only the index and the
-  /// controller; schedule_reads sends exactly these.
-  [[nodiscard]] std::size_t plan(const MemoryController& mc, Cycle now,
-                                 Picks& picks) const {
+  /// Sends each bank's pick as the scan finds it.  A send changes only
+  /// its own bank's tail row, streak, depth and command bound, and
+  /// find_read matches on the bank, so one bank's send cannot change
+  /// another bank's pick: the send order is free.
+  void schedule_reads(MemoryController& mc, Cycle now) override {
     // Per-bank lookahead: how many transactions may sit in a bank's
     // command queue before the row sorter stops feeding it.  Committing
     // decisions early into a deep in-order queue would forfeit row hits
     // from requests that arrive a few cycles later; the row sorter keeps
     // the choice open until the bank is nearly ready (double-buffering).
     constexpr std::size_t kBankLookahead = 2;
-    std::size_t n = 0;
+    auto& rq = mc.read_queue();
     for (std::uint32_t m = queued_banks_; m != 0; m &= m - 1) {
       const auto bank = static_cast<BankId>(std::countr_zero(m));
       const std::size_t depth = mc.bank_queue_size(bank);
       if (depth >= kBankLookahead) continue;
-      const std::vector<Queued>& reads = banks_[bank];
+      std::vector<Queued>& reads = banks_[bank];
       const std::size_t idx = pick_in_bank(mc, bank, reads, depth, now);
       if (idx == reads.size()) continue;
       const Queued& q = reads[idx];
       const auto it = mc.find_read(q.arrival, [&](const MemRequest& r) {
         return r.loc.bank == bank && r.loc.row == q.row;
       });
-      LATDIV_ASSERT(it != mc.read_queue().end(), "GMC pick not queued");
-      const auto pos = static_cast<std::size_t>(it - mc.read_queue().begin());
-      picks[n++] = Pick{pos, bank, idx};
-    }
-    std::sort(picks.begin(), picks.begin() + static_cast<std::ptrdiff_t>(n),
-              [](const Pick& a, const Pick& b) { return a.pos > b.pos; });
-    return n;
-  }
-
-  void schedule_reads(MemoryController& mc, Cycle now) override {
-    auto& rq = mc.read_queue();
-    if (rq.empty()) return;
-    // A scan that picked nothing repeats identically until the queues or
-    // tail rows change, or the oldest request crosses the age threshold.
-    if (idle_.holds(mc, now)) return;
-    Picks picks;
-    const std::size_t n = plan(mc, now, picks);
-    if (n == 0) {
-      // The queue is in arrival order, so its front ages out first.
-      idle_.arm(mc, rq.front().arrived_at_mc + cfg_.age_threshold + 1);
-      return;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const Pick& p = picks[i];
-      auto it = rq.begin() + static_cast<std::ptrdiff_t>(p.pos);
+      LATDIV_ASSERT(it != rq.end(), "GMC pick not queued");
       MemRequest req = *it;
       rq.erase(it);
-      std::vector<Queued>& reads = banks_[p.bank];
-      reads.erase(reads.begin() + static_cast<std::ptrdiff_t>(p.idx));
-      if (reads.empty()) queued_banks_ &= ~(1u << p.bank);
+      reads.erase(reads.begin() + static_cast<std::ptrdiff_t>(idx));
+      if (reads.empty()) queued_banks_ &= ~(1u << bank);
       mc.send_to_bank(req, now);
     }
   }
@@ -142,7 +106,6 @@ class GmcPolicy : public TransactionScheduler {
     return banks_[bank];
   }
 
-  [[nodiscard]] const IdleScanMemo& idle_memo() const { return idle_; }
   [[nodiscard]] const GmcConfig& config() const { return cfg_; }
 
  private:
@@ -176,14 +139,13 @@ class GmcPolicy : public TransactionScheduler {
                : 0;
   }
 
+  static constexpr std::size_t kMaxBanks = 32;
+
   GmcConfig cfg_;
   // The row sorter's per-bank streams (derived; see the file comment) and
   // the banks whose list is non-empty.
   std::array<std::vector<Queued>, kMaxBanks> banks_;
   std::uint32_t queued_banks_ = 0;
-  // Armed by a scan that picked nothing, until its oldest request ages
-  // out.
-  IdleScanMemo idle_;
 };
 
 }  // namespace latdiv

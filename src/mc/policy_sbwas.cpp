@@ -46,26 +46,15 @@ SbwasPolicy::Counts::iterator SbwasPolicy::find_count(WarpInstrUid instr) {
 
 bool SbwasPolicy::try_schedule_write(MemoryController& mc, Cycle now,
                                      bool force) {
-  auto& wq = mc.write_queue();
-  if (wq.empty()) return false;
-  auto best = wq.end();
-  for (auto it = wq.begin(); it != wq.end(); ++it) {
-    if (!mc.bank_queue_has_space(it->loc.bank)) continue;
-    if (mc.predicted_row(it->loc.bank) == it->loc.row) {
-      best = it;
-      break;  // oldest row-hit write
-    }
-    if (force && best == wq.end()) best = it;
-  }
-  if (best == wq.end()) return false;
-  MemRequest req = *best;
-  wq.erase(best);
-  mc.send_to_bank(req, now);
-  return true;
+  // The oldest row-hit write; with `force`, else the oldest schedulable.
+  return send_oldest_hit_first(
+      mc, mc.write_queue(),
+      [&mc](BankId bank) { return mc.bank_queue_has_space(bank); }, force,
+      now);
 }
 
 void SbwasPolicy::schedule_reads(MemoryController& mc, Cycle now) {
-  if (idle_.holds(mc, now)) return;
+  if (idle_.holds(mc)) return;
   // Interleaved-write model: under write pressure, or with no read
   // queued, a write goes first; otherwise writes only piggyback as row
   // hits when no read candidate exists (handled at the end).

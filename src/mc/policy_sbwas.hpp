@@ -61,8 +61,7 @@ class SbwasPolicy final : public TransactionScheduler {
   // so a flat sorted vector; only point lookups).  Derived state, never
   // saved: on_load recounts the loaded read queue.
   Counts remaining_;
-  // Armed by a call that moved neither a read nor a write.  SBWAS reads
-  // no clock, so the memo has no `until`.
+  // Armed by a call that moved neither a read nor a write.
   IdleScanMemo idle_;
 };
 

@@ -8,23 +8,13 @@
 // IcntConfig::sticky_arbitration when the sim preset selects WAFCFS.
 #pragma once
 
-#include "mc/controller.hpp"
-#include "mc/policy.hpp"
+#include "mc/policy_fcfs.hpp"
 
 namespace latdiv {
 
-class WafcfsPolicy final : public TransactionScheduler {
+class WafcfsPolicy final : public FcfsPolicy {
  public:
   [[nodiscard]] const char* name() const override { return "WAFCFS"; }
-
-  void schedule_reads(MemoryController& mc, Cycle now) override {
-    auto& rq = mc.read_queue();
-    if (rq.empty()) return;
-    const MemRequest& head = rq.front();
-    if (!mc.bank_queue_has_space(head.loc.bank)) return;
-    MemRequest req = rq.pop();
-    mc.send_to_bank(req, now);
-  }
 };
 
 }  // namespace latdiv

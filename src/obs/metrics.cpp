@@ -121,42 +121,4 @@ std::string MetricRegistry::to_json() const {
   return out;
 }
 
-std::string MetricRegistry::to_csv() const {
-  std::string out = "kind,name,key,value\n";
-  auto row = [&out](const char* kind, const std::string& name,
-                    const std::string& key, std::uint64_t value) {
-    out += kind;
-    out.push_back(',');
-    out += name;
-    out.push_back(',');
-    out += key;
-    out.push_back(',');
-    append_u64(out, value);
-    out.push_back('\n');
-  };
-  for (const auto& c : counters_) {
-    row("counter", c.name, "value", c.instrument->value());
-  }
-  for (const auto& g : gauges_) {
-    row("gauge", g.name, "value", g.instrument->value());
-  }
-  for (const auto& h : histograms_) {
-    const Log2Histogram& hist = *h.instrument;
-    row("histogram", h.name, "count", hist.total());
-    row("histogram", h.name, "sum", hist.sum());
-    row("histogram", h.name, "min", hist.min());
-    row("histogram", h.name, "max", hist.max());
-    for (std::size_t q = 0; q < 3; ++q) {
-      row("histogram", h.name, kQuantileNames[q], hist.quantile(kQuantiles[q]));
-    }
-    for (std::size_t i = 0; i < Log2Histogram::kBuckets; ++i) {
-      if (hist.count_in(i) == 0) continue;
-      std::string key = "bucket_le_";
-      append_u64(key, Log2Histogram::upper_edge(i));
-      row("histogram", h.name, key, hist.count_in(i));
-    }
-  }
-  return out;
-}
-
 }  // namespace latdiv::obs

@@ -164,10 +164,6 @@ class MetricRegistry {
   /// non-empty buckets ([lo, hi] edge pairs).
   [[nodiscard]] std::string to_json() const;
 
-  /// Long-format CSV: kind,name,key,value — one row per scalar, per
-  /// percentile, per non-empty bucket.
-  [[nodiscard]] std::string to_csv() const;
-
   template <typename T>
   struct Named {
     std::string name;

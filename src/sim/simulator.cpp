@@ -330,6 +330,7 @@ void Simulator::teleport(Cycle target) {
                 "teleport requires checkers and the obs hub disabled");
   now_ = target;
   for (auto& part : partitions_) part->mc().on_teleport(now_);
+  for (auto& sm : sms_) sm->on_teleport();
   if (warmup_done_at_ == 0 && now_ >= cfg_.warmup_cycles) {
     warmup_done_at_ = now_;
     warmup_instructions_ = total_instructions();

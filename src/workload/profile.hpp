@@ -47,8 +47,6 @@ struct WorkloadProfile {
   /// Fraction of loads that stream sequentially per warp instead of
   /// jumping randomly (regular benchmarks set this near 1).
   double streaming_frac = 0.0;
-
-  [[nodiscard]] bool is_divergent() const { return divergent_load_frac > 0.2; }
 };
 
 /// The 11 irregular (memory-access-irregular, MAI) benchmarks of Table III.

@@ -193,7 +193,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Loading rewinds a simulator that already ran past the snapshot: the
 // wakes it armed since (the SM's MSHR-deficit records, the WG selection
-// wake, the GMC, SBWAS and FR-FCFS idle-scan memos) are derived state and
+// wake, the SBWAS and FR-FCFS idle-scan memos) are derived state and
 // must not survive the load, or the replayed stretch skips work the first
 // pass did.  The WG read-queue index and SBWAS's per-warp counts are
 // rebuilt on load; WG-Bw and WG-Sh are the only users of the index's row

@@ -483,6 +483,12 @@ TEST(SamplingErrors, RejectsBadSchedules) {
   sched = test_schedule();
   sched.period_cycles = sched.warm_cycles + sched.detail_cycles - 1;
   EXPECT_THROW(ckpt::SampledRunner(sim, sched), std::invalid_argument);
+  // W + D wraps to 0 in 64 bits, which a summed check would let through.
+  sched = test_schedule();
+  sched.detail_cycles = ~Cycle{0};
+  sched.warm_cycles = 1;
+  sched.period_cycles = 5;
+  EXPECT_THROW(ckpt::SampledRunner(sim, sched), std::invalid_argument);
 }
 
 TEST(SamplingErrors, RejectsCheckersAndObs) {

@@ -27,29 +27,45 @@ inline const char* next_arg(const char* tool, int argc, char** argv,
   return argv[++i];
 }
 
+/// Why `text` is not an unsigned decimal in [0, max], or kOk (and `out`
+/// holds it).  Any '-' is refused and ERANGE catches values past 2^64-1.
+enum class UintParse { kOk, kNotNumber, kOutOfRange };
+inline UintParse parse_uint(const char* text, std::uint64_t max,
+                            std::uint64_t& out) {
+  char* end = nullptr;
+  errno = 0;
+  const std::uint64_t v = std::strtoull(text, &end, 10);
+  if (end == text || *end != '\0' || std::strchr(text, '-') != nullptr) {
+    return UintParse::kNotNumber;
+  }
+  if (errno == ERANGE || v > max) return UintParse::kOutOfRange;
+  out = v;
+  return UintParse::kOk;
+}
+
 /// Parses the value of the flag at argv[i] into `out`, advancing i: an
-/// unsigned decimal in [0, max of T], or exit 2.  Any '-' is refused and
-/// ERANGE catches values past 2^64-1.
+/// unsigned decimal in [0, max of T] (parse_uint), or exit 2.
 template <typename T>
 void next_uint(const char* tool, int argc, char** argv, int& i, T& out) {
   static_assert(std::is_unsigned_v<T> && sizeof(T) <= sizeof(std::uint64_t));
   constexpr std::uint64_t kMax = std::numeric_limits<T>::max();
   const char* flag = argv[i];
   const char* text = next_arg(tool, argc, argv, i);
-  char* end = nullptr;
-  errno = 0;
-  const std::uint64_t v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || std::strchr(text, '-') != nullptr) {
-    std::fprintf(stderr, "%s: %s wants a number, got '%s'\n", tool, flag,
-                 text);
-    std::exit(2);
+  std::uint64_t v = 0;
+  switch (parse_uint(text, kMax, v)) {
+    case UintParse::kOk:
+      out = static_cast<T>(v);
+      return;
+    case UintParse::kNotNumber:
+      std::fprintf(stderr, "%s: %s wants a number, got '%s'\n", tool, flag,
+                   text);
+      break;
+    case UintParse::kOutOfRange:
+      std::fprintf(stderr, "%s: %s value '%s' is out of range (max %llu)\n",
+                   tool, flag, text, static_cast<unsigned long long>(kMax));
+      break;
   }
-  if (errno == ERANGE || v > kMax) {
-    std::fprintf(stderr, "%s: %s value '%s' is out of range (max %llu)\n",
-                 tool, flag, text, static_cast<unsigned long long>(kMax));
-    std::exit(2);
-  }
-  out = static_cast<T>(v);
+  std::exit(2);
 }
 
 }  // namespace latdiv::cli

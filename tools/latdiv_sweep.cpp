@@ -73,33 +73,33 @@ void usage(std::FILE* out) {
 }
 
 /// "D,W,P" -> SamplingConfig{detail, warm, period}; bare --sampling
-/// keeps the defaults.
+/// keeps the defaults.  Each field follows cli::parse_uint, and the
+/// schedule check cannot wrap: W + D <= P is tested as D <= P - W.
 latdiv::ckpt::SamplingConfig parse_sampling(const char* text) {
   latdiv::ckpt::SamplingConfig sc;
   if (text == nullptr || *text == '\0') return sc;
-  char* end = nullptr;
-  sc.detail_cycles = std::strtoull(text, &end, 10);
-  if (end == text || *end != ',') {
-    std::fprintf(stderr, "latdiv-sweep: --sampling wants D,W,P, got '%s'\n",
+  const auto fail = [text](const char* why) {
+    std::fprintf(stderr, "latdiv-sweep: --sampling %s, got '%s'\n", why,
                  text);
     std::exit(2);
+  };
+  Cycle* const fields[] = {&sc.detail_cycles, &sc.warm_cycles,
+                           &sc.period_cycles};
+  const char* p = text;
+  for (Cycle* field : fields) {
+    const bool last = field == fields[2];
+    const char* comma = std::strchr(p, ',');
+    if ((comma == nullptr) != last) fail("wants D,W,P");
+    const std::string value = last ? std::string(p) : std::string(p, comma);
+    const cli::UintParse parsed =
+        cli::parse_uint(value.c_str(), ~Cycle{0}, *field);
+    if (parsed == cli::UintParse::kNotNumber) fail("wants D,W,P");
+    if (parsed == cli::UintParse::kOutOfRange) fail("field is out of range");
+    if (!last) p = comma + 1;
   }
-  const char* p = end + 1;
-  sc.warm_cycles = std::strtoull(p, &end, 10);
-  if (end == p || *end != ',') {
-    std::fprintf(stderr, "latdiv-sweep: --sampling wants D,W,P, got '%s'\n",
-                 text);
-    std::exit(2);
-  }
-  p = end + 1;
-  sc.period_cycles = std::strtoull(p, &end, 10);
-  if (end == p || *end != '\0' || sc.detail_cycles == 0 ||
-      sc.period_cycles < sc.warm_cycles + sc.detail_cycles) {
-    std::fprintf(stderr,
-                 "latdiv-sweep: --sampling needs D > 0 and P >= W + D, "
-                 "got '%s'\n",
-                 text);
-    std::exit(2);
+  if (sc.detail_cycles == 0 || sc.warm_cycles > sc.period_cycles ||
+      sc.detail_cycles > sc.period_cycles - sc.warm_cycles) {
+    fail("needs D > 0 and P >= W + D");
   }
   return sc;
 }
