@@ -19,6 +19,7 @@
 #include <string>
 #include <utility>
 
+#include "cli.hpp"
 #include "core/policy_wg.hpp"
 #include "sim/simulator.hpp"
 
@@ -114,7 +115,8 @@ RunResult run(const WorkloadProfile& w, SchedulerKind sched, Cycle cycles,
 
 int main(int argc, char** argv) {
   const std::string workload = argc > 1 ? argv[1] : "sssp";
-  const Cycle cycles = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 60'000;
+  Cycle cycles = 60'000;
+  if (argc > 2) cli::uint_arg("custom_policy", "cycles", argv[2], cycles);
   const WorkloadProfile w = profile_by_name(workload);
 
   std::printf("custom-policy demo on %s (%llu cycles)\n\n", workload.c_str(),

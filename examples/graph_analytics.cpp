@@ -11,9 +11,9 @@
 //
 //   ./examples/graph_analytics [cycles]
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "cli.hpp"
 #include "sim/simulator.hpp"
 
 using namespace latdiv;
@@ -41,7 +41,8 @@ WorkloadProfile graph_profile(const char* name, double mean_degree_lines,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Cycle cycles = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 60'000;
+  Cycle cycles = 60'000;
+  if (argc > 1) cli::uint_arg("graph_analytics", "cycles", argv[1], cycles);
 
   const std::vector<WorkloadProfile> graphs = {
       graph_profile("road-net", 4.0, 3.0, 0.35),

@@ -8,9 +8,9 @@
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/quickstart spmv 200000
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "cli.hpp"
 #include "sim/simulator.hpp"
 
 using namespace latdiv;
@@ -40,7 +40,8 @@ void print(const RunResult& r) {
 
 int main(int argc, char** argv) {
   const std::string workload = argc > 1 ? argv[1] : "bfs";
-  const Cycle cycles = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 150'000;
+  Cycle cycles = 150'000;
+  if (argc > 2) cli::uint_arg("quickstart", "cycles", argv[2], cycles);
 
   std::printf("latdiv quickstart: workload=%s, %llu DRAM cycles\n",
               workload.c_str(), static_cast<unsigned long long>(cycles));

@@ -11,11 +11,11 @@
 //   ./examples/warp_interference [N]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <vector>
 
+#include "cli.hpp"
 #include "core/policy_wg.hpp"
 #include "mc/controller.hpp"
 #include "mc/policy_fcfs.hpp"
@@ -82,7 +82,19 @@ Outcome run(std::unique_ptr<TransactionScheduler> policy, unsigned n,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned n = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 8;
+  // Both warps' requests must fit the read queue at once.
+  const std::uint64_t max_n = McConfig{}.read_queue_size / 2;
+  std::uint64_t parsed = 8;
+  if (argc > 1 && (cli::parse_uint(argv[1], max_n, parsed) !=
+                       cli::UintParse::kOk ||
+                   parsed == 0)) {
+    std::fprintf(stderr,
+                 "warp_interference: N wants a number in [1, %llu], got "
+                 "'%s'\n",
+                 static_cast<unsigned long long>(max_n), argv[1]);
+    return 2;
+  }
+  const auto n = static_cast<unsigned>(parsed);
   DramParams dp;
   const DramTiming t = DramTiming::from(dp);
 

@@ -7,22 +7,20 @@
 namespace latdiv {
 
 Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
-  LATDIV_ASSERT(cfg.line_bytes > 0 && std::has_single_bit(cfg.line_bytes),
-                "line size must be a power of two");
   LATDIV_ASSERT(cfg.ways > 0, "need at least one way");
-  LATDIV_ASSERT(cfg.size_bytes % (cfg.line_bytes * cfg.ways) == 0,
+  LATDIV_ASSERT(cfg.size_bytes % (kLineBytes * cfg.ways) == 0,
                 "size must divide into sets evenly");
-  sets_ = cfg.size_bytes / (cfg.line_bytes * cfg.ways);
+  sets_ = static_cast<std::uint32_t>(cfg.size_bytes / (kLineBytes * cfg.ways));
   LATDIV_ASSERT(std::has_single_bit(sets_), "set count must be a power of 2");
   lines_.resize(static_cast<std::size_t>(sets_) * cfg.ways);
 }
 
 std::uint32_t Cache::set_of(Addr addr) const noexcept {
-  return static_cast<std::uint32_t>((addr / cfg_.line_bytes) & (sets_ - 1));
+  return static_cast<std::uint32_t>((addr / kLineBytes) & (sets_ - 1));
 }
 
 Addr Cache::tag_of(Addr addr) const noexcept {
-  return addr / cfg_.line_bytes / sets_;
+  return addr / kLineBytes / sets_;
 }
 
 Cache::Line* Cache::find(Addr addr) noexcept {
@@ -74,7 +72,7 @@ std::optional<Addr> Cache::fill(Addr addr, bool dirty) {
       ++stats_.dirty_evictions;
       // Reconstruct the victim's line base address from its tag and the
       // set index (shared with the incoming line).
-      writeback = (victim->tag * sets_ + set_of(addr)) * cfg_.line_bytes;
+      writeback = (victim->tag * sets_ + set_of(addr)) * kLineBytes;
     }
   }
   victim->tag = tag_of(addr);

@@ -25,9 +25,9 @@
 
 namespace latdiv {
 
+/// Geometry of one cache of kLineBytes lines.
 struct CacheConfig {
   std::uint32_t size_bytes = 32 * 1024;
-  std::uint32_t line_bytes = 128;
   std::uint32_t ways = 8;
 
   friend bool operator==(const CacheConfig&, const CacheConfig&) = default;

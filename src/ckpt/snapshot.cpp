@@ -527,7 +527,7 @@ void Crossbar::ckpt_io(Ar& ar) {
     }
     for (const auto& q : part_out_) {
       for (const MemResponse& resp : q) {
-        if (resp.tag.sm >= cfg_.sms) {
+        if (resp.tag.sm >= sms_) {
           throw ckpt::CkptError(
               "snapshot corrupt: crossbar response for an unknown SM");
         }

@@ -19,6 +19,10 @@ inline constexpr Cycle kNoCycle = std::numeric_limits<Cycle>::max();
 /// Physical byte address in the simulated global memory space.
 using Addr = std::uint64_t;
 
+/// Cache-line size of every cache, the coalescer and each DRAM burst
+/// (paper Table II: 128B lines in the L1 and the L2).
+inline constexpr Addr kLineBytes = 128;
+
 /// Streaming-multiprocessor (compute unit) index.
 using SmId = std::uint16_t;
 

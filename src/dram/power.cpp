@@ -8,8 +8,7 @@ PowerModel::PowerModel(const Gddr5PowerParams& params, const DramParams& dram)
     : p_(params), d_(dram) {}
 
 PowerBreakdown PowerModel::compute(const ChannelStats& stats,
-                                   Cycle elapsed_cycles,
-                                   std::uint32_t line_bytes) const {
+                                   Cycle elapsed_cycles) const {
   LATDIV_ASSERT(elapsed_cycles > 0, "power over an empty interval");
   PowerBreakdown out;
   const double devices = p_.devices_per_channel;
@@ -49,7 +48,7 @@ PowerBreakdown PowerModel::compute(const ChannelStats& stats,
 
   // I/O: per-bit energy on the channel interface.
   const double bits = static_cast<double>(stats.reads + stats.writes) *
-                      static_cast<double>(line_bytes) * 8.0;
+                      static_cast<double>(kLineBytes) * 8.0;
   out.io = bits * p_.io_pj_per_bit * 1e-12 / elapsed_s;
 
   return out;

@@ -57,8 +57,7 @@ class PowerModel {
   /// Average power for one channel whose counters are `stats`, observed
   /// over `elapsed_cycles` command-clock cycles.
   [[nodiscard]] PowerBreakdown compute(const ChannelStats& stats,
-                                       Cycle elapsed_cycles,
-                                       std::uint32_t line_bytes = 128) const;
+                                       Cycle elapsed_cycles) const;
 
  private:
   Gddr5PowerParams p_;

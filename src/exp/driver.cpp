@@ -224,7 +224,7 @@ int run_manifest(const std::string& name, const SweepRunArgs& args) {
   // most useful exactly when something went wrong).
   bool write_failed = false;
   if (!args.out_json.empty() &&
-      !write_file(args.out_json, to_json(artifact, args.timings))) {
+      !write_file(args.out_json, to_json(artifact))) {
     std::fprintf(stderr, "latdiv-sweep: cannot write '%s'\n",
                  args.out_json.c_str());
     write_failed = true;

@@ -16,7 +16,6 @@ struct SweepRunArgs {
   SweepOptions opts;
   std::string out_json;  ///< write the JSON artifact here ("" = skip)
   std::string out_csv;   ///< write the CSV artifact here ("" = skip)
-  bool timings = false;  ///< include wall_ms in the JSON (non-deterministic)
   bool progress = true;  ///< per-point progress lines on stderr
   /// Print a per-phase wall-clock and simulation-throughput breakdown
   /// (build / simulate / report phases, simulated Mcycles/s, peak RSS)

@@ -131,7 +131,7 @@ Artifact make_artifact(const SweepSpec& spec, const RunShape& shape,
   return a;
 }
 
-std::string to_json(const Artifact& a, bool include_timing) {
+std::string to_json(const Artifact& a) {
   JsonValue root;
   root.set("schema", a.schema);
 
@@ -165,7 +165,6 @@ std::string to_json(const Artifact& a, bool include_timing) {
     jp.set("seed", p.seed);
     jp.set("status", p.ok ? "ok" : "failed");
     if (!p.ok) jp.set("error", p.error);
-    if (include_timing) jp.set("wall_ms", p.wall_ms);
     JsonValue metrics;
     for (const auto& [key, v] : p.metrics) metrics.set(key, v);
     if (p.metrics.empty()) metrics = JsonValue(JsonValue::Object{});
@@ -239,7 +238,6 @@ Artifact artifact_from_json(const std::string& text) {
     p.seed = static_cast<std::uint64_t>(jp.at("seed").as_number());
     p.ok = jp.at("status").as_string() == "ok";
     if (const JsonValue* err = jp.find("error")) p.error = err->as_string();
-    if (const JsonValue* ms = jp.find("wall_ms")) p.wall_ms = ms->as_number();
     for (const auto& [key, v] : jp.at("metrics").as_object()) {
       p.metrics[key] = v.as_number();
     }

@@ -9,8 +9,8 @@
 //
 // Serialisation is byte-deterministic (see exp/json.hpp): identical
 // simulation results produce identical artifact files regardless of
-// --jobs.  Wall-clock timings are only emitted when explicitly requested
-// (include_timing), because they are the one non-deterministic field.
+// --jobs.  Wall-clock timings never enter an artifact: they are
+// non-deterministic (`latdiv-sweep --profile` reports them on stderr).
 #pragma once
 
 #include <cstdio>
@@ -67,9 +67,8 @@ struct Artifact {
                                      const RunShape& shape,
                                      std::vector<PointResult> points);
 
-/// Serialise; `include_timing` adds per-point wall_ms (non-deterministic).
-[[nodiscard]] std::string to_json(const Artifact& a,
-                                  bool include_timing = false);
+/// Serialise (byte-deterministic; PointResult::wall_ms is not written).
+[[nodiscard]] std::string to_json(const Artifact& a);
 
 /// Parse an artifact (throws std::runtime_error on malformed input or a
 /// schema version this build does not understand).

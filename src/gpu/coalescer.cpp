@@ -12,9 +12,8 @@ void Coalescer::coalesce(const WarpInstr& instr, std::vector<Addr>& out) const {
   LATDIV_ASSERT(instr.active_lanes > 0 && instr.active_lanes <= kWarpLanes,
                 "bad lane count");
   out.clear();
-  const Addr mask = ~static_cast<Addr>(line_bytes_ - 1);
   for (std::uint32_t lane = 0; lane < instr.active_lanes; ++lane) {
-    const Addr line = instr.lane_addr[lane] & mask;
+    const Addr line = instr.lane_addr[lane] & ~(kLineBytes - 1);
     if (std::find(out.begin(), out.end(), line) == out.end()) {
       out.push_back(line);
     }

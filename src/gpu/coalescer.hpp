@@ -39,8 +39,7 @@ struct CoalescerStats {
 
 class Coalescer {
  public:
-  Coalescer(std::uint32_t line_bytes = 128, bool perfect = false)
-      : line_bytes_(line_bytes), perfect_(perfect) {}
+  explicit Coalescer(bool perfect = false) : perfect_(perfect) {}
 
   /// Unique line base addresses of `instr`, in first-appearance order.
   /// `out` is cleared first; reuse one vector across calls to avoid
@@ -59,7 +58,6 @@ class Coalescer {
   void ckpt_io(Ar& ar);
 
  private:
-  std::uint32_t line_bytes_;
   bool perfect_;
   CoalescerStats stats_;
 };

@@ -4,20 +4,19 @@
 
 namespace latdiv {
 
-Partition::Partition(ChannelId id, const PartitionConfig& cfg,
-                     const McConfig& mc_cfg, const DramTiming& timing,
+Partition::Partition(ChannelId id, const McConfig& mc_cfg,
+                     const DramTiming& timing,
                      std::unique_ptr<TransactionScheduler> policy,
                      const AddressMap& amap, Crossbar& xbar,
                      InstrTracker& tracker, obs::ObsHub* obs)
     : id_(id),
-      cfg_(cfg),
-      l2_(cfg.l2),
-      mshr_(cfg.l2_mshr),
+      l2_(kL2),
+      mshr_(kL2Mshr),
       amap_(amap),
       xbar_(xbar),
       tracker_(tracker),
-      pipeline_(2 * cfg.l2_latency),
-      fills_(cfg.l2_mshr.entries) {
+      pipeline_(2 * kL2Latency),
+      fills_(kL2Mshr.entries) {
   mc_ = std::make_unique<MemoryController>(
       id, mc_cfg, timing, std::move(policy),
       [this](const MemRequest& req, Cycle) {
@@ -108,14 +107,14 @@ bool Partition::handle(const MemRequest& req, Cycle now) {
 
 void Partition::process_requests(Cycle now) {
   // Accept new arrivals into the L2 pipeline.
-  for (std::uint32_t n = 0; n < cfg_.lookups_per_cycle; ++n) {
+  for (std::uint32_t n = 0; n < kL2LookupsPerCycle; ++n) {
     if (pipeline_.full()) break;  // pipeline depth
     const MemRequest* head = xbar_.peek_request(id_, now);
     if (head == nullptr) break;
-    pipeline_.push(Delayed{now + cfg_.l2_latency, xbar_.pop_request(id_, now)});
+    pipeline_.push(Delayed{now + kL2Latency, xbar_.pop_request(id_, now)});
   }
   // Retire lookups whose latency elapsed.
-  for (std::uint32_t n = 0; n < cfg_.lookups_per_cycle; ++n) {
+  for (std::uint32_t n = 0; n < kL2LookupsPerCycle; ++n) {
     if (pipeline_.empty() || pipeline_.front().ready_at > now) break;
     if (!handle(pipeline_.front().req, now)) {
       ++stats_.stall_cycles;

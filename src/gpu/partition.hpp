@@ -32,12 +32,11 @@
 
 namespace latdiv {
 
-struct PartitionConfig {
-  CacheConfig l2{128 * 1024, 128, 16};  // paper Table II
-  MshrConfig l2_mshr{64, 8};
-  Cycle l2_latency = 16;  ///< core-domain pipeline cycles for a lookup
-  std::uint32_t lookups_per_cycle = 2;
-};
+// The L2 slice's fixed organisation (paper Table II).
+inline constexpr CacheConfig kL2{128 * 1024, 16};  ///< 128KB, 16-way
+inline constexpr MshrConfig kL2Mshr{64, 8};
+inline constexpr Cycle kL2Latency = 16;  ///< core-domain pipeline cycles
+inline constexpr std::uint32_t kL2LookupsPerCycle = 2;
 
 struct PartitionStats {
   std::uint64_t read_hits = 0;
@@ -53,8 +52,7 @@ class Partition {
  public:
   /// `obs` (optional) is handed to the memory controller for
   /// request-lifecycle tracing; the partition itself never consults it.
-  Partition(ChannelId id, const PartitionConfig& cfg, const McConfig& mc_cfg,
-            const DramTiming& timing,
+  Partition(ChannelId id, const McConfig& mc_cfg, const DramTiming& timing,
             std::unique_ptr<TransactionScheduler> policy,
             const AddressMap& amap, Crossbar& xbar, InstrTracker& tracker,
             obs::ObsHub* obs = nullptr);
@@ -94,7 +92,6 @@ class Partition {
   bool handle(const MemRequest& req, Cycle now);
 
   ChannelId id_;
-  PartitionConfig cfg_;
   Cache l2_;
   MshrFile mshr_;
   const AddressMap& amap_;
@@ -102,9 +99,9 @@ class Partition {
   InstrTracker& tracker_;
   std::unique_ptr<MemoryController> mc_;
 
-  BoundedQueue<Delayed> pipeline_;  ///< 2 x l2_latency lookups in flight
+  BoundedQueue<Delayed> pipeline_;  ///< 2 x kL2Latency lookups in flight
   // A DRAM read exists only for a fresh L2 MSHR entry, which the fill
-  // releases: at most l2_mshr.entries fills wait.
+  // releases: at most kL2Mshr.entries fills wait.
   BoundedQueue<MemRequest> fills_;
   // Unbounded: L2 hits and fills may outrun the crossbar's output queue,
   // and nothing local limits how many responses wait for it.

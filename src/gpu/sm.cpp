@@ -15,9 +15,9 @@ Sm::Sm(SmId id, const SmConfig& cfg, InstrSource& gen,
       amap_(amap),
       xbar_(xbar),
       tracker_(tracker),
-      l1_(cfg.l1),
-      mshr_(cfg.l1_mshr),
-      coalescer_(cfg.l1.line_bytes, cfg.perfect_coalescing),
+      l1_(kL1),
+      mshr_(kL1Mshr),
+      coalescer_(cfg.perfect_coalescing),
       warps_(cfg.warps),
       masks_(kIssueMasks, cfg.warps),
       next_uid_(uid_base),
@@ -65,7 +65,7 @@ void Sm::accept_response(Cycle now) {
     Warp& w = warps_[waiter.tag.warp];
     LATDIV_ASSERT(w.pending_lines > 0, "fill for a warp with no loads");
     if (--w.pending_lines == 0) {
-      w.ready_at = now + cfg_.fill_ready_delay;
+      w.ready_at = now + kFillReadyDelay;
       masks_.set(kFree, waiter.tag.warp);
       tracker_.finalize(waiter.tag.instr, now);
     }
@@ -74,7 +74,7 @@ void Sm::accept_response(Cycle now) {
 
 void Sm::dispatch_lsu(Cycle now) {
   if (!lsu_.active) return;
-  for (std::uint32_t i = 0; i < cfg_.lsu_width; ++i) {
+  for (std::uint32_t i = 0; i < kLsuWidth; ++i) {
     if (lsu_.next >= lsu_.queue.size()) break;
     if (!xbar_.can_inject_request(id_)) {
       xbar_.count_inject_stall();
@@ -236,7 +236,7 @@ bool Sm::issue_memory(WarpId wid, Cycle now) {
 
   w.pending_lines = new_fetches + merges;
   if (w.pending_lines == 0) {
-    w.ready_at = now + cfg_.l1_hit_latency;
+    w.ready_at = now + kL1HitLatency;
   } else {
     masks_.reset(kFree, wid);
     tracker_.on_issue(tag, now);

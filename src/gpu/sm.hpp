@@ -39,15 +39,18 @@ enum class WarpSchedPolicy : std::uint8_t {
   kLrr,  ///< loose round-robin: rotate the start point every issue
 };
 
+// The SM's fixed organisation (paper Table II).  Latencies are in global
+// (DRAM command-clock) cycles.
+inline constexpr CacheConfig kL1{32 * 1024, 8};  ///< 32KB, 8-way
+inline constexpr MshrConfig kL1Mshr{32, 8};
+inline constexpr Cycle kL1HitLatency = 8;
+inline constexpr Cycle kFillReadyDelay = 2;  ///< fill to warp wake-up
+/// Line requests the load/store unit dispatches per core cycle.
+inline constexpr std::uint32_t kLsuWidth = 2;
+
 struct SmConfig {
   std::uint32_t warps = 32;  ///< 1024 threads / 32 lanes (paper Table II)
   WarpSchedPolicy warp_sched = WarpSchedPolicy::kGto;
-  CacheConfig l1{32 * 1024, 128, 8};
-  MshrConfig l1_mshr{32, 8};
-  /// All latencies in global (DRAM command-clock) cycles.
-  Cycle l1_hit_latency = 8;
-  Cycle fill_ready_delay = 2;
-  std::uint32_t lsu_width = 2;  ///< line dispatches per core cycle
   std::uint32_t core_clock_ratio = 2;  ///< DRAM cycles per core cycle
   bool perfect_coalescing = false;     ///< Fig. 4 ideal
 };

@@ -2,21 +2,21 @@
 
 namespace latdiv {
 
-Crossbar::Crossbar(const IcntConfig& cfg)
+Crossbar::Crossbar(const IcntConfig& cfg, std::uint32_t sms, bool sticky)
     : cfg_(cfg),
-      sm_queues_(cfg.sms, BoundedQueue<MemRequest>(cfg.sm_queue_depth)),
+      sms_(sms),
+      sticky_(sticky),
+      sm_queues_(sms, BoundedQueue<MemRequest>(cfg.sm_queue_depth)),
       part_in_(cfg.partitions,
                BoundedQueue<Timed<MemRequest>>(cfg.partition_in_depth)),
-      part_out_(cfg.partitions,
-                BoundedQueue<MemResponse>(cfg.partition_out_depth)),
-      sm_in_(cfg.sms,
-             BoundedQueue<Timed<MemResponse>>(cfg.response_latency + 1)),
+      part_out_(cfg.partitions, BoundedQueue<MemResponse>(kPartitionOutDepth)),
+      sm_in_(sms, BoundedQueue<Timed<MemResponse>>(cfg.response_latency + 1)),
       part_rr_(cfg.partitions, 0),
-      part_sticky_(cfg.partitions, cfg.sms),  // sms = "no sticky grant yet"
-      sm_rr_(cfg.sms, 0),
-      req_heads_(cfg.partitions, cfg.sms),
-      resp_heads_(cfg.sms, cfg.partitions) {
-  LATDIV_ASSERT(cfg.sms > 0 && cfg.partitions > 0, "empty crossbar");
+      part_sticky_(cfg.partitions, sms),  // sms = "no sticky grant yet"
+      sm_rr_(sms, 0),
+      req_heads_(cfg.partitions, sms),
+      resp_heads_(sms, cfg.partitions) {
+  LATDIV_ASSERT(sms > 0 && cfg.partitions > 0, "empty crossbar");
 }
 
 void Crossbar::rebuild_heads() {
@@ -24,7 +24,7 @@ void Crossbar::rebuild_heads() {
   responses_queued_ = 0;
   req_heads_.clear();
   resp_heads_.clear();
-  for (std::uint32_t sm = 0; sm < cfg_.sms; ++sm) {
+  for (std::uint32_t sm = 0; sm < sms_; ++sm) {
     const auto& q = sm_queues_[sm];
     requests_queued_ += q.size();
     if (!q.empty()) req_heads_.set(q.front().loc.channel, sm);
@@ -37,7 +37,7 @@ void Crossbar::rebuild_heads() {
 }
 
 bool Crossbar::heads_consistent() const {
-  Crossbar rebuilt(cfg_);
+  Crossbar rebuilt(cfg_, sms_, sticky_);
   rebuilt.sm_queues_ = sm_queues_;
   rebuilt.part_out_ = part_out_;
   rebuilt.rebuild_heads();
@@ -98,7 +98,7 @@ bool Crossbar::can_inject_response(ChannelId part) const {
 
 void Crossbar::inject_response(ChannelId part, MemResponse resp, Cycle now) {
   LATDIV_ASSERT(can_inject_response(part), "partition response overflow");
-  LATDIV_ASSERT(resp.tag.sm < cfg_.sms, "response for an unknown SM");
+  LATDIV_ASSERT(resp.tag.sm < sms_, "response for an unknown SM");
   (void)now;
   if (part_out_[part].empty()) resp_heads_.set(resp.tag.sm, part);
   part_out_[part].push(resp);
@@ -119,23 +119,23 @@ void Crossbar::tick(Cycle now) {
   for (std::uint32_t p = 0; requests_queued_ != 0 && p < cfg_.partitions;
        ++p) {
     if (part_in_[p].full()) continue;
-    std::uint32_t granted = cfg_.sms;  // sentinel: none
-    if (cfg_.sticky_arbitration && part_sticky_[p] < cfg_.sms &&
+    std::uint32_t granted = sms_;  // sentinel: none
+    if (sticky_ && part_sticky_[p] < sms_ &&
         req_heads_.test(p, part_sticky_[p])) {
       granted = part_sticky_[p];
     } else {
       granted =
           static_cast<std::uint32_t>(req_heads_.find_cyclic(p, part_rr_[p]));
-      if (granted != cfg_.sms) part_rr_[p] = (granted + 1) % cfg_.sms;
+      if (granted != sms_) part_rr_[p] = (granted + 1) % sms_;
     }
-    if (granted == cfg_.sms) continue;
+    if (granted == sms_) continue;
     part_sticky_[p] = granted;
     part_in_[p].push({now + cfg_.request_latency, pop_sm_queue(granted)});
     ++stats_.requests_moved;
   }
 
   // Response crossbar: each SM accepts one response per cycle.
-  for (std::uint32_t sm = 0; responses_queued_ != 0 && sm < cfg_.sms; ++sm) {
+  for (std::uint32_t sm = 0; responses_queued_ != 0 && sm < sms_; ++sm) {
     const auto p =
         static_cast<std::uint32_t>(resp_heads_.find_cyclic(sm, sm_rr_[sm]));
     if (p == cfg_.partitions) continue;

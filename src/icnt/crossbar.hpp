@@ -8,7 +8,7 @@
 // can interleave requests from different SMs").  Head-of-line blocking on
 // a busy partition is intentional: it is what preserves the order.
 //
-// Sticky arbitration (IcntConfig::sticky_arbitration) models the
+// Sticky arbitration (the constructor's `sticky`) models the
 // non-interleaving network of Yuan et al. used by the WAFCFS comparison:
 // a partition keeps granting the same SM while that SM keeps requests for
 // it at its queue head, so one warp's requests arrive contiguously.
@@ -35,15 +35,15 @@
 namespace latdiv {
 
 struct IcntConfig {
-  std::uint32_t sms = 30;
   std::uint32_t partitions = 6;
   Cycle request_latency = 8;   ///< interconnect cycles, injection->ejection
   Cycle response_latency = 8;
   std::uint32_t sm_queue_depth = 16;
   std::uint32_t partition_in_depth = 8;
-  std::uint32_t partition_out_depth = 16;
-  bool sticky_arbitration = false;  ///< WAFCFS (Yuan et al.) mode
 };
+
+/// Responses each partition's output queue holds.
+inline constexpr std::uint32_t kPartitionOutDepth = 16;
 
 struct IcntStats {
   std::uint64_t requests_moved = 0;
@@ -53,7 +53,8 @@ struct IcntStats {
 
 class Crossbar {
  public:
-  explicit Crossbar(const IcntConfig& cfg);
+  /// `sticky` selects the WAFCFS (Yuan et al.) arbitration.
+  Crossbar(const IcntConfig& cfg, std::uint32_t sms, bool sticky);
 
   // --- SM side ---
   [[nodiscard]] bool can_inject_request(SmId sm) const;
@@ -75,7 +76,7 @@ class Crossbar {
 
   void count_inject_stall() { ++stats_.inject_stalls; }
   [[nodiscard]] const IcntStats& stats() const { return stats_; }
-  [[nodiscard]] const IcntConfig& config() const { return cfg_; }
+  [[nodiscard]] bool sticky() const { return sticky_; }
 
   // Occupancy snapshots (time-series sampling; no timing effects).
   /// Requests waiting in SM injection queues.
@@ -111,7 +112,9 @@ class Crossbar {
   void rebuild_heads();
 
   IcntConfig cfg_;
-  // Rings of sm_queue_depth, partition_in_depth and partition_out_depth.
+  std::uint32_t sms_;
+  bool sticky_;
+  // Rings of sm_queue_depth, partition_in_depth and kPartitionOutDepth.
   std::vector<BoundedQueue<MemRequest>> sm_queues_;
   std::vector<BoundedQueue<Timed<MemRequest>>> part_in_;
   std::vector<BoundedQueue<MemResponse>> part_out_;

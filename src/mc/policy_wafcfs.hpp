@@ -4,8 +4,8 @@
 // does not interleave requests from different SMs, so that a simple FCFS
 // controller sees each warp's requests contiguously and can harvest their
 // spatial locality in order.  The controller-side policy is therefore plain
-// FCFS; the non-interleaving interconnect is enabled separately via
-// IcntConfig::sticky_arbitration when the sim preset selects WAFCFS.
+// FCFS; the Simulator builds a sticky (non-interleaving) Crossbar when
+// the scheduler is WAFCFS.
 #pragma once
 
 #include "mc/policy_fcfs.hpp"

@@ -9,7 +9,6 @@ AddressMap::AddressMap(const AddressMapConfig& cfg) : cfg_(cfg) {
   LATDIV_ASSERT(cfg.banks_per_channel > 0 &&
                     cfg.banks_per_channel % cfg.banks_per_group == 0,
                 "banks must divide evenly into bank groups");
-  LATDIV_ASSERT(cfg.line_bytes == 128, "model assumes 128B lines");
 }
 
 DramLoc AddressMap::decode(Addr addr) const noexcept {

@@ -35,12 +35,13 @@ struct DramLoc {
   friend bool operator==(const DramLoc&, const DramLoc&) = default;
 };
 
-/// Geometry constants shared by the mapper and the DRAM model.
+/// Geometry constants shared by the mapper and the DRAM model.  The
+/// Simulator derives the counts from IcntConfig::partitions and the
+/// DramParams bank geometry.
 struct AddressMapConfig {
   std::uint32_t channels = 6;
   std::uint32_t banks_per_channel = 16;
   std::uint32_t banks_per_group = 4;
-  std::uint32_t line_bytes = 128;
   /// Enable the XOR hashes (the paper's anti-camping measures).  Disabling
   /// them is used by tests and by the channel-camping ablation.
   bool xor_channel_hash = true;
@@ -56,7 +57,7 @@ class AddressMap {
 
   /// Align an address down to its cache-line base.
   [[nodiscard]] Addr line_base(Addr addr) const noexcept {
-    return addr & ~static_cast<Addr>(cfg_.line_bytes - 1);
+    return addr & ~(kLineBytes - 1);
   }
 
   [[nodiscard]] const AddressMapConfig& config() const noexcept { return cfg_; }

@@ -18,7 +18,6 @@ namespace latdiv::scenario {
 
 namespace {
 
-constexpr std::uint64_t kLineBytes = 128;
 constexpr std::uint64_t kRowLines = 16;  // 2048B DRAM row / 128B line
 
 /// SplitMix64 finalizer — the "next pointer" hash of the chase chains.

@@ -8,13 +8,11 @@
 
 #include "core/policy_wg.hpp"
 #include "dram/params.hpp"
-#include "gpu/partition.hpp"
 #include "gpu/sm.hpp"
 #include "icnt/crossbar.hpp"
 #include "mc/controller.hpp"
 #include "mc/policy_gmc.hpp"
 #include "mc/policy_sbwas.hpp"
-#include "mem/address_map.hpp"
 #include "obs/hub.hpp"
 #include "workload/instr_source.hpp"
 #include "workload/profile.hpp"
@@ -50,14 +48,15 @@ struct CheckConfig {
 };
 
 struct SimConfig {
-  // GPU organisation (Table II).
+  // GPU organisation (Table II).  The cache, MSHR and pipeline sizes no
+  // run varies are constants beside their components (gpu/sm.hpp,
+  // gpu/partition.hpp); the Simulator derives the address map from
+  // icnt.partitions and the DRAM bank geometry.
   std::uint32_t num_sms = 30;
   SmConfig sm;
-  PartitionConfig partition;
   IcntConfig icnt;
   McConfig mc;
   DramParams dram;
-  AddressMapConfig amap;
 
   // Scheduler under test and its policy knobs.
   SchedulerKind scheduler = SchedulerKind::kGmc;

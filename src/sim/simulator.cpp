@@ -31,7 +31,6 @@ const char* to_string(SchedulerKind kind) {
 void SimConfig::shrink_for_tests() {
   num_sms = 4;
   sm.warps = 8;
-  icnt.sms = 4;
   max_cycles = 20'000;
   warmup_cycles = 2'000;
   dram.refresh_enabled = false;
@@ -105,19 +104,10 @@ const SimConfig& checked_geometry(const SimConfig& cfg) {
 Simulator::Simulator(const SimConfig& cfg)
     : cfg_(checked_geometry(cfg)),
       timing_(DramTiming::from(cfg.dram)),
-      amap_([&] {
-        AddressMapConfig a = cfg.amap;
-        a.channels = cfg.icnt.partitions;
-        a.banks_per_channel = cfg.dram.banks;
-        a.banks_per_group = cfg.dram.banks_per_group;
-        return a;
-      }()),
-      xbar_([&] {
-        IcntConfig i = cfg.icnt;
-        i.sms = cfg.num_sms;
-        i.sticky_arbitration = cfg.scheduler == SchedulerKind::kWafcfs;
-        return i;
-      }()) {
+      amap_(AddressMapConfig{.channels = cfg.icnt.partitions,
+                             .banks_per_channel = cfg.dram.banks,
+                             .banks_per_group = cfg.dram.banks_per_group}),
+      xbar_(cfg.icnt, cfg.num_sms, cfg.scheduler == SchedulerKind::kWafcfs) {
   zld_ = std::make_shared<ZldCoordinator>();
 
   // Instruction source: trace replay, else a custom factory source, else
@@ -153,7 +143,7 @@ Simulator::Simulator(const SimConfig& cfg)
 
   for (std::uint32_t p = 0; p < cfg_.icnt.partitions; ++p) {
     partitions_.push_back(std::make_unique<Partition>(
-        static_cast<ChannelId>(p), cfg_.partition, cfg_.mc, timing_,
+        static_cast<ChannelId>(p), cfg_.mc, timing_,
         make_policy(static_cast<ChannelId>(p)), amap_, xbar_, tracker_,
         obs_hub_.get()));
   }

@@ -64,9 +64,11 @@ class Simulator {
   [[nodiscard]] Sm& sm(std::size_t i) { return *sms_[i]; }
   [[nodiscard]] InstrTracker& tracker() { return tracker_; }
   [[nodiscard]] const SimConfig& config() const { return cfg_; }
-  /// The one address map of this simulation: cfg.amap with the channel
-  /// and bank counts of cfg.icnt and cfg.dram.
+  /// The one address map of this simulation: cfg.icnt.partitions
+  /// channels of cfg.dram's banks and bank groups, XOR hashes on.
   [[nodiscard]] const AddressMap& address_map() const { return amap_; }
+  /// The crossbar: cfg.num_sms SMs, sticky under WAFCFS.
+  [[nodiscard]] const Crossbar& crossbar() const { return xbar_; }
 
   /// Advance exactly one global cycle (exposed for incremental tests).
   void step();

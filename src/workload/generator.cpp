@@ -27,10 +27,6 @@ void WorkloadGenerator::ckpt_save(ckpt::CkptWriter& ar) const {
 
 void WorkloadGenerator::ckpt_load(ckpt::CkptReader& ar) { ckpt_io(ar); }
 
-namespace {
-constexpr std::uint64_t kLineBytes = 128;
-}
-
 WorkloadGenerator::WorkloadGenerator(const WorkloadProfile& profile,
                                      std::uint32_t sms,
                                      std::uint32_t warps_per_sm,

@@ -541,7 +541,7 @@ struct ScanAccum {
     if (instr.kind != WarpInstr::Kind::kCompute) {
       stats.mem_lanes += instr.active_lanes;
       for (std::uint8_t i = 0; i < instr.active_lanes; ++i) {
-        lines.insert(instr.lane_addr[i] / 128);
+        lines.insert(instr.lane_addr[i] / kLineBytes);
       }
     }
   }

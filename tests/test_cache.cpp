@@ -7,7 +7,7 @@
 namespace latdiv {
 namespace {
 
-CacheConfig tiny() { return CacheConfig{1024, 128, 2}; }  // 4 sets x 2 ways
+CacheConfig tiny() { return CacheConfig{1024, 2}; }  // 4 sets x 2 ways
 
 TEST(Cache, MissThenHit) {
   Cache c(tiny());
@@ -121,12 +121,12 @@ TEST(Cache, HitRateComputation) {
 }
 
 TEST(Cache, SetCountMatchesGeometry) {
-  Cache c(CacheConfig{128 * 1024, 128, 16});  // the paper's L2 slice
+  Cache c(CacheConfig{128 * 1024, 16});  // the paper's L2 slice
   EXPECT_EQ(c.sets(), 64u);
 }
 
 TEST(Cache, StressManyFillsStayConsistent) {
-  Cache c(CacheConfig{32 * 1024, 128, 8});  // the paper's L1
+  Cache c(CacheConfig{32 * 1024, 8});  // the paper's L1
   Rng rng(9);
   for (int i = 0; i < 50000; ++i) {
     const Addr addr = (rng.next() & 0xFFFFF) & ~Addr{127};
@@ -143,8 +143,8 @@ TEST(Cache, StressManyFillsStayConsistent) {
 // access's outcome and are equal way by way (tags, LRU clocks, stats).
 TEST(Cache, WarmMatchesTouchThenFill) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    Cache ref(CacheConfig{2048, 128, 4});  // 4 sets x 4 ways
-    Cache dut(CacheConfig{2048, 128, 4});
+    Cache ref(CacheConfig{2048, 4});  // 4 sets x 4 ways
+    Cache dut(CacheConfig{2048, 4});
     Rng rng(seed);
     for (int step = 0; step < 2000; ++step) {
       const Addr line = rng.below(24) * 128;  // 6 lines per set

@@ -874,7 +874,7 @@ TEST_F(CkptErrors, SelectedWarpGroupNotInTable) {
 TEST_F(CkptErrors, MshrMoreEntriesThanItsFile) {
   Simulator sim(cfg_);
   const Partition0 p = walk_partition0(snap_, sim);
-  expect_patched_error(snap_, p.mshr_count, cfg_.partition.l2_mshr.entries + 1,
+  expect_patched_error(snap_, p.mshr_count, kL2Mshr.entries + 1,
                        "MCTL",
                        "snapshot corrupt: MSHR holds more entries than its "
                        "file");
@@ -892,7 +892,7 @@ TEST_F(CkptErrors, MshrEntryWaiterCountOutOfRange) {
   const std::string message =
       "snapshot corrupt: MSHR entry waiter count out of range";
   expect_patched_error(bytes, count_at, 0, "MCTL", message);
-  expect_patched_error(bytes, count_at, cfg_.partition.l2_mshr.max_merged + 1,
+  expect_patched_error(bytes, count_at, kL2Mshr.max_merged + 1,
                        "MCTL", message);
 }
 
@@ -938,7 +938,7 @@ TEST_F(CkptErrors, CrossbarQueueOverCapacity) {
 TEST_F(CkptErrors, L2PipelineOverCapacity) {
   Simulator sim(cfg_);
   const Partition0 p = walk_partition0(snap_, sim);
-  expect_patched_error(snap_, p.pipeline, 2 * cfg_.partition.l2_latency + 1,
+  expect_patched_error(snap_, p.pipeline, 2 * kL2Latency + 1,
                        "MCTL",
                        "snapshot geometry mismatch: L2 pipeline exceeds its "
                        "capacity");
@@ -947,7 +947,7 @@ TEST_F(CkptErrors, L2PipelineOverCapacity) {
 TEST_F(CkptErrors, L2FillQueueOverCapacity) {
   Simulator sim(cfg_);
   const Partition0 p = walk_partition0(snap_, sim);
-  expect_patched_error(snap_, p.fills, cfg_.partition.l2_mshr.entries + 1,
+  expect_patched_error(snap_, p.fills, kL2Mshr.entries + 1,
                        "MCTL",
                        "snapshot geometry mismatch: L2 fill queue exceeds its "
                        "capacity");

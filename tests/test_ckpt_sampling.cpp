@@ -266,9 +266,9 @@ TEST(SamplingWarming, RunWarmingMatchesPerLaneReference) {
 }
 
 // The sampler warms rows through the simulator's own address map, whose
-// bank count comes from the DRAM device.  A map built from the raw
-// cfg.amap (16 banks) once sent an 8-bank DDR3 channel warm_row calls
-// for banks 8..15, past the end of its bank table.
+// bank count comes from the DRAM device.  A map built with the default
+// 16 banks once sent an 8-bank DDR3 channel warm_row calls for banks
+// 8..15, past the end of its bank table.
 TEST(SamplingWarming, Ddr3SkipWarmsOnlyExistingBanks) {
   SimConfig cfg = sampling_cfg("pointer-chase", 48'000);
   cfg.dram = ddr3_1600_params();

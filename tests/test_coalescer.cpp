@@ -55,7 +55,7 @@ TEST(Coalescer, PartialWarpOnlyActiveLanes) {
 }
 
 TEST(Coalescer, PerfectModeCollapsesToOneRequest) {
-  Coalescer c(128, /*perfect=*/true);
+  Coalescer c(/*perfect=*/true);
   std::vector<Addr> out;
   c.coalesce(load_with({0x0, 0x1000, 0x2000, 0x3000}), out);
   ASSERT_EQ(out.size(), 1u);

@@ -7,9 +7,10 @@
 namespace latdiv {
 namespace {
 
+constexpr std::uint32_t kSms = 4;
+
 IcntConfig small_cfg() {
   IcntConfig cfg;
-  cfg.sms = 4;
   cfg.partitions = 2;
   cfg.request_latency = 3;
   cfg.response_latency = 3;
@@ -32,7 +33,7 @@ MemResponse resp_to(SmId sm, WarpInstrUid uid) {
 }
 
 TEST(Crossbar, RequestDeliveredAfterLatency) {
-  Crossbar x(small_cfg());
+  Crossbar x(small_cfg(), kSms, /*sticky=*/false);
   x.inject_request(0, req_to(1, 0, 7), 0);
   x.tick(0);
   EXPECT_EQ(x.peek_request(1, 2), nullptr);
@@ -41,7 +42,7 @@ TEST(Crossbar, RequestDeliveredAfterLatency) {
 }
 
 TEST(Crossbar, PerSmOrderPreserved) {
-  Crossbar x(small_cfg());
+  Crossbar x(small_cfg(), kSms, /*sticky=*/false);
   for (WarpInstrUid u = 0; u < 5; ++u) {
     x.inject_request(2, req_to(0, 2, u), 0);
   }
@@ -65,7 +66,7 @@ TEST(Crossbar, HeadOfLineBlockingPreservesOrderAcrossPartitions) {
   // stream, which we check by popping everything at the end.)
   IcntConfig cfg = small_cfg();
   cfg.partition_in_depth = 1;
-  Crossbar x(cfg);
+  Crossbar x(cfg, kSms, /*sticky=*/false);
   x.inject_request(0, req_to(0, 0, 1), 0);
   x.inject_request(0, req_to(0, 0, 2), 0);
   x.inject_request(0, req_to(1, 0, 3), 0);
@@ -85,7 +86,7 @@ TEST(Crossbar, HeadOfLineBlockingPreservesOrderAcrossPartitions) {
 }
 
 TEST(Crossbar, RoundRobinSharesPartitionBandwidth) {
-  Crossbar x(small_cfg());
+  Crossbar x(small_cfg(), kSms, /*sticky=*/false);
   // All four SMs target partition 0; one grant per cycle.
   for (SmId sm = 0; sm < 4; ++sm) {
     x.inject_request(sm, req_to(0, sm, sm), 0);
@@ -103,9 +104,7 @@ TEST(Crossbar, RoundRobinSharesPartitionBandwidth) {
 }
 
 TEST(Crossbar, StickyArbitrationKeepsSmStreak) {
-  IcntConfig cfg = small_cfg();
-  cfg.sticky_arbitration = true;
-  Crossbar x(cfg);
+  Crossbar x(small_cfg(), kSms, /*sticky=*/true);
   // SM 0 has a 3-request train; SM 1 has one request; all to partition 0.
   for (WarpInstrUid u = 0; u < 3; ++u) x.inject_request(0, req_to(0, 0, u), 0);
   x.inject_request(1, req_to(0, 1, 100), 0);
@@ -122,7 +121,7 @@ TEST(Crossbar, StickyArbitrationKeepsSmStreak) {
 }
 
 TEST(Crossbar, WithoutStickinessTrainsInterleave) {
-  Crossbar x(small_cfg());
+  Crossbar x(small_cfg(), kSms, /*sticky=*/false);
   for (WarpInstrUid u = 0; u < 3; ++u) x.inject_request(0, req_to(0, 0, u), 0);
   x.inject_request(1, req_to(0, 1, 100), 0);
   std::vector<SmId> order;
@@ -137,7 +136,7 @@ TEST(Crossbar, WithoutStickinessTrainsInterleave) {
 }
 
 TEST(Crossbar, ResponseRoutedToSmAfterLatency) {
-  Crossbar x(small_cfg());
+  Crossbar x(small_cfg(), kSms, /*sticky=*/false);
   x.inject_response(1, resp_to(2, 9), 0);
   x.tick(0);
   EXPECT_FALSE(x.pop_response(2, 2).has_value());
@@ -148,7 +147,7 @@ TEST(Crossbar, ResponseRoutedToSmAfterLatency) {
 }
 
 TEST(Crossbar, OneResponsePerSmPerCycle) {
-  Crossbar x(small_cfg());
+  Crossbar x(small_cfg(), kSms, /*sticky=*/false);
   x.inject_response(0, resp_to(0, 1), 0);
   x.inject_response(1, resp_to(0, 2), 0);
   x.tick(0);  // only one can move to SM 0 this cycle
@@ -162,7 +161,7 @@ TEST(Crossbar, OneResponsePerSmPerCycle) {
 TEST(Crossbar, InjectionBackpressure) {
   IcntConfig cfg = small_cfg();
   cfg.sm_queue_depth = 2;
-  Crossbar x(cfg);
+  Crossbar x(cfg, kSms, /*sticky=*/false);
   EXPECT_TRUE(x.can_inject_request(0));
   x.inject_request(0, req_to(0, 0, 1), 0);
   x.inject_request(0, req_to(0, 0, 2), 0);
@@ -171,7 +170,7 @@ TEST(Crossbar, InjectionBackpressure) {
 }
 
 TEST(Crossbar, StatsCountMoves) {
-  Crossbar x(small_cfg());
+  Crossbar x(small_cfg(), kSms, /*sticky=*/false);
   x.inject_request(0, req_to(0, 0, 1), 0);
   x.inject_response(0, resp_to(0, 1), 0);
   x.tick(0);

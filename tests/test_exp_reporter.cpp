@@ -163,13 +163,11 @@ TEST(ExpReporter, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(to_json(back), text);
 }
 
-TEST(ExpReporter, TimingIsOptInBecauseItIsNondeterministic) {
+TEST(ExpReporter, WallTimeNeverEntersTheArtifact) {
   const Artifact a =
       make_artifact(spec_with_baseline(), RunShape{}, {ok_point("w", "base",
                                                                1, 1.0)});
   EXPECT_EQ(to_json(a).find("wall_ms"), std::string::npos);
-  EXPECT_NE(to_json(a, /*include_timing=*/true).find("wall_ms"),
-            std::string::npos);
 }
 
 TEST(ExpReporter, RejectsUnknownSchema) {

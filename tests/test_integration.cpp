@@ -105,7 +105,6 @@ TEST(Integration, WarpsBlockUntilLastRequest) {
   SimConfig cfg = base_cfg("spmv");
   cfg.sm.warps = 1;
   cfg.num_sms = 2;
-  cfg.icnt.sms = 2;
   const RunResult r = Simulator(cfg).run();
   EXPECT_LT(r.ipc, 0.6) << "a single blocked warp cannot sustain IPC";
   EXPECT_GT(r.tracker.loads_finalized, 10u);

@@ -90,17 +90,16 @@ TEST(Mshr, StallCounter) {
 // store invalidates never lower the deficit.  Random event streams over a
 // small, eviction-heavy cache check it for several line sets at once.
 TEST(MshrDeficit, DropsByAtMostOnePerRelease) {
-  constexpr Addr kLine = 128;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     std::uint64_t state = seed;
     auto below = [&state](std::uint64_t n) {
       state = state * 6364136223846793005ULL + 1442695040888963407ULL;
       return (state >> 33) % n;
     };
-    Cache l1(CacheConfig{4 * 2 * kLine, kLine, 2});  // 4 sets x 2 ways
+    Cache l1(CacheConfig{4 * 2 * kLineBytes, 2});  // 4 sets x 2 ways
     MshrFile mshr(MshrConfig{6, 3});
     std::vector<Addr> pool;
-    for (Addr i = 0; i < 24; ++i) pool.push_back(i * kLine);
+    for (Addr i = 0; i < 24; ++i) pool.push_back(i * kLineBytes);
 
     // Distinct lines, like a coalesced access.
     std::vector<std::vector<Addr>> sets(4);

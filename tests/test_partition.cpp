@@ -29,19 +29,20 @@ struct CompletionProbe : TransactionScheduler {
 };
 
 struct Harness {
-  Harness() : amap(AddressMapConfig{}), xbar(make_icnt()) {
+  Harness()
+      : amap(AddressMapConfig{}),
+        xbar(make_icnt(), /*sms=*/2, /*sticky=*/false) {
     DramParams dp;
     dp.refresh_enabled = false;
     auto probe = std::make_unique<CompletionProbe>();
     probe_raw = probe.get();
-    part = std::make_unique<Partition>(kPart, PartitionConfig{}, McConfig{},
+    part = std::make_unique<Partition>(kPart, McConfig{},
                                        DramTiming::from(dp), std::move(probe),
                                        amap, xbar, tracker);
   }
 
   static IcntConfig make_icnt() {
     IcntConfig cfg;
-    cfg.sms = 2;
     cfg.partitions = 6;
     cfg.request_latency = 2;
     cfg.response_latency = 2;

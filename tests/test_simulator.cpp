@@ -103,6 +103,31 @@ TEST(Simulator, WafcfsUsesStickyInterconnect) {
   EXPECT_GT(r.instructions, 0u);
 }
 
+TEST(Simulator, DerivesWhatSimConfigDoesNotCarry) {
+  // The address map takes its bank geometry from the DRAM part.
+  SimConfig ddr3 = small_cfg(SchedulerKind::kGmc);
+  ddr3.dram = ddr3_1600_params();
+  const AddressMapConfig d3 = Simulator(ddr3).address_map().config();
+  EXPECT_EQ(d3.channels, 6u);
+  EXPECT_EQ(d3.banks_per_channel, 8u);
+  EXPECT_EQ(d3.banks_per_group, 8u);
+  Simulator gmc(small_cfg(SchedulerKind::kGmc));
+  const AddressMapConfig& g5 = gmc.address_map().config();
+  EXPECT_EQ(g5.channels, 6u);
+  EXPECT_EQ(g5.banks_per_channel, 16u);
+  EXPECT_EQ(g5.banks_per_group, 4u);
+
+  // Only WAFCFS runs the non-interleaving (sticky) crossbar.
+  EXPECT_FALSE(gmc.crossbar().sticky());
+  EXPECT_TRUE(Simulator(small_cfg(SchedulerKind::kWafcfs)).crossbar().sticky());
+
+  // Table II MSHRs: 32 per L1, 64 per L2 slice, each merging 8.
+  EXPECT_EQ(gmc.sm(0).mshr().config().entries, 32u);
+  EXPECT_EQ(gmc.sm(0).mshr().config().max_merged, 8u);
+  EXPECT_EQ(gmc.partition(0).l2_mshr().config().entries, 64u);
+  EXPECT_EQ(gmc.partition(0).l2_mshr().config().max_merged, 8u);
+}
+
 TEST(Simulator, CoordinationOnlyChattersForWgM) {
   const RunResult wg = Simulator(small_cfg(SchedulerKind::kWg, "sssp")).run();
   const RunResult wgm =
@@ -118,7 +143,6 @@ TEST(Simulator, MerbOnlyActsForWgBw) {
   auto cfg = [](SchedulerKind k) {
     SimConfig c = small_cfg(k, "sad");
     c.num_sms = 10;
-    c.icnt.sms = 10;
     c.sm.warps = 16;
     c.max_cycles = 30'000;
     return c;

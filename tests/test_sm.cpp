@@ -38,7 +38,7 @@ struct Harness {
   explicit Harness(const WorkloadProfile& profile, std::uint32_t warps = 2)
       : gen(profile, 1, warps, 42),
         amap(AddressMapConfig{}),
-        xbar(icnt_cfg()) {
+        xbar(icnt_cfg(), /*sms=*/1, /*sticky=*/false) {
     SmConfig cfg;
     cfg.warps = warps;
     sm = std::make_unique<Sm>(0, cfg, gen, amap, xbar, tracker, 1, 1);
@@ -46,7 +46,6 @@ struct Harness {
 
   static IcntConfig icnt_cfg() {
     IcntConfig cfg;
-    cfg.sms = 1;
     cfg.partitions = 6;
     cfg.request_latency = 1;
     cfg.response_latency = 1;

@@ -21,7 +21,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "cli.hpp"
@@ -60,15 +59,6 @@ double parse_tolerance(const char* flag, const char* text) {
   return v;
 }
 
-bool read_file(const char* path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  out = buf.str();
-  return true;
-}
-
 bool write_file(const char* path, const std::string& contents) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return false;
@@ -79,7 +69,7 @@ bool write_file(const char* path, const std::string& contents) {
 /// Parse `path` as JSON; false (message printed) when unreadable or bad.
 bool load_json(const char* path, JsonValue& doc) {
   std::string text;
-  if (!read_file(path, text)) {
+  if (!latdiv::cli::read_file(path, text)) {
     std::fprintf(stderr, "%s: cannot read '%s'\n", kTool, path);
     return false;
   }

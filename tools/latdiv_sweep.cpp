@@ -45,8 +45,6 @@ void usage(std::FILE* out) {
                "  --jobs N          executor threads (default 1)\n"
                "  --out FILE        write the JSON artifact\n"
                "  --csv FILE        write the CSV artifact\n"
-               "  --timings         include per-point wall_ms in the JSON "
-               "(non-deterministic)\n"
                "  --profile         per-phase wall-clock, simulated "
                "Mcycles/s and peak RSS on stderr\n"
                "  --trace DIR       write per-point Chrome trace_event JSON "
@@ -140,8 +138,6 @@ int cmd_run(const std::string& manifest, int argc, char** argv) {
       args.out_json = value();
     } else if (std::strcmp(flag, "--csv") == 0) {
       args.out_csv = value();
-    } else if (std::strcmp(flag, "--timings") == 0) {
-      args.timings = true;
     } else if (std::strcmp(flag, "--profile") == 0) {
       args.profile = true;
     } else if (std::strcmp(flag, "--trace") == 0) {

@@ -19,8 +19,6 @@
 // Exit codes: 0 ok, 1 schema violation, 2 usage or I/O errors.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "cli.hpp"
@@ -48,20 +46,11 @@ void usage(std::FILE* out) {
                "             the first violation)\n");
 }
 
-bool read_file(const char* path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  out = buf.str();
-  return true;
-}
-
 /// Parse `path` as JSON; exit code by reference (2 unreadable, 1 not
 /// JSON) with the message already printed.
 bool load_json(const char* path, JsonValue& doc, int& rc) {
   std::string text;
-  if (!read_file(path, text)) {
+  if (!latdiv::cli::read_file(path, text)) {
     std::fprintf(stderr, "latdiv-trace: cannot read '%s'\n", path);
     rc = 2;
     return false;

@@ -237,7 +237,6 @@ int cmd_replay(int argc, char** argv) {
     SimConfig cfg;
     cfg.num_sms = sms;
     cfg.sm.warps = warps;
-    cfg.icnt.sms = sms;
     cfg.scheduler = policy;
     cfg.seed = seed;
     cfg.max_cycles = cycles;
